@@ -3,18 +3,22 @@
 Subpackages by function:
 
 - ``blt_core``: buffered linear Toeplitz (BLT) strategy matrices, the
-  inverse pairing, and O(d*m)-memory streaming multiplication by C and C^-1.
+  inverse pairing, and O(d*m)-memory streaming multiplication by C^-1.
 - ``participation``: min-separation participation schemas and sensitivity
-  (fast Toeplitz path, dense lower bound, brute-force oracle).
+  (fast Toeplitz path, dense lower bound).
 - ``loss_metrics``: MaxError/RmsError and MaxLoss/RmsLoss functionals.
 - ``tree_baseline``: binary-tree aggregation baseline with full
-  pseudoinverse decoding; external strategy-matrix I/O.
+  pseudoinverse decoding; loading external strategy matrices (.npy or CSV).
 - ``blt_optimizer``: differentiable loss and L-BFGS driver that fits BLT
   parameters to a schema and objective.
 - ``accountant``: Gaussian-mechanism zCDP and zCDP -> (epsilon, delta).
 - ``ftrl_sim``: desk-scale DP federated-averaging simulator.
 - ``cli``: batch entry points (optimize, eval, sweep, noisegen, account,
-  simulate, bench-inverse).
+  simulate).
+
+The dense and brute-force oracles the tests check these against
+(``lt_toeplitz``, ``stream_mult``, pattern enumeration) live in
+``tests/oracles.py``, not in the package.
 """
 
 from corrnoise.blt_core import (
@@ -24,7 +28,6 @@ from corrnoise.blt_core import (
     calc_output_scale,
     inverse_blt_params,
     toeplitz_inverse_coefs,
-    stream_mult,
     stream_mult_inverse,
     make_noise_generator,
 )
@@ -40,8 +43,6 @@ from corrnoise.participation import (
     worst_case_pattern,
     toeplitz_sensitivity,
     matrix_sensitivity_lower_bound,
-    enumerate_patterns,
-    exact_sensitivity_bruteforce,
 )
 from corrnoise.loss_metrics import (
     MechanismLoss,
@@ -61,15 +62,12 @@ __all__ = [
     "calc_output_scale",
     "inverse_blt_params",
     "toeplitz_inverse_coefs",
-    "stream_mult",
     "stream_mult_inverse",
     "make_noise_generator",
     "ParticipationSchema",
     "worst_case_pattern",
     "toeplitz_sensitivity",
     "matrix_sensitivity_lower_bound",
-    "enumerate_patterns",
-    "exact_sensitivity_bruteforce",
     "MechanismLoss",
     "toeplitz_error",
     "dense_error",

@@ -45,7 +45,9 @@ def eps_of_zcdp(rho: float, delta: float = DEFAULT_DELTA, refined: bool = False)
         epsilon(a) = rho a + (log(1/delta) + (a-1) log(1 - 1/a) - log a) / (a - 1)
 
     is minimized over the order a > 1, which is never worse than the
-    closed form. Both are upper bounds on the true epsilon.
+    closed form. Both are upper bounds on the true epsilon. The refined
+    value is clamped at 0: at tiny rho the bound dips below 0, where the
+    true epsilon is 0 (the Gaussian's total variation is below delta).
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -71,4 +73,4 @@ def eps_of_zcdp(rho: float, delta: float = DEFAULT_DELTA, refined: bool = False)
     res = minimize_scalar(
         eps_at, bounds=(1.0 + 1e-9, max(10.0 * a_star, 100.0)), method="bounded"
     )
-    return float(min(closed, res.fun))
+    return float(max(0.0, min(closed, res.fun)))

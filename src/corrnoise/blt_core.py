@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -97,6 +97,10 @@ class BltParams:
                 f"sum(omega) = {om.sum()!r} > 1: coefficients would increase"
             )
         return self
+
+
+# identity strategy C = I (independent noise) as a relaxed BLT: omega = 0
+IDENTITY_MECHANISM = BltParams(np.array([0.5]), np.array([0.0]))
 
 
 def _geometric_coefs(theta, omega, n):
@@ -199,7 +203,6 @@ def calc_output_scale(theta, theta_hat) -> np.ndarray:
 class InversePair(NamedTuple):
     theta_hat: np.ndarray
     omega_hat: np.ndarray
-    fallback_used: bool
 
 
 def _roundtrip_residual(theta, omega, theta_hat, omega_hat, n):
@@ -216,28 +219,6 @@ def _roundtrip_residual(theta, omega, theta_hat, omega_hat, n):
     return np.max(np.abs(conv))
 
 
-def _prony_decays(seq, d):
-    """Recover d decay rates from a sequence s_i = sum_j a_j r_j^i.
-
-    Least-squares fit of the linear recurrence satisfied by the sequence,
-    then roots of its characteristic polynomial. Used as the fallback
-    recovery path when polynomial root-finding on the numerator is
-    ill-conditioned.
-    """
-    seq = np.asarray(seq, dtype=float)
-    if len(seq) < 2 * d:
-        raise ValueError("need at least 2d samples for recovery")
-    rows = len(seq) - d
-    H = np.empty((rows, d))
-    for i in range(rows):
-        H[i] = seq[i : i + d][::-1]
-    rhs = seq[d:]
-    a, *_ = np.linalg.lstsq(H, rhs, rcond=None)
-    # recurrence s_{i+d} = a_0 s_{i+d-1} + ... + a_{d-1} s_i
-    roots = np.roots(np.concatenate([[1.0], -a]))
-    return roots
-
-
 def inverse_blt_params(params: BltParams, check_tol: float = 1e-9) -> InversePair:
     """Parameters (theta_hat, omega_hat) of the inverse strategy C^-1.
 
@@ -248,16 +229,15 @@ def inverse_blt_params(params: BltParams, check_tol: float = 1e-9) -> InversePai
     from ``calc_output_scale(theta_hat, theta)``.
 
     Correctness is defined solely by the roundtrip C * C^-1 = I, which is
-    verified on the leading coefficients; on failure (ill-conditioned
-    roots) the decays are re-recovered from brute-force inverse
-    coefficients and the result is flagged ``fallback_used``.
+    verified on the leading coefficients. Complex or unstable roots, or a
+    roundtrip residual above ``check_tol``, raise ``np.linalg.LinAlgError``.
     """
     params.validate(relaxed=True)
     theta, omega = params.theta, params.omega
     d = params.d
     if np.all(omega == 0.0):
         # identity matrix: canonicalize theta_hat = theta, omega_hat = 0
-        return InversePair(theta.copy(), np.zeros(d), False)
+        return InversePair(theta.copy(), np.zeros(d))
     params.validate(relaxed=False)
 
     numer = _poly_from_decays(theta, float).copy()
@@ -273,43 +253,33 @@ def inverse_blt_params(params: BltParams, check_tol: float = 1e-9) -> InversePai
             step = npoly.polyval(roots, numer) / npoly.polyval(roots, dnumer)
         roots = np.where(np.isfinite(step), roots - step, roots)
 
-    theta_hat = omega_hat = None
-    ncheck = 2 * d + 2
-    if len(roots) == d and np.all(
-        np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots.real))
+    if len(roots) != d or np.any(
+        np.abs(roots.imag) > 1e-9 * np.maximum(1.0, np.abs(roots.real))
     ):
-        with np.errstate(divide="ignore", over="ignore"):
-            cand = np.sort(1.0 / roots.real)[::-1]
-        # one inverse decay turns negative when the column mass sits up
-        # front (sum omega_j/theta_j > 1); magnitude stays <= 1 whenever
-        # the strategy coefficients are non-increasing, so only stability
-        # is gated here, not the sign
-        if np.all(np.isfinite(cand)) and np.all(np.abs(cand) <= 1.0 + 1e-12):
-            try:
-                om_hat = calc_output_scale(cand, theta)
-                if _roundtrip_residual(theta, omega, cand, om_hat, ncheck) <= check_tol:
-                    theta_hat, omega_hat = cand, om_hat
-            except DegenerateParamsError:
-                pass
-    if theta_hat is not None:
-        return InversePair(theta_hat, np.asarray(omega_hat, dtype=float), False)
-
-    # fallback: recover decays from brute-force inverse coefficients
-    chat = toeplitz_inverse_coefs(_geometric_coefs(theta, omega, 4 * d + 2).real)
-    roots = _prony_decays(chat[1:], d)
-    if np.any(np.abs(roots.imag) > 1e-6):
         raise np.linalg.LinAlgError(
-            "inverse decay recovery failed: complex decays from both the "
-            "numerator-polynomial and recurrence-fit paths"
+            f"inverse decay recovery failed: numerator roots {roots!r} are "
+            f"not {d} real values"
         )
-    theta_hat = np.sort(roots.real)[::-1]
-    omega_hat = calc_output_scale(theta_hat, theta)
-    resid = _roundtrip_residual(theta, omega, theta_hat, omega_hat, ncheck)
-    if resid > 1e-6:
+    with np.errstate(divide="ignore", over="ignore"):
+        theta_hat = np.sort(1.0 / roots.real)[::-1]
+    # one inverse decay turns negative when the column mass sits up
+    # front (sum omega_j/theta_j > 1); magnitude stays <= 1 whenever
+    # the strategy coefficients are non-increasing, so only stability
+    # is gated here, not the sign
+    if not (np.all(np.isfinite(theta_hat)) and np.all(np.abs(theta_hat) <= 1.0 + 1e-12)):
+        raise np.linalg.LinAlgError(
+            f"inverse decay recovery failed: unstable inverse decays {theta_hat!r}"
+        )
+    try:
+        omega_hat = calc_output_scale(theta_hat, theta)
+    except DegenerateParamsError as exc:
+        raise np.linalg.LinAlgError(f"inverse decay recovery failed: {exc}") from exc
+    resid = _roundtrip_residual(theta, omega, theta_hat, omega_hat, 2 * d + 2)
+    if not resid <= check_tol:  # a NaN residual fails too
         raise np.linalg.LinAlgError(
             f"inverse decay recovery failed: roundtrip residual {resid:.2e}"
         )
-    return InversePair(theta_hat, np.asarray(omega_hat, dtype=float), True)
+    return InversePair(theta_hat, np.asarray(omega_hat, dtype=float))
 
 
 def toeplitz_inverse_coefs(c: np.ndarray) -> np.ndarray:
@@ -340,21 +310,8 @@ def blt_inverse_coefs(params: BltParams, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    params.validate(relaxed=True)
-    if np.all(params.omega == 0.0):
-        out = np.zeros(n)
-        out[0] = 1.0
-        return out
     pair = inverse_blt_params(params)
     return _geometric_coefs(pair.theta_hat, pair.omega_hat, n).real.astype(float)
-
-
-def lt_toeplitz(c: np.ndarray) -> np.ndarray:
-    """Dense lower-triangular Toeplitz matrix with first column c."""
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    idx = np.arange(n)[:, None] - np.arange(n)[None, :]
-    return np.where(idx >= 0, c[np.clip(idx, 0, n - 1)], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +383,8 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
         S_t    = diag(theta) S_{t-1} + outer(1_d, Zhat_t)
 
     Zhat_t is row t of C^-1 Z. O(d*m) per round. The state is mutated in
-    place and returned for convenience.
+    place and returned for convenience. A supplied row with NaN or Inf is
+    rejected before the state changes.
     """
     if state.max_rounds is not None and state.round >= state.max_rounds:
         raise RuntimeError(
@@ -441,36 +399,13 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
         z = np.asarray(input_row, dtype=float)
         if z.shape != (m,):
             raise ValueError(f"input row has shape {z.shape}, state expects ({m},)")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("input row contains NaN or Inf")
     zhat = z - state.params.omega @ state.buffers
     state.buffers *= state.params.theta[:, None]
     state.buffers += zhat[None, :]
     state.round += 1
     return zhat, state
-
-
-def stream_mult(params: BltParams, rows, relaxed: bool = False) -> np.ndarray:
-    """Multiply a row stream by C using only the d x m buffer.
-
-        Z_t = Zhat_t + omega @ S_{t-1};  S_t = diag(theta) S_{t-1} + Zhat_t
-
-    ``rows`` is an (T, m) array or an iterable of length-m rows; returns
-    the (T, m) array of outputs. Relaxed validation admits omega = 0
-    (identity) and theta = 1 (running prefix sums).
-    """
-    params.validate(relaxed=relaxed)
-    rows = [np.asarray(r, dtype=float) for r in rows]
-    if not rows:
-        return np.zeros((0, 0))
-    m = rows[0].shape[0]
-    S = np.zeros((params.d, m))
-    out = np.empty((len(rows), m))
-    for t, zhat in enumerate(rows):
-        if zhat.shape != (m,):
-            raise ValueError(f"row {t} has shape {zhat.shape}, expected ({m},)")
-        out[t] = zhat + params.omega @ S
-        S *= params.theta[:, None]
-        S += zhat[None, :]
-    return out
 
 
 # ---------------------------------------------------------------------------

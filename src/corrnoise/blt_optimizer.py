@@ -22,9 +22,7 @@ bracket and the search bisects toward it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

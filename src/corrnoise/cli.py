@@ -2,13 +2,12 @@
 
 Subcommands:
     optimize        fit buffered-decay noise parameters for a schema
-    eval            loss report for saved parameters, a saved matrix, or
-                    the tree baseline
+    eval            loss report for saved parameters, a saved matrix (.npy
+                    or CSV), or the tree baseline
     sweep           loss grid over min-separation values, CSV out
     noisegen        stream correlated noise rows to CSV
     account         zCDP and (epsilon, delta) for a sensitivity / sigma pair
     simulate        run the federated-averaging simulator from a JSON config
-    bench-inverse   timing of the closed-form decoder vs the O(n^2) recurrence
 
 All floats are printed with repr (shortest round-trip form), so outputs
 are byte-reproducible across runs on the same platform.
@@ -18,24 +17,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from corrnoise.accountant import METHOD_LABEL, eps_of_zcdp, zcdp_of
 from corrnoise.blt_core import (
-    BltParams,
-    blt_coefs,
-    blt_inverse_coefs,
+    IDENTITY_MECHANISM,
     load_params,
     make_noise_generator,
     save_params,
     stream_mult_inverse,
-    toeplitz_inverse_coefs,
 )
 from corrnoise.blt_optimizer import OptimizerConfig, optimize_blt
 from corrnoise.ftrl_sim import (
@@ -54,7 +45,7 @@ SWEEP_HEADER = (
 )
 
 
-def _schema_args(p: argparse.ArgumentParser, with_k_default=True):
+def _schema_args(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, required=True, help="number of rounds")
     p.add_argument("--min-sep", type=int, default=1, help="min rounds between repeats")
     p.add_argument(
@@ -133,32 +124,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_cell(name, kind, payload, n, b, k_opt, noise_multiplier):
+def _sweep_line(name, params, n, b, k_opt, noise_multiplier):
+    """One CSV row of the sweep; ``params`` is a BltParams, or None for the tree."""
     k = k_opt if k_opt is not None else max_participations(n, b)
+    head = f"{name},{n},{b},{k},"
     if (k - 1) * b >= n:
-        return {
-            "mechanism": name,
-            "n": n,
-            "b": b,
-            "k": k,
-            "status": "infeasible",
-        }
+        return head + ",,,,,,infeasible"
     schema = ParticipationSchema(n=n, b=b, k=k)
     try:
-        if kind == "params":
-            bundle = blt_mechanism_loss(payload, schema, noise_multiplier)
-        elif kind == "tree":
+        if params is None:
             bundle = eval_tree(n, schema, noise_multiplier=noise_multiplier)
-        else:  # identity: C = I, white noise
-            c = np.zeros(n)
-            c[0] = 1.0
-            bundle = mechanism_loss(c, schema, noise_multiplier)
+        else:
+            bundle = blt_mechanism_loss(params, schema, noise_multiplier)
     except Exception as exc:  # surface per-cell failures in the table
-        return {"mechanism": name, "n": n, "b": b, "k": k, "status": f"error:{exc}"}
-    row = _loss_dict(bundle)
-    row["mechanism"] = name
-    row["status"] = "ok"
-    return row
+        return head + f",,,,,,error:{exc}"
+    return head + (
+        f"{bundle.sens!r},{bundle.max_error!r},{bundle.rms_error!r},"
+        f"{bundle.max_loss!r},{bundle.rms_loss!r},{bundle.sens_method},ok"
+    )
 
 
 def cmd_sweep(args) -> int:
@@ -166,37 +149,20 @@ def cmd_sweep(args) -> int:
     for path in args.params or []:
         params, _ = load_params(path)
         name = os.path.splitext(os.path.basename(path))[0]
-        mechanisms.append((name, "params", params))
+        mechanisms.append((name, params))
     if args.tree:
-        mechanisms.append(("tree", "tree", None))
+        mechanisms.append(("tree", None))
     if args.identity:
-        mechanisms.append(("identity", "identity", None))
+        mechanisms.append(("identity", IDENTITY_MECHANISM))
     if not mechanisms:
         print("no mechanisms given (use --params / --tree / --identity)", file=sys.stderr)
         return 1
 
-    b_values = list(range(args.b_start, args.b_stop + 1, args.b_step))
-    workers = max(1, int(os.environ.get("CORRNOISE_THREADS", "4")))
-    jobs = [
-        (name, kind, payload, args.n, b, args.max_part, args.noise_multiplier)
-        for (name, kind, payload) in mechanisms
-        for b in b_values
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda j: _sweep_cell(*j), jobs))
-
     lines = [SWEEP_HEADER]
-    for row in rows:  # submission order kept: deterministic output
-        if row["status"] == "ok":
+    for name, params in mechanisms:
+        for b in range(args.b_start, args.b_stop + 1, args.b_step):
             lines.append(
-                f"{row['mechanism']},{row['n']},{row['b']},{row['k']},"
-                f"{row['sens']!r},{row['max_error']!r},{row['rms_error']!r},"
-                f"{row['max_loss']!r},{row['rms_loss']!r},{row['sens_method']},ok"
-            )
-        else:
-            lines.append(
-                f"{row['mechanism']},{row['n']},{row['b']},{row['k']},"
-                f",,,,,,{row['status']}"
+                _sweep_line(name, params, args.n, b, args.max_part, args.noise_multiplier)
             )
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -268,35 +234,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_bench_inverse(args) -> int:
-    rng = np.random.default_rng(7)
-    d = args.buffers
-    theta = np.sort(rng.uniform(0.3, 0.999, d))[::-1].copy()
-    omega = rng.uniform(0.05, 0.5, d)
-    omega *= 0.9 / omega.sum()
-    params = BltParams(theta, omega)
-
-    n_small = min(args.n, 2048)
-    chat_rec = toeplitz_inverse_coefs(blt_coefs(params, n_small))
-    chat_pair = blt_inverse_coefs(params, n_small)
-    agree = float(np.max(np.abs(chat_rec - chat_pair)))
-    print(f"agreement at n={n_small}: max abs diff {agree!r}")
-
-    n = args.n
-    c = blt_coefs(params, n)
-    t0 = time.perf_counter()
-    toeplitz_inverse_coefs(c)
-    t_rec = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    blt_inverse_coefs(params, n)
-    t_pair = time.perf_counter() - t0
-    print(f"n={n}")
-    print(f"  closed-form inverse (O(n d)):  {t_pair:.4f} s")
-    print(f"  dense recurrence    (O(n^2)):  {t_rec:.4f} s")
-    print(f"  speedup: {t_rec / max(t_pair, 1e-12):.1f}x")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="corrnoise",
@@ -317,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     _schema_args(p)
     src = p.add_mutually_exclusive_group()
     src.add_argument("--params", type=str, help="params JSON file")
-    src.add_argument("--matrix", type=str, help="saved strategy matrix")
+    src.add_argument("--matrix", type=str, help="strategy matrix, .npy or CSV")
     src.add_argument("--tree", action="store_true", help="binary-tree baseline")
     p.add_argument("--noise-multiplier", type=float, default=1.0)
     p.set_defaults(func=cmd_eval)
@@ -355,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=str, required=True, help="JSON config file")
     p.add_argument("--outdir", type=str, required=True)
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("bench-inverse", help="decoder timing comparison")
-    p.add_argument("--n", type=int, default=50000)
-    p.add_argument("--buffers", type=int, default=4)
-    p.set_defaults(func=cmd_bench_inverse)
     return ap
 
 

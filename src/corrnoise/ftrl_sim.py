@@ -17,18 +17,20 @@ participations actually observed), not just the configured estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from corrnoise.accountant import zcdp_of
 from corrnoise.blt_core import (
+    IDENTITY_MECHANISM,
     BltParams,
     blt_coefs,
     make_noise_generator,
     stream_mult_inverse,
 )
+from corrnoise.blt_optimizer import _sigmoid
 from corrnoise.participation import (
     ParticipationSchema,
     max_participations,
@@ -45,11 +47,6 @@ class StarvationError(RuntimeError):
             f"eligible, cohort needs {wanted}"
         )
         self.round_idx = round_idx
-
-
-# identity strategy (no correlation) expressed as a relaxed BLT so that
-# independent noise flows through the same streaming machinery
-IDENTITY_MECHANISM = BltParams(np.array([0.5]), np.array([0.0]))
 
 
 @dataclass
@@ -112,16 +109,6 @@ class SimResult:
     rho_realized: float
     sens_configured: float
     sigma_zeta: float
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    with np.errstate(over="ignore"):
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def make_population(

@@ -47,11 +47,6 @@ class MechanismLoss:
     sens_method: str
 
 
-def prefix_sum_matrix(n: int) -> np.ndarray:
-    """The lower-triangular all-ones workload A (running sums)."""
-    return np.tril(np.ones((n, n)))
-
-
 def toeplitz_error(c_inv) -> tuple[float, float]:
     """(MaxError, RmsError) from the inverse Toeplitz coefficients, O(n).
 

@@ -6,13 +6,10 @@ sensitivity of a strategy matrix C is the worst case of ||C u(pi)|| over
 participation patterns pi; for non-negative non-increasing Toeplitz
 strategies the worst case is the front-loaded pattern
 pi* = (0, b, ..., (k-1)b) and reduces to an O(k n) shifted-sum norm.
-The brute-force enumerator is retained as the validation oracle.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,22 +47,6 @@ def max_participations(n: int, b: int) -> int:
     return -(-n // b)
 
 
-def clamped_schema(n: int, b: int, k: int) -> ParticipationSchema:
-    """Schema with k clamped down to the feasible maximum.
-
-    Sweeps over b routinely cross the (k-1)*b >= n boundary; clamping with
-    a warning beats erroring out mid-sweep.
-    """
-    kmax = max_participations(n, b)
-    if k > kmax:
-        warnings.warn(
-            f"k={k} infeasible for (n={n}, b={b}); clamping to {kmax}",
-            stacklevel=2,
-        )
-        k = kmax
-    return ParticipationSchema(n, b, k)
-
-
 def worst_case_pattern(schema: ParticipationSchema) -> np.ndarray:
     """The front-loaded pattern pi* = (0, b, 2b, ..., (k-1)b)."""
     return np.arange(schema.k) * schema.b
@@ -81,14 +62,12 @@ def participation_vector(indices, n: int) -> np.ndarray:
 def _validate_toeplitz_column(c):
     if np.any(c < -1e-12):
         raise ValueError(
-            "Toeplitz sensitivity requires non-negative coefficients; "
-            "use exact_sensitivity_bruteforce for general strategies"
+            "Toeplitz sensitivity requires non-negative coefficients"
         )
     if np.any(np.diff(c) > 1e-12):
         raise ValueError(
             "Toeplitz sensitivity requires non-increasing coefficients "
-            "(the front-loaded pattern is not provably worst-case "
-            "otherwise); use exact_sensitivity_bruteforce"
+            "(the front-loaded pattern is not provably worst-case otherwise)"
         )
 
 
@@ -130,100 +109,3 @@ def matrix_sensitivity_lower_bound(
     idx = idx[idx < n]
     u = participation_vector(idx, n)
     return clip_norm * float(np.linalg.norm(C @ u))
-
-
-ENUMERATION_GUARD = 24
-
-
-def enumerate_patterns(schema: ParticipationSchema, maximal: bool = False):
-    """All patterns of the schema, as sorted index tuples.
-
-    The empty pattern is a member (participation may fall short of k).
-    With ``maximal=True``, only patterns that cannot be extended within
-    the schema are returned; for non-negative strategies the sensitivity
-    maximum is attained on these.
-
-    Guarded at n <= 24: the pattern count is exponential in n (2^n at
-    b=1, k=n) and this enumerator exists as a desk-scale oracle only.
-    """
-    n, b, k = schema.n, schema.b, schema.k
-    if n > ENUMERATION_GUARD:
-        raise ValueError(
-            f"refusing to enumerate patterns for n={n} > {ENUMERATION_GUARD}; "
-            "the count grows exponentially"
-        )
-    out = []
-
-    def extend(prefix, next_min):
-        out.append(tuple(prefix))
-        if len(prefix) == k:
-            return
-        for t in range(next_min, n):
-            prefix.append(t)
-            extend(prefix, t + b)
-            prefix.pop()
-
-    extend([], 0)
-    if not maximal:
-        return out
-
-    def is_maximal(pat):
-        if len(pat) == k:
-            return True
-        if not pat:
-            return n == 0
-        if pat[0] >= b:  # room to prepend
-            return False
-        if pat[-1] + b <= n - 1:  # room to append
-            return False
-        for a, c in zip(pat, pat[1:]):  # room to insert between
-            if c - a >= 2 * b:
-                return False
-        return True
-
-    return [p for p in out if is_maximal(p)]
-
-
-def count_patterns(schema: ParticipationSchema) -> int:
-    """Independent recursive pattern counter (oracle for enumerate_patterns).
-
-    N(n, b, k) counts patterns inside [0, n): either round 0 is unused
-    (N(n-1, b, k) shifted) or it is used and the rest live beyond the gap.
-    """
-    from functools import lru_cache
-
-    b, k = schema.b, schema.k
-
-    @lru_cache(maxsize=None)
-    def rec(n, k):
-        if n <= 0:
-            return 1  # the empty pattern
-        if k == 0:
-            return 1
-        return rec(n - 1, k) + rec(n - b, k - 1)
-
-    return rec(schema.n, k)
-
-
-def exact_sensitivity_bruteforce(
-    C, schema: ParticipationSchema, clip_norm: float = 1.0
-) -> float:
-    """max over enumerable patterns of ||C u(pi)||, for entrywise C >= 0.
-
-    Only maximal patterns are scored: with C >= 0, adding a participation
-    can only grow every coordinate of C u, so the maximum over all
-    patterns is attained on a maximal one.
-    """
-    C = np.asarray(C, dtype=float)
-    if np.any(C < 0):
-        raise ValueError("brute-force sensitivity requires C >= 0 entrywise")
-    n = C.shape[1]
-    if n != schema.n:
-        raise ValueError(f"C has {n} columns but schema.n = {schema.n}")
-    pats = enumerate_patterns(schema, maximal=True)
-    U = np.zeros((n, len(pats)))
-    for j, p in enumerate(pats):
-        if p:
-            U[list(p), j] = 1.0
-    norms = np.linalg.norm(C @ U, axis=0)
-    return clip_norm * float(norms.max(initial=0.0))

@@ -1,4 +1,4 @@
-"""Binary-tree aggregation baseline and external strategy-matrix I/O.
+"""Binary-tree aggregation baseline and external strategy-matrix loading.
 
 The tree strategy over 2^(L-1) leaves is built by the recursion
 
@@ -26,8 +26,6 @@ from corrnoise.participation import (
 )
 
 DENSE_GUARD = 8192
-
-MAGIC = b"CNMATRX1"
 
 
 @dataclass(frozen=True)
@@ -117,42 +115,12 @@ def eval_tree(
 # ---------------------------------------------------------------------------
 
 
-def save_strategy_matrix(path, C, binary: bool | None = None) -> None:
-    """Write a square strategy matrix as CSV or the binary container.
-
-    The container is magic, uint64 n, then row-major little-endian
-    doubles; it round-trips bit-exactly. Format chosen by extension
-    ('.csv' vs anything else) unless ``binary`` is forced.
-    """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError("strategy matrix must be square")
-    if binary is None:
-        binary = not str(path).endswith(".csv")
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(np.array(C.shape[0], dtype="<u8").tobytes())
-            fh.write(np.ascontiguousarray(C, dtype="<f8").tobytes())
-    else:
-        with open(path, "w") as fh:
-            for row in C:
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write("\n")
-
-
 def load_strategy_matrix(path) -> np.ndarray:
-    """Load a square lower-triangular strategy matrix (CSV or container)."""
-    with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC))
-        if head == MAGIC:
-            n = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-            data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-            if data.shape[0] != n * n:
-                raise ValueError(f"{path}: truncated matrix container")
-            C = data.reshape(n, n).copy()
-        else:
-            C = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Load a square lower-triangular strategy matrix (.npy or CSV)."""
+    if str(path).endswith(".npy"):
+        C = np.asarray(np.load(path, allow_pickle=False), dtype=float)
+    else:
+        C = np.loadtxt(path, delimiter=",", ndmin=2)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"{path}: matrix is not square: {C.shape}")
     if not np.all(np.isfinite(C)):

@@ -1,0 +1,146 @@
+"""Dense and brute-force oracles the fast paths are checked against.
+
+These exist only to validate the package: a dense lower-triangular
+Toeplitz builder, streaming multiplication by C (the package only
+streams C^-1), the prefix-sum workload matrix, and exhaustive
+participation-pattern enumeration with the sensitivity it implies.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+
+from corrnoise.participation import ParticipationSchema
+
+
+def lt_toeplitz(c: np.ndarray) -> np.ndarray:
+    """Dense lower-triangular Toeplitz matrix with first column c."""
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    idx = np.arange(n)[:, None] - np.arange(n)[None, :]
+    return np.where(idx >= 0, c[np.clip(idx, 0, n - 1)], 0.0)
+
+
+def stream_mult(params, rows, relaxed: bool = False) -> np.ndarray:
+    """Multiply a row stream by C using only the d x m buffer.
+
+        Z_t = Zhat_t + omega @ S_{t-1};  S_t = diag(theta) S_{t-1} + Zhat_t
+
+    ``rows`` is an (T, m) array or an iterable of length-m rows; returns
+    the (T, m) array of outputs. Relaxed validation admits omega = 0
+    (identity) and theta = 1 (running prefix sums).
+    """
+    params.validate(relaxed=relaxed)
+    rows = [np.asarray(r, dtype=float) for r in rows]
+    if not rows:
+        return np.zeros((0, 0))
+    m = rows[0].shape[0]
+    S = np.zeros((params.d, m))
+    out = np.empty((len(rows), m))
+    for t, zhat in enumerate(rows):
+        if zhat.shape != (m,):
+            raise ValueError(f"row {t} has shape {zhat.shape}, expected ({m},)")
+        out[t] = zhat + params.omega @ S
+        S *= params.theta[:, None]
+        S += zhat[None, :]
+    return out
+
+
+def prefix_sum_matrix(n: int) -> np.ndarray:
+    """The lower-triangular all-ones workload A (running sums)."""
+    return np.tril(np.ones((n, n)))
+
+
+ENUMERATION_GUARD = 24
+
+
+def enumerate_patterns(schema: ParticipationSchema, maximal: bool = False):
+    """All patterns of the schema, as sorted index tuples.
+
+    The empty pattern is a member (participation may fall short of k).
+    With ``maximal=True``, only patterns that cannot be extended within
+    the schema are returned; for non-negative strategies the sensitivity
+    maximum is attained on these.
+
+    Guarded at n <= 24: the pattern count is exponential in n (2^n at
+    b=1, k=n).
+    """
+    n, b, k = schema.n, schema.b, schema.k
+    if n > ENUMERATION_GUARD:
+        raise ValueError(
+            f"refusing to enumerate patterns for n={n} > {ENUMERATION_GUARD}; "
+            "the count grows exponentially"
+        )
+    out = []
+
+    def extend(prefix, next_min):
+        out.append(tuple(prefix))
+        if len(prefix) == k:
+            return
+        for t in range(next_min, n):
+            prefix.append(t)
+            extend(prefix, t + b)
+            prefix.pop()
+
+    extend([], 0)
+    if not maximal:
+        return out
+
+    def is_maximal(pat):
+        if len(pat) == k:
+            return True
+        if not pat:
+            return n == 0
+        if pat[0] >= b:  # room to prepend
+            return False
+        if pat[-1] + b <= n - 1:  # room to append
+            return False
+        for a, c in zip(pat, pat[1:]):  # room to insert between
+            if c - a >= 2 * b:
+                return False
+        return True
+
+    return [p for p in out if is_maximal(p)]
+
+
+def count_patterns(schema: ParticipationSchema) -> int:
+    """Independent recursive pattern counter (oracle for enumerate_patterns).
+
+    N(n, b, k) counts patterns inside [0, n): either round 0 is unused
+    (N(n-1, b, k) shifted) or it is used and the rest live beyond the gap.
+    """
+    b = schema.b
+
+    @lru_cache(maxsize=None)
+    def rec(n, k):
+        if n <= 0:
+            return 1  # the empty pattern
+        if k == 0:
+            return 1
+        return rec(n - 1, k) + rec(n - b, k - 1)
+
+    return rec(schema.n, schema.k)
+
+
+def exact_sensitivity_bruteforce(
+    C, schema: ParticipationSchema, clip_norm: float = 1.0
+) -> float:
+    """max over enumerable patterns of ||C u(pi)||, for entrywise C >= 0.
+
+    Only maximal patterns are scored: with C >= 0, adding a participation
+    can only grow every coordinate of C u, so the maximum over all
+    patterns is attained on a maximal one.
+    """
+    C = np.asarray(C, dtype=float)
+    if np.any(C < 0):
+        raise ValueError("brute-force sensitivity requires C >= 0 entrywise")
+    n = C.shape[1]
+    if n != schema.n:
+        raise ValueError(f"C has {n} columns but schema.n = {schema.n}")
+    pats = enumerate_patterns(schema, maximal=True)
+    U = np.zeros((n, len(pats)))
+    for j, p in enumerate(pats):
+        if p:
+            U[list(p), j] = 1.0
+    norms = np.linalg.norm(C @ U, axis=0)
+    return clip_norm * float(norms.max(initial=0.0))

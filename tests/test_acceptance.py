@@ -19,6 +19,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import exact_sensitivity_bruteforce, lt_toeplitz, stream_mult
 from strategies import blt_params_strategy, monotone_coefs_strategy
 
 from corrnoise.accountant import eps_of_zcdp, zcdp_of
@@ -26,9 +27,7 @@ from corrnoise.blt_core import (
     BltParams,
     blt_coefs,
     blt_inverse_coefs,
-    lt_toeplitz,
     make_noise_generator,
-    stream_mult,
     stream_mult_inverse,
     toeplitz_inverse_coefs,
 )
@@ -37,7 +36,6 @@ from corrnoise.ftrl_sim import TrainConfig, make_population, run_training
 from corrnoise.loss_metrics import blt_mechanism_loss, dense_error, toeplitz_error
 from corrnoise.participation import (
     ParticipationSchema,
-    exact_sensitivity_bruteforce,
     max_participations,
     toeplitz_sensitivity,
 )

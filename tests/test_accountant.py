@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from corrnoise.accountant import DEFAULT_DELTA, METHOD_LABEL, eps_of_zcdp, zcdp_of
 from corrnoise.blt_core import BltParams, blt_coefs
@@ -76,12 +77,26 @@ class TestEpsConversion:
         rho=st.floats(1e-6, 50.0),
         delta=st.floats(1e-12, 1e-3),
     )
+    @example(rho=1e-6, delta=1e-3)
+    @example(rho=1e-6, delta=8.9e-4)
     @settings(max_examples=100)
     def test_refined_never_worse_than_closed_form(self, rho, delta):
         closed = eps_of_zcdp(rho, delta)
         refined = eps_of_zcdp(rho, delta, refined=True)
         assert refined <= closed * (1 + 1e-12)
-        assert refined > 0
+        # the true epsilon is 0 where the Gaussian's total variation is
+        # below delta (e.g. rho = 1e-6, delta = 1e-3), so > 0 is false
+        assert refined >= 0
+
+    @pytest.mark.parametrize("rho, delta", [(1e-6, 1e-3), (1e-6, 8.9e-4)])
+    def test_refined_clamp_is_never_optimistic(self, rho, delta):
+        # exact curve of the Gaussian mechanism with mu = sqrt(2 rho):
+        # delta(eps) = Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2)
+        eps = eps_of_zcdp(rho, delta, refined=True)
+        assert eps == 0.0
+        mu = math.sqrt(2.0 * rho)
+        exact_delta = ndtr(-eps / mu + mu / 2) - math.exp(eps) * ndtr(-eps / mu - mu / 2)
+        assert exact_delta <= delta
 
     def test_monotone_in_rho_and_delta(self):
         assert eps_of_zcdp(0.2, 1e-7) < eps_of_zcdp(0.4, 1e-7)

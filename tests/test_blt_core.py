@@ -21,14 +21,11 @@ from corrnoise.blt_core import (
     blt_inverse_coefs,
     calc_output_scale,
     inverse_blt_params,
-    lt_toeplitz,
     load_params,
     make_noise_generator,
     save_params,
-    stream_mult,
     stream_mult_inverse,
     toeplitz_inverse_coefs,
-    _prony_decays,
 )
 
 # reference four-buffer parameter sets (production-grade optima)
@@ -40,6 +37,7 @@ OMEGA_B400 = np.array(
 )
 
 
+from oracles import lt_toeplitz, stream_mult
 from strategies import blt_params_strategy
 
 
@@ -138,7 +136,6 @@ class TestInverseBltParams:
         pair = inverse_blt_params(BltParams(np.array([0.5]), np.array([0.25])))
         assert pair.theta_hat[0] == pytest.approx(0.25, abs=1e-14)
         assert pair.omega_hat[0] == pytest.approx(-0.25, abs=1e-14)
-        assert not pair.fallback_used
 
     def test_identity_params(self):
         pair = inverse_blt_params(BltParams(np.array([0.5]), np.array([0.0])))
@@ -166,12 +163,20 @@ class TestInverseBltParams:
         back = toeplitz_inverse_coefs(chat)
         np.testing.assert_allclose(back, blt_coefs(p, n), atol=1e-11)
 
-    def test_prony_recovers_decays(self):
-        decays = np.array([0.8, 0.35])
-        weights = np.array([0.4, 0.2])
-        seq = weights[0] * decays[0] ** np.arange(12) + weights[1] * decays[1] ** np.arange(12)
-        rec = np.sort(_prony_decays(seq, 2))
-        np.testing.assert_allclose(rec, np.sort(decays), atol=1e-10)
+    def test_unrecoverable_params_raise_linalg_error(self):
+        # strictly valid, but the decays cluster within 2e-7 of 1 and the
+        # pairing cannot reproduce C^-1: the failure must be loud
+        p = BltParams(
+            np.array(
+                [0.9999999999979902, 0.9999991690470281, 0.9999988894693115, 0.9998056233041457]
+            ),
+            np.array(
+                [0.011336799171235427, 0.08245482036850915, 0.010255957597176691, 0.03865370313777184]
+            ),
+        )
+        p.validate()
+        with pytest.raises(np.linalg.LinAlgError):
+            inverse_blt_params(p)
 
 
 class TestToeplitzInverseCoefs:
@@ -237,6 +242,17 @@ class TestStreaming:
         state = make_noise_generator(p, m=2, noise_std=1.0)
         with pytest.raises(ValueError):
             stream_mult_inverse(state, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_without_state_change(self, bad):
+        p = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
+        state = make_noise_generator(p, m=3, noise_std=1.0)
+        stream_mult_inverse(state, np.array([1.0, -2.0, 0.5]))
+        buffers = state.buffers.copy()
+        with pytest.raises(ValueError):
+            stream_mult_inverse(state, np.array([1.0, bad, 0.5]))
+        np.testing.assert_array_equal(state.buffers, buffers)
+        assert state.round == 1
 
     @given(params=blt_params_strategy(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 48))
     @settings(max_examples=100)

@@ -14,9 +14,8 @@ import pytest
 from corrnoise.accountant import eps_of_zcdp, zcdp_of
 from corrnoise.blt_core import BltParams, load_params, save_params
 from corrnoise.cli import SWEEP_HEADER, main
-from corrnoise.loss_metrics import blt_mechanism_loss
+from corrnoise.loss_metrics import blt_mechanism_loss, mechanism_loss
 from corrnoise.participation import ParticipationSchema
-from corrnoise.tree_baseline import save_strategy_matrix
 
 MECH = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
 
@@ -103,17 +102,25 @@ class TestEval:
     def test_matrix_eval(self, tmp_path, capsys):
         C = np.tril(np.ones((8, 8)))
         path = tmp_path / "C.csv"
-        save_strategy_matrix(path, C, binary=False)
+        np.savetxt(path, C, delimiter=",")
         code, out = run_cli(
             ["eval", "--n", "8", "--min-sep", "4", "--matrix", str(path)], capsys
         )
         assert code == 0
         assert json.loads(out)["n"] == 8
 
+    def test_matrix_eval_npy_matches_csv(self, tmp_path, capsys):
+        C = np.tril(np.ones((8, 8))) * 0.5 + np.eye(8) * 0.5
+        np.save(tmp_path / "C.npy", C)
+        np.savetxt(tmp_path / "C.csv", C, delimiter=",", fmt="%.17g")
+        argv = ["eval", "--n", "8", "--min-sep", "4", "--matrix"]
+        _, out_npy = run_cli(argv + [str(tmp_path / "C.npy")], capsys)
+        _, out_csv = run_cli(argv + [str(tmp_path / "C.csv")], capsys)
+        assert out_npy == out_csv
+
 
 class TestSweep:
-    def test_deterministic_bytes_and_header(self, params_file, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CORRNOISE_THREADS", "4")
+    def test_deterministic_bytes_and_header(self, params_file, tmp_path, capsys):
         argv = [
             "sweep", "--n", "64", "--b-start", "8", "--b-stop", "32", "--b-step", "8",
             "--params", params_file, "--tree", "--identity",
@@ -121,7 +128,7 @@ class TestSweep:
         code1, out1 = run_cli(argv, capsys)
         code2, out2 = run_cli(argv, capsys)
         assert code1 == code2 == 0
-        assert out1 == out2  # byte-reproducible despite threading
+        assert out1 == out2  # byte-reproducible
         lines = out1.strip().split("\n")
         assert lines[0] == SWEEP_HEADER
         assert len(lines) == 1 + 3 * 4  # three mechanisms, four b values
@@ -141,6 +148,27 @@ class TestSweep:
         assert max_error == pytest.approx(4.0)  # sqrt(n)
         assert rms_error == pytest.approx(np.sqrt(8.5))
         assert float(row[8]) == pytest.approx(sens * rms_error)
+
+    def test_identity_rows_equal_one_d_reference(self, capsys):
+        # identity runs as the omega = 0 BLT; the 1-d Toeplitz path on
+        # e_0 is the reference and must agree bit for bit
+        n = 96
+        code, out = run_cli(
+            ["sweep", "--n", str(n), "--b-start", "5", "--b-stop", "96", "--b-step", "13",
+             "--identity", "--noise-multiplier", "1.7"],
+            capsys,
+        )
+        assert code == 0
+        e0 = np.zeros(n)
+        e0[0] = 1.0
+        for line in out.strip().split("\n")[1:]:
+            row = line.split(",")
+            b, k = int(row[2]), int(row[3])
+            ref = mechanism_loss(e0, ParticipationSchema(n, b, k), 1.7)
+            assert row[4:] == [
+                repr(ref.sens), repr(ref.max_error), repr(ref.rms_error),
+                repr(ref.max_loss), repr(ref.rms_loss), ref.sens_method, "ok",
+            ]
 
     def test_infeasible_cells_get_status_rows(self, params_file, capsys):
         code, out = run_cli(
@@ -224,15 +252,6 @@ class TestSimulate:
         part = (outdir / "participation.csv").read_text().strip().split("\n")
         assert part[0] == "round,client_id"
         assert len(part) == 1 + 6 * 3
-
-
-class TestBenchInverse:
-    def test_small_run_reports_agreement(self, capsys):
-        code, out = run_cli(["bench-inverse", "--n", "1500", "--buffers", "3"], capsys)
-        assert code == 0
-        agree_line = [l for l in out.split("\n") if "agreement" in l][0]
-        assert float(agree_line.rsplit(" ", 1)[1]) < 1e-10
-        assert "speedup" in out
 
 
 def test_console_script_installed():

@@ -6,14 +6,14 @@ dense and Toeplitz pipelines cross-check each other on BLT strategies.
 
 import numpy as np
 import pytest
+from oracles import lt_toeplitz, prefix_sum_matrix
 
-from corrnoise.blt_core import BltParams, blt_coefs, lt_toeplitz, toeplitz_inverse_coefs
+from corrnoise.blt_core import BltParams, blt_coefs, toeplitz_inverse_coefs
 from corrnoise.loss_metrics import (
     MechanismLoss,
     blt_mechanism_loss,
     dense_error,
     mechanism_loss,
-    prefix_sum_matrix,
     toeplitz_error,
 )
 from corrnoise.participation import ParticipationSchema

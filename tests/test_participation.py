@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrnoise.blt_core import lt_toeplitz
-from corrnoise.participation import (
-    ParticipationSchema,
-    clamped_schema,
+from oracles import (
     count_patterns,
     enumerate_patterns,
     exact_sensitivity_bruteforce,
+    lt_toeplitz,
+)
+
+from corrnoise.participation import (
+    ParticipationSchema,
     matrix_sensitivity_lower_bound,
     max_participations,
     participation_vector,
@@ -42,11 +44,6 @@ class TestSchema:
         assert max_participations(7, 2) == 4
         s = ParticipationSchema.worst_case(2052, 342)
         assert (s.n, s.b, s.k) == (2052, 342, 6)
-
-    def test_clamped_schema_caps_k(self):
-        with pytest.warns(UserWarning):
-            s = clamped_schema(10, 3, 5)
-        assert s.k == 4
 
     def test_worst_case_pattern(self):
         s = ParticipationSchema(10, 3, 3)

@@ -1,0 +1,88 @@
+"""Static checks on the package source, stdlib ``ast`` only.
+
+No unused module-level imports, a public namespace whose every name
+resolves, and the test-only oracles kept out of the package.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import corrnoise
+
+SRC = Path(corrnoise.__file__).resolve().parent
+MODULES = sorted(SRC.glob("*.py"))
+ORACLES = (
+    "lt_toeplitz",
+    "stream_mult",
+    "prefix_sum_matrix",
+    "enumerate_patterns",
+    "count_patterns",
+    "exact_sensitivity_bruteforce",
+)
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _dunder_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _identifiers(tree):
+    """Every name the code defines, reads, imports or exports."""
+    names = set(_dunder_all(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+    return names
+
+
+def test_source_files_found():
+    assert len(MODULES) >= 9
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_imports(path):
+    tree = _parse(path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _dunder_all(tree)
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_public_names_resolve():
+    for name in corrnoise.__all__:
+        assert getattr(corrnoise, name, None) is not None, name
+
+
+def test_oracles_live_only_in_tests():
+    assert not set(ORACLES) & set(corrnoise.__all__)
+    for path in MODULES:
+        found = set(ORACLES) & _identifiers(_parse(path))
+        assert not found, f"{path.name} still names {sorted(found)}"
+        module = corrnoise if path.stem == "__init__" else importlib.import_module(
+            f"corrnoise.{path.stem}"
+        )
+        assert not [n for n in ORACLES if hasattr(module, n)]

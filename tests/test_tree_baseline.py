@@ -1,4 +1,4 @@
-"""Binary-tree aggregation baseline and the strategy-matrix container.
+"""Binary-tree aggregation baseline and strategy-matrix loading.
 
 The covering construction is pinned on hand-checkable sizes, the full
 decoder against numpy's pseudoinverse, and the published-table loss row
@@ -14,7 +14,6 @@ from corrnoise.tree_baseline import (
     eval_tree,
     full_decoder,
     load_strategy_matrix,
-    save_strategy_matrix,
     tree_eval_horizon,
 )
 
@@ -108,20 +107,22 @@ class TestMatrixContainer:
     def test_csv_roundtrip_bit_identical(self, tmp_path, rng):
         C = np.tril(rng.normal(size=(6, 6))) + 2 * np.eye(6)
         path = tmp_path / "strategy.csv"
-        save_strategy_matrix(path, C, binary=False)
+        np.savetxt(path, C, delimiter=",", fmt="%.17g")
         np.testing.assert_array_equal(load_strategy_matrix(path), C)
 
     def test_binary_roundtrip_bit_identical(self, tmp_path, rng):
+        # .npy is the binary format
         C = np.tril(rng.normal(size=(5, 5))) + 2 * np.eye(5)
-        path = tmp_path / "strategy.bin"
-        save_strategy_matrix(path, C, binary=True)
+        path = tmp_path / "strategy.npy"
+        np.save(path, C)
         np.testing.assert_array_equal(load_strategy_matrix(path), C)
 
     def test_format_sniffing(self, tmp_path, rng):
+        # .npy by extension, anything else parsed as CSV
         C = np.tril(rng.normal(size=(4, 4))) + 2 * np.eye(4)
-        p1, p2 = tmp_path / "a.any", tmp_path / "b.any"
-        save_strategy_matrix(p1, C, binary=True)
-        save_strategy_matrix(p2, C, binary=False)
+        p1, p2 = tmp_path / "a.npy", tmp_path / "b.any"
+        np.save(p1, C)
+        np.savetxt(p2, C, delimiter=",", fmt="%.17g")
         np.testing.assert_array_equal(load_strategy_matrix(p1), load_strategy_matrix(p2))
 
     def test_validation_on_load(self, tmp_path):
@@ -137,3 +138,12 @@ class TestMatrixContainer:
         nan.write_text("nan,0.0\n1.0,1.0\n")
         with pytest.raises(ValueError):
             load_strategy_matrix(nan)
+        for name, bad in [
+            ("nonsq.npy", np.ones((2, 3))),
+            ("nonlt.npy", np.array([[1.0, 0.5], [0.0, 1.0]])),
+            ("nan.npy", np.array([[np.nan, 0.0], [1.0, 1.0]])),
+            ("pickled.npy", np.array([[{"a": 1}]], dtype=object)),  # never unpickled
+        ]:
+            np.save(tmp_path / name, bad)
+            with pytest.raises(ValueError):
+                load_strategy_matrix(tmp_path / name)
