@@ -328,6 +328,9 @@ class NoiseGeneratorState:
     is single-owner and strictly sequential (round t depends on t-1).
     Gaussian draws come from a counter-based Philox generator seeded by
     ``rng_seed``, so identical seeds give bitwise-identical streams.
+    ``buffers``, ``round`` and ``rng.bit_generator.state`` form a checkpoint:
+    copied into a fresh ``make_noise_generator`` state for the same params
+    and m, they continue the stream bit for bit.
     """
 
     params: BltParams

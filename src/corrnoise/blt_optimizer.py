@@ -3,9 +3,12 @@
 The loss treats (theta, theta_hat) as the free variables: both output
 scales follow from the pairing formula, the coefficients and sensitivity
 from theta/omega, the decoder error from theta_hat/omega_hat, and a log
-barrier keeps omega positive. Infeasible points evaluate to +inf (never
-an exception) so line searches can step into them safely; the optimizer
-works in logit space so the (0, 1) boxes on the decays are structural.
+barrier keeps omega positive. Sensitivity and error go through the same
+kernels as ``toeplitz_sensitivity`` and ``toeplitz_error``, so the fit and
+the evaluation share one loss formula. Infeasible points evaluate to +inf
+(never an exception) so line searches can step into them safely; the
+optimizer works in logit space so the (0, 1) boxes on the decays are
+structural.
 
 Gradients are complex-step derivatives (imag part at h = 1e-100), which
 match central finite differences to ~1e-8 relative but have no
@@ -27,15 +30,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from corrnoise.blt_core import (
-    DEGENERATE_GAP,
     BltParams,
+    DegenerateParamsError,
     calc_output_scale,
     _geometric_coefs,
 )
-from corrnoise.loss_metrics import blt_mechanism_loss
-from corrnoise.participation import ParticipationSchema
+from corrnoise.loss_metrics import _prefix_errors, blt_mechanism_loss
+from corrnoise.participation import ParticipationSchema, _shifted_sum_norm
 
 OBJECTIVES = ("max", "rms")
+# log-barrier weight during the fit; reported losses are barrier-free
+BARRIER_LAMBDA = 1e-7
 
 
 @dataclass
@@ -43,10 +48,7 @@ class OptimizerConfig:
     schema: ParticipationSchema
     d: int
     objective: str = "max"
-    barrier_lambda: float = 1e-7  # forced to 0 for reported losses
     restarts: int = 8
-    max_iters: int = 500
-    grad_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -54,8 +56,6 @@ class OptimizerConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.barrier_lambda < 0:
-            raise ValueError("barrier_lambda must be >= 0")
 
 
 @dataclass
@@ -79,29 +79,20 @@ def _sigmoid(x):
     return out
 
 
-def _min_pair_gap(v):
-    if v.shape[0] < 2:
-        return np.inf
-    vs = np.sort(v)
-    return float(np.min(np.diff(vs)))
-
-
 def blt_loss(
     theta,
     theta_hat,
     schema: ParticipationSchema,
     objective: str = "max",
     barrier_lambda: float = 0.0,
-    relaxed: bool = False,
 ):
     """Differentiable mechanism loss at (theta, theta_hat).
 
     err(theta_hat) * sens(theta) plus barrier_lambda times the log
     barrier -sum log theta - sum log(1-theta) - sum log omega. Domain
-    violations (decays outside (0,1), omega <= 0) return +inf rather
-    than raising, so the function is safe inside line searches.
-    ``relaxed`` additionally admits omega = 0 exactly (the identity
-    endpoint theta_hat = theta), where the barrier must be off.
+    violations (decays outside (0,1), near-coincident decays, omega <= 0,
+    which includes the identity endpoint theta_hat = theta) return +inf
+    rather than raising, so the function is safe inside line searches.
 
     Complex-safe in both arguments for derivative propagation.
     """
@@ -113,33 +104,18 @@ def blt_loss(
     if np.any(rth <= 0) or np.any(rth >= 1) or np.any(rthh <= 0) or np.any(rthh >= 1):
         return np.inf
     # near-coincident decays make the pairing weights blow up: infeasible
-    if _min_pair_gap(rth) < DEGENERATE_GAP or _min_pair_gap(rthh) < DEGENERATE_GAP:
+    try:
+        omega = calc_output_scale(theta, theta_hat)
+        omega_hat = calc_output_scale(theta_hat, theta)
+    except DegenerateParamsError:
         return np.inf
-    omega = calc_output_scale(theta, theta_hat)
-    omega_hat = calc_output_scale(theta_hat, theta)
-    romega = np.real(omega)
-    if relaxed:
-        if np.any(romega < 0):
-            return np.inf
-        if barrier_lambda != 0 and np.any(romega == 0):
-            raise ValueError("barrier is undefined at omega = 0; use barrier_lambda=0")
-    elif np.any(romega <= 0):
+    if np.any(np.real(omega) <= 0):
         return np.inf
-    n, b, k = schema.n, schema.b, schema.k
+    n = schema.n
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _geometric_coefs(theta, omega, n)
-        cbar = np.zeros(n, dtype=c.dtype)
-        for i in range(k):
-            s = i * b
-            cbar[s:] += c[: n - s]
-        sens = np.sqrt(np.sum(cbar * cbar))  # analytic: no abs on complex path
-        chat = _geometric_coefs(theta_hat, omega_hat, n)
-        bpre = np.cumsum(chat)
-        if objective == "max":
-            err = np.sqrt(np.sum(bpre * bpre))
-        else:
-            err = np.sqrt(np.sum((n - np.arange(n)) * bpre * bpre) / n)
-        loss = err * sens
+        sens = _shifted_sum_norm(_geometric_coefs(theta, omega, n), schema)
+        max_error, rms_error = _prefix_errors(_geometric_coefs(theta_hat, omega_hat, n))
+        loss = (max_error if objective == "max" else rms_error) * sens
     if not np.iscomplexobj(loss) and not np.isfinite(loss):
         return np.inf
     if barrier_lambda != 0.0:
@@ -361,22 +337,14 @@ def optimize_blt(config: OptimizerConfig) -> OptimizationResult:
     schema = config.schema
     rng = np.random.default_rng(config.seed)
 
-    def fg_factory(lam):
-        def f(x):
-            th = _sigmoid(x[:d])
-            thh = _sigmoid(x[d:])
-            return blt_loss(th, thh, schema, config.objective, lam)
+    def f(x, lam=BARRIER_LAMBDA):
+        return blt_loss(_sigmoid(x[:d]), _sigmoid(x[d:]), schema, config.objective, lam)
 
-        def fg(x):
-            f0 = f(x)
-            if not np.isfinite(np.real(f0)):
-                return np.inf, np.zeros_like(x)
-            return float(np.real(f0)), _complex_step_grad(f, x)
-
-        return f, fg
-
-    f_bar, fg = fg_factory(config.barrier_lambda)
-    f_plain, _ = fg_factory(0.0)
+    def fg(x):
+        f0 = f(x)
+        if not np.isfinite(np.real(f0)):
+            return np.inf, np.zeros_like(x)
+        return float(np.real(f0)), _complex_step_grad(f, x)
 
     best = None
     restart_losses = []
@@ -386,10 +354,8 @@ def optimize_blt(config: OptimizerConfig) -> OptimizationResult:
         # line searches probe extreme points; infeasibility is signalled by
         # inf losses, so intermediate overflow warnings carry no information
         with np.errstate(over="ignore", invalid="ignore"):
-            x, fx, iters, conv = _lbfgs(
-                fg, x0, maxiter=config.max_iters, m=10, gtol=config.grad_tol
-            )
-        loss = f_plain(x)
+            x, _, iters, conv = _lbfgs(fg, x0)
+        loss = f(x, 0.0)
         if not np.isfinite(loss):
             failures.append(f"restart {r}: infeasible terminal point")
             restart_losses.append(np.inf)

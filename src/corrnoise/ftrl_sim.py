@@ -83,8 +83,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        for name in ("rounds", "clients_per_round", "min_sep"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.est_max_part is not None and self.est_max_part < 1:
+            raise ValueError("est_max_part must be >= 1 (or None for the worst case)")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0")
         if self.noise_multiplier < 0:
@@ -271,7 +274,9 @@ def eval_model(model, X, y, task):
 
 def configured_sensitivity(config: TrainConfig) -> float:
     """Clip-normalized sensitivity of the configured mechanism and schema."""
-    k = config.est_max_part or max_participations(config.rounds, config.min_sep)
+    k = config.est_max_part
+    if k is None:
+        k = max_participations(config.rounds, config.min_sep)
     schema = ParticipationSchema(config.rounds, config.min_sep, k)
     mech = config.mechanism if config.mechanism is not None else IDENTITY_MECHANISM
     c = blt_coefs(mech, config.rounds, relaxed=True)

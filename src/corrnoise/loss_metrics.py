@@ -8,7 +8,8 @@ MaxLoss and RmsLoss, the mechanism-quality objectives.
 
 Two pipelines: an O(n) Toeplitz path working on the inverse coefficients,
 and a dense path for arbitrary strategies. They agree to float precision
-on Toeplitz inputs and are cross-tested.
+on Toeplitz inputs and are cross-tested. ``blt_optimizer.blt_loss`` calls
+the same Toeplitz error and shifted-sum sensitivity kernels.
 """
 
 from __future__ import annotations
@@ -60,11 +61,16 @@ def toeplitz_error(c_inv) -> tuple[float, float]:
     The i = 0 term carries weight n; for the identity strategy this gives
     the closed form RmsError = sqrt((n+1)/2).
     """
-    b = np.cumsum(np.asarray(c_inv, dtype=float))
+    max_error, rms_error = _prefix_errors(np.asarray(c_inv, dtype=float))
+    return float(max_error), float(rms_error)
+
+
+def _prefix_errors(c_inv):
+    """Unvalidated (MaxError, RmsError) of ``toeplitz_error``; no abs, complex-safe."""
+    b = np.cumsum(c_inv)
     n = b.shape[0]
-    b2 = b * b
-    max_error = float(np.sqrt(b2.sum()))
-    rms_error = float(np.sqrt(((n - np.arange(n)) * b2).sum() / n))
+    max_error = np.sqrt(np.sum(b * b))
+    rms_error = np.sqrt(np.sum((n - np.arange(n)) * b * b) / n)
     return max_error, rms_error
 
 

@@ -71,6 +71,16 @@ def _validate_toeplitz_column(c):
         )
 
 
+def _shifted_sum_norm(c, schema: ParticipationSchema):
+    """Unvalidated ||sum_{i<k} shift(c, i*b)||_2; no abs, so complex-safe."""
+    n = schema.n
+    cbar = np.zeros(n, dtype=c.dtype)
+    for i in range(schema.k):
+        s = i * schema.b
+        cbar[s:] += c[: n - s]
+    return np.sqrt(np.sum(cbar * cbar))
+
+
 def toeplitz_sensitivity(
     c, schema: ParticipationSchema, clip_norm: float = 1.0
 ) -> float:
@@ -86,11 +96,7 @@ def toeplitz_sensitivity(
         raise ValueError(f"need at least n={n} coefficients, got {c.shape[0]}")
     c = c[:n]
     _validate_toeplitz_column(c)
-    cbar = np.zeros(n)
-    for i in range(schema.k):
-        s = i * schema.b
-        cbar[s:] += c[: n - s]
-    return clip_norm * float(np.linalg.norm(cbar))
+    return clip_norm * float(_shifted_sum_norm(c, schema))
 
 
 def matrix_sensitivity_lower_bound(

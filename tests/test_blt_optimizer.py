@@ -9,7 +9,7 @@ the baselines it exists to beat.
 import numpy as np
 import pytest
 
-from corrnoise.blt_core import BltParams, calc_output_scale
+from corrnoise.blt_core import BltParams, calc_output_scale, inverse_blt_params
 from corrnoise.blt_optimizer import (
     OptimizerConfig,
     blt_loss,
@@ -21,6 +21,14 @@ from corrnoise.participation import ParticipationSchema
 from corrnoise.tree_baseline import eval_tree
 
 SCHEMA = ParticipationSchema(64, 16, 4)
+
+# production four-buffer mechanism; its largest decay is within 8e-12 of 1
+THETA_B400 = np.array(
+    [0.9999999999921251, 0.9944453083640997, 0.8985923474607591, 0.4912001418098778]
+)
+OMEGA_B400 = np.array(
+    [0.0070314825502323835, 0.10613806907600574, 0.1898159060327625, 0.1966594748073734]
+)
 
 
 def feasible_point():
@@ -39,6 +47,15 @@ class TestBltLoss:
             val = blt_loss(theta, theta_hat, SCHEMA, objective)
             assert val == pytest.approx(expect, rel=1e-9)
 
+    def test_matches_mechanism_loss_at_production_decays(self):
+        schema = ParticipationSchema(2052, 342, 6)
+        params = BltParams(THETA_B400, OMEGA_B400)
+        theta_hat = inverse_blt_params(params).theta_hat
+        bundle = blt_mechanism_loss(params, schema)
+        for objective, expect in (("max", bundle.max_loss), ("rms", bundle.rms_loss)):
+            val = blt_loss(THETA_B400, theta_hat, schema, objective)
+            assert val == pytest.approx(expect, rel=1e-9)
+
     @pytest.mark.parametrize(
         "theta, theta_hat",
         [
@@ -47,19 +64,12 @@ class TestBltLoss:
             ([0.9, 0.9], [0.4, 0.2]),  # duplicate decays
             ([0.9, 0.5], [0.4, 0.4]),  # duplicate inverse decays
             ([0.5, 0.9], [0.95, 0.4]),  # omega not all positive
+            ([0.5], [0.5]),  # identity endpoint: omega = 0
         ],
     )
     def test_infeasible_returns_inf(self, theta, theta_hat):
         val = blt_loss(np.array(theta, float), np.array(theta_hat, float), SCHEMA)
         assert val == np.inf
-
-    def test_barrier_requires_positive_omega(self):
-        theta = np.array([0.5])
-        with pytest.raises(ValueError):
-            blt_loss(theta, theta, SCHEMA, barrier_lambda=1e-7, relaxed=True)
-        # relaxed + no barrier: identity endpoint is admissible
-        val = blt_loss(theta, theta, SCHEMA, barrier_lambda=0.0, relaxed=True)
-        assert np.isfinite(val)
 
     def test_barrier_increases_loss(self):
         theta, theta_hat = feasible_point()
@@ -101,8 +111,6 @@ class TestOptimizeBlt:
             OptimizerConfig(schema=SCHEMA, d=0)
         with pytest.raises(ValueError):
             OptimizerConfig(schema=SCHEMA, d=2, objective="median")
-        with pytest.raises(ValueError):
-            OptimizerConfig(schema=SCHEMA, d=2, barrier_lambda=-1.0)
 
     def test_beats_tree_and_identity_baselines(self):
         res = optimize_blt(OptimizerConfig(schema=SCHEMA, d=2, restarts=3, seed=0))

@@ -188,6 +188,15 @@ class TestServerRound:
         np.testing.assert_array_equal(seen["delta_tilde"], delta_sum + canary)
 
 
+class TestTrainConfig:
+    # caught where they enter: unchecked, est_max_part=0 would silently mean
+    # the worst case and the other two would fail mid-run with unrelated errors
+    @pytest.mark.parametrize("name", ["est_max_part", "min_sep", "clients_per_round"])
+    def test_zero_rejected_at_construction(self, name):
+        with pytest.raises(ValueError, match=name):
+            config(**{name: 0})
+
+
 class TestConfiguredSensitivity:
     def test_independent_noise_is_sqrt_k(self):
         cfg = config(mechanism=None, rounds=12, min_sep=3)  # k = 4
