@@ -18,7 +18,7 @@ from corrnoise import (
     OptimizerConfig,
     ParticipationSchema,
     blt_coefs,
-    blt_mechanism_loss,
+    blt_mechanism_loss_fn,
     optimize_blt,
     toeplitz_sensitivity,
 )
@@ -51,13 +51,11 @@ def main():
     b_values = [
         b for b in range(args.b_start, args.b_stop + 1, args.b_step) if b <= b_cap
     ]
-    losses = []
-    for b in b_values:
-        bundle = blt_mechanism_loss(
-            params, ParticipationSchema(args.n, b, args.max_part)
-        )
-        losses.append(bundle.max_loss)
-    losses = np.array(losses)
+    # the errors do not depend on b: one evaluator computes them once
+    loss_fn = blt_mechanism_loss_fn(params, args.n)
+    losses = np.array(
+        [loss_fn(ParticipationSchema(args.n, b, args.max_part)).max_loss for b in b_values]
+    )
     jumps = np.abs(np.diff(losses)) / losses[:-1]
     print(
         f"b sweep [{args.b_start}, {args.b_stop}] step {args.b_step}: "

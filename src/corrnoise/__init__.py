@@ -50,8 +50,14 @@ from corrnoise.loss_metrics import (
     dense_error,
     mechanism_loss,
     blt_mechanism_loss,
+    blt_mechanism_loss_fn,
 )
-from corrnoise.tree_baseline import build_tree_matrix, full_decoder, eval_tree
+from corrnoise.tree_baseline import (
+    build_tree_matrix,
+    full_decoder,
+    eval_tree,
+    tree_loss_fn,
+)
 from corrnoise.blt_optimizer import OptimizerConfig, optimize_blt, blt_loss
 from corrnoise.accountant import zcdp_of, eps_of_zcdp
 
@@ -73,9 +79,11 @@ __all__ = [
     "dense_error",
     "mechanism_loss",
     "blt_mechanism_loss",
+    "blt_mechanism_loss_fn",
     "build_tree_matrix",
     "full_decoder",
     "eval_tree",
+    "tree_loss_fn",
     "OptimizerConfig",
     "optimize_blt",
     "blt_loss",

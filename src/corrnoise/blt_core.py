@@ -252,8 +252,11 @@ def inverse_blt_params(params: BltParams, check_tol: float = 1e-9) -> InversePai
         with np.errstate(divide="ignore", invalid="ignore"):
             step = npoly.polyval(roots, numer) / npoly.polyval(roots, dnumer)
         roots = np.where(np.isfinite(step), roots - step, roots)
+    # N has degree d - 1 exactly when sum omega_j/theta_j = 1: np.roots
+    # drops the root at infinity, which is the inverse decay theta_hat = 0
+    roots = np.concatenate([roots, np.full(d - len(roots), np.inf)])
 
-    if len(roots) != d or np.any(
+    if np.any(
         np.abs(roots.imag) > 1e-9 * np.maximum(1.0, np.abs(roots.real))
     ):
         raise np.linalg.LinAlgError(
@@ -270,10 +273,16 @@ def inverse_blt_params(params: BltParams, check_tol: float = 1e-9) -> InversePai
         raise np.linalg.LinAlgError(
             f"inverse decay recovery failed: unstable inverse decays {theta_hat!r}"
         )
-    try:
-        omega_hat = calc_output_scale(theta_hat, theta)
-    except DegenerateParamsError as exc:
-        raise np.linalg.LinAlgError(f"inverse decay recovery failed: {exc}") from exc
+    if np.any(theta_hat == 0.0):
+        # calc_output_scale divides by theta_hat; match chat_1..chat_d of
+        # the O(d^2) recurrence instead: chat_i = sum_j omega_hat_j theta_hat_j^(i-1)
+        chat = toeplitz_inverse_coefs(_geometric_coefs(theta, omega, d + 1))
+        omega_hat = np.linalg.solve(np.vander(theta_hat, d, increasing=True).T, chat[1:])
+    else:
+        try:
+            omega_hat = calc_output_scale(theta_hat, theta)
+        except DegenerateParamsError as exc:
+            raise np.linalg.LinAlgError(f"inverse decay recovery failed: {exc}") from exc
     resid = _roundtrip_residual(theta, omega, theta_hat, omega_hat, 2 * d + 2)
     if not resid <= check_tol:  # a NaN residual fails too
         raise np.linalg.LinAlgError(

@@ -36,21 +36,35 @@ from corrnoise.ftrl_sim import (
     write_metrics_csv,
     write_participation_csv,
 )
-from corrnoise.loss_metrics import blt_mechanism_loss, mechanism_loss
+from corrnoise.loss_metrics import (
+    blt_mechanism_loss,
+    blt_mechanism_loss_fn,
+    mechanism_loss,
+)
 from corrnoise.participation import ParticipationSchema, max_participations
-from corrnoise.tree_baseline import eval_tree, load_strategy_matrix
+from corrnoise.tree_baseline import eval_tree, load_strategy_matrix, tree_loss_fn
 
 SWEEP_HEADER = (
     "mechanism,n,b,k,sens,max_error,rms_error,max_loss,rms_loss,sens_method,status"
 )
 
 
+def _positive_int(text):
+    """argparse type: an int >= 1, so bad grid and schema values exit with usage."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _schema_args(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, required=True, help="number of rounds")
-    p.add_argument("--min-sep", type=int, default=1, help="min rounds between repeats")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of rounds")
+    p.add_argument(
+        "--min-sep", type=_positive_int, default=1, help="min rounds between repeats"
+    )
     p.add_argument(
         "--max-part",
-        type=int,
+        type=_positive_int,
         default=None,
         help="participation cap (default: worst case for n and min-sep)",
     )
@@ -124,18 +138,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_line(name, params, n, b, k_opt, noise_multiplier):
-    """One CSV row of the sweep; ``params`` is a BltParams, or None for the tree."""
+def _sweep_line(name, loss_fn, n, b, k_opt):
+    """One CSV row of the sweep; ``loss_fn`` maps a schema to its MechanismLoss."""
     k = k_opt if k_opt is not None else max_participations(n, b)
     head = f"{name},{n},{b},{k},"
     if (k - 1) * b >= n:
         return head + ",,,,,,infeasible"
     schema = ParticipationSchema(n=n, b=b, k=k)
     try:
-        if params is None:
-            bundle = eval_tree(n, schema, noise_multiplier=noise_multiplier)
-        else:
-            bundle = blt_mechanism_loss(params, schema, noise_multiplier)
+        bundle = loss_fn(schema)
     except Exception as exc:  # surface per-cell failures in the table
         return head + f",,,,,,error:{exc}"
     return head + (
@@ -145,25 +156,28 @@ def _sweep_line(name, params, n, b, k_opt, noise_multiplier):
 
 
 def cmd_sweep(args) -> int:
+    if args.b_stop < args.b_start:
+        args.parser.error(f"--b-stop {args.b_stop} is below --b-start {args.b_start}")
+    # one evaluator per mechanism: its b-independent errors are computed
+    # once, on the first feasible cell, and only the sensitivity per b
+    n, nm = args.n, args.noise_multiplier
     mechanisms = []
     for path in args.params or []:
         params, _ = load_params(path)
         name = os.path.splitext(os.path.basename(path))[0]
-        mechanisms.append((name, params))
+        mechanisms.append((name, blt_mechanism_loss_fn(params, n, nm)))
     if args.tree:
-        mechanisms.append(("tree", None))
+        mechanisms.append(("tree", tree_loss_fn(n, nm)))
     if args.identity:
-        mechanisms.append(("identity", IDENTITY_MECHANISM))
+        mechanisms.append(("identity", blt_mechanism_loss_fn(IDENTITY_MECHANISM, n, nm)))
     if not mechanisms:
         print("no mechanisms given (use --params / --tree / --identity)", file=sys.stderr)
         return 1
 
     lines = [SWEEP_HEADER]
-    for name, params in mechanisms:
+    for name, loss_fn in mechanisms:
         for b in range(args.b_start, args.b_stop + 1, args.b_step):
-            lines.append(
-                _sweep_line(name, params, args.n, b, args.max_part, args.noise_multiplier)
-            )
+            lines.append(_sweep_line(name, loss_fn, n, b, args.max_part))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -260,17 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="loss grid over min-separation values")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b-start", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--b-start", type=_positive_int, required=True)
     p.add_argument("--b-stop", type=int, required=True)
-    p.add_argument("--b-step", type=int, default=10)
-    p.add_argument("--max-part", type=int, default=None)
+    p.add_argument("--b-step", type=_positive_int, default=10)
+    p.add_argument("--max-part", type=_positive_int, default=None)
     p.add_argument("--noise-multiplier", type=float, default=1.0)
     p.add_argument("--params", type=str, nargs="*", help="params JSON files")
     p.add_argument("--tree", action="store_true")
     p.add_argument("--identity", action="store_true")
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     p = sub.add_parser("noisegen", help="stream correlated noise rows to CSV")
     p.add_argument("--params", type=str, required=True)

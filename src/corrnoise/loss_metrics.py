@@ -134,6 +134,33 @@ def mechanism_loss(
     return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "lower_bound")
 
 
+def blt_mechanism_loss_fn(params: BltParams, n: int, noise_multiplier: float = 1.0):
+    """``schema -> MechanismLoss`` for a BLT strategy over n rounds, O(n d).
+
+    The coefficients and the errors do not depend on the schema: the
+    first call expands the coefficients, validates them through the
+    sensitivity and only then pairs for the errors; every call after
+    that computes only the sensitivity. A step that raises is not kept,
+    so each later call raises the same way. Nothing runs until the
+    first call; the schema's n must equal ``n``.
+    """
+    c = errors = None
+
+    def loss(schema: ParticipationSchema) -> MechanismLoss:
+        nonlocal c, errors
+        if schema.n != n:
+            raise ValueError(f"schema has n = {schema.n}, evaluator has n = {n}")
+        if c is None:
+            c = blt_core.blt_coefs(params, n, relaxed=True)
+        sens = toeplitz_sensitivity(c, schema)
+        if errors is None:
+            errors = toeplitz_error(blt_core.blt_inverse_coefs(params, n))
+        max_error, rms_error = errors
+        return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "toeplitz")
+
+    return loss
+
+
 def blt_mechanism_loss(
     params: BltParams, schema: ParticipationSchema, noise_multiplier: float = 1.0
 ) -> MechanismLoss:
@@ -143,8 +170,4 @@ def blt_mechanism_loss(
     but the inverse coefficients come from the inverse-pair decays
     instead of the quadratic recurrence, so this stays cheap at large n.
     """
-    n = schema.n
-    c = blt_core.blt_coefs(params, n, relaxed=True)
-    sens = toeplitz_sensitivity(c, schema)
-    max_error, rms_error = toeplitz_error(blt_core.blt_inverse_coefs(params, n))
-    return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "toeplitz")
+    return blt_mechanism_loss_fn(params, schema.n, noise_multiplier)(schema)

@@ -88,6 +88,32 @@ def tree_eval_horizon(n: int) -> int:
     return 1 << (int(n).bit_length() - 1)
 
 
+def tree_loss_fn(n: int, noise_multiplier: float = 1.0):
+    """``schema -> MechanismLoss`` for full-decoded tree aggregation over n rounds.
+
+    The decode does not depend on the schema: the first call builds the
+    tree at the evaluation horizon, decodes it and takes its errors, and
+    every call then computes only the sensitivity. A decode that raises
+    is not kept, so each later call raises the same way. Nothing runs
+    until the first call.
+    """
+    decoded = None  # (tree, max_error, rms_error) once the decode succeeds
+
+    def loss(schema: ParticipationSchema) -> MechanismLoss:
+        nonlocal decoded
+        if decoded is None:
+            tree = build_tree_matrix(tree_eval_horizon(n))
+            decoded = (tree, *dense_error(full_decoder(tree)))
+        tree, max_error, rms_error = decoded
+        eval_schema = ParticipationSchema(
+            tree.n, schema.b, min(schema.k, -(-tree.n // schema.b))
+        )
+        sens = matrix_sensitivity_lower_bound(tree.C, eval_schema)
+        return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "lower_bound")
+
+    return loss
+
+
 def eval_tree(
     n: int, schema: ParticipationSchema, noise_multiplier: float = 1.0
 ) -> MechanismLoss:
@@ -99,15 +125,7 @@ def eval_tree(
     Sensitivity is the front-loaded-pattern lower bound, flagged as such
     (empirically tight for trees at enumerable sizes, but not proven).
     """
-    n_eval = tree_eval_horizon(n)
-    tree = build_tree_matrix(n_eval)
-    B = full_decoder(tree)
-    max_error, rms_error = dense_error(B)
-    eval_schema = ParticipationSchema(
-        n_eval, schema.b, min(schema.k, -(-n_eval // schema.b))
-    )
-    sens = matrix_sensitivity_lower_bound(tree.C, eval_schema)
-    return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "lower_bound")
+    return tree_loss_fn(n, noise_multiplier)(schema)
 
 
 # ---------------------------------------------------------------------------

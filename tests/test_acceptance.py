@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_sensitivity_bruteforce, lt_toeplitz, stream_mult
@@ -140,6 +140,9 @@ class TestCriterion6PropertySuites:
 
     @given(params=blt_params_strategy(), n=st.integers(1, 512))
     @settings(max_examples=100)
+    # sum omega_j/theta_j = 1: the inverse has a zero decay
+    @example(params=BltParams(np.array([0.5]), np.array([0.5])), n=64)
+    @example(params=BltParams(np.array([0.6, 0.2]), np.array([0.3, 0.1])), n=64)
     def test_output_scale_pairing_roundtrip(self, params, n):
         conv = np.convolve(blt_coefs(params, n), blt_inverse_coefs(params, n))[:n]
         target = np.zeros(n)

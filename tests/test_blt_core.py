@@ -163,6 +163,19 @@ class TestInverseBltParams:
         back = toeplitz_inverse_coefs(chat)
         np.testing.assert_allclose(back, blt_coefs(p, n), atol=1e-11)
 
+    @pytest.mark.parametrize(
+        "theta, omega", [([0.5], [0.5]), ([0.6, 0.2], [0.3, 0.1])]
+    )
+    def test_zero_inverse_decay_matches_recurrence(self, theta, omega):
+        # sum omega_j/theta_j = 1 drops the numerator's top coefficient,
+        # so one inverse decay is exactly 0
+        p = BltParams(np.array(theta), np.array(omega))
+        assert 0.0 in inverse_blt_params(p).theta_hat
+        n = 64
+        np.testing.assert_allclose(
+            blt_inverse_coefs(p, n), toeplitz_inverse_coefs(blt_coefs(p, n)), atol=1e-15
+        )
+
     def test_unrecoverable_params_raise_linalg_error(self):
         # strictly valid, but the decays cluster within 2e-7 of 1 and the
         # pairing cannot reproduce C^-1: the failure must be loud

@@ -11,11 +11,13 @@ import sys
 import numpy as np
 import pytest
 
+import corrnoise.tree_baseline
 from corrnoise.accountant import eps_of_zcdp, zcdp_of
 from corrnoise.blt_core import BltParams, load_params, save_params
 from corrnoise.cli import SWEEP_HEADER, main
 from corrnoise.loss_metrics import blt_mechanism_loss, mechanism_loss
 from corrnoise.participation import ParticipationSchema
+from corrnoise.tree_baseline import eval_tree
 
 MECH = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
 
@@ -181,6 +183,87 @@ class TestSweep:
         status = {l.split(",")[2]: l.split(",")[-1] for l in lines}
         assert status["16"] == "ok"  # (4-1)*16 = 48 < 64
         assert status["32"] == "infeasible"  # (4-1)*32 = 96 >= 64
+
+    def test_tree_decodes_once_per_invocation(self, monkeypatch, capsys):
+        calls = []
+        decode = corrnoise.tree_baseline.full_decoder
+
+        def counting_decoder(tree):
+            calls.append(tree.n)
+            return decode(tree)
+
+        monkeypatch.setattr(corrnoise.tree_baseline, "full_decoder", counting_decoder)
+        argv = ["sweep", "--n", "64", "--b-start", "8", "--b-stop", "32", "--b-step", "8",
+                "--tree"]
+        for expected in (1, 2):  # no decode outlives a main call
+            code, out = run_cli(argv, capsys)
+            assert code == 0 and out.count(",ok\n") == 4
+            assert len(calls) == expected
+        # every cell infeasible: nothing is decoded
+        code, out = run_cli(
+            ["sweep", "--n", "64", "--b-start", "40", "--b-stop", "60", "--b-step", "10",
+             "--max-part", "3", "--tree"],
+            capsys,
+        )
+        assert code == 0 and out.count(",infeasible\n") == 3
+        assert len(calls) == 2
+
+    def test_rows_equal_single_cell_evaluators(self, params_file, capsys):
+        n, nm = 100, 1.7
+        code, out = run_cli(
+            ["sweep", "--n", str(n), "--b-start", "5", "--b-stop", "100", "--b-step", "19",
+             "--params", params_file, "--tree", "--noise-multiplier", str(nm)],
+            capsys,
+        )
+        assert code == 0
+        for line in out.strip().split("\n")[1:]:
+            row = line.split(",")
+            schema = ParticipationSchema(n, int(row[2]), int(row[3]))
+            if row[0] == "tree":
+                ref = eval_tree(n, schema, nm)
+            else:
+                ref = blt_mechanism_loss(MECH, schema, nm)
+            assert row[4:] == [
+                repr(ref.sens), repr(ref.max_error), repr(ref.rms_error),
+                repr(ref.max_loss), repr(ref.rms_loss), ref.sens_method, "ok",
+            ]
+
+    def test_failing_decode_reported_in_every_feasible_cell(self, capsys):
+        code, out = run_cli(
+            ["sweep", "--n", "20000", "--b-start", "100", "--b-stop", "300",
+             "--b-step", "100", "--tree"],
+            capsys,
+        )
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert row.endswith(",,,,,,error:n = 16384 exceeds the dense "
+                                "materialization guard (8192)")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "64", "--b-start", "0", "--b-stop", "8", "--identity"],
+            ["sweep", "--n", "64", "--b-start", "8", "--b-stop", "16", "--b-step", "0",
+             "--identity"],
+            ["sweep", "--n", "64", "--b-start", "8", "--b-stop", "16", "--b-step", "-8",
+             "--identity"],
+            ["sweep", "--n", "64", "--b-start", "16", "--b-stop", "8", "--identity"],
+            ["sweep", "--n", "64", "--b-start", "8", "--b-stop", "16", "--max-part", "0",
+             "--identity"],
+            ["sweep", "--n", "0", "--b-start", "8", "--b-stop", "16", "--identity"],
+            ["eval", "--n", "64", "--min-sep", "0", "--tree"],
+        ],
+        ids=["b-start-0", "b-step-0", "b-step-negative", "b-stop-below-start",
+             "max-part-0", "n-0", "eval-min-sep-0"],
+    )
+    def test_bad_grid_or_schema_exits_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage" in captured.err and captured.out == ""
 
     def test_no_mechanism_is_an_error(self, capsys):
         code = main(["sweep", "--n", "64", "--b-start", "8", "--b-stop", "8"])

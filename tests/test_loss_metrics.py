@@ -12,6 +12,7 @@ from corrnoise.blt_core import BltParams, blt_coefs, toeplitz_inverse_coefs
 from corrnoise.loss_metrics import (
     MechanismLoss,
     blt_mechanism_loss,
+    blt_mechanism_loss_fn,
     dense_error,
     mechanism_loss,
     toeplitz_error,
@@ -91,6 +92,14 @@ class TestMechanismLoss:
         bundle = blt_mechanism_loss(P2, ParticipationSchema(20, 5, 2))
         assert bundle.max_loss == pytest.approx(bundle.sens * bundle.max_error, rel=1e-14)
         assert bundle.rms_loss == pytest.approx(bundle.sens * bundle.rms_error, rel=1e-14)
+
+    def test_evaluator_rejects_schema_of_another_horizon(self):
+        loss_fn = blt_mechanism_loss_fn(P2, 32)
+        assert loss_fn(ParticipationSchema(32, 8, 2)) == blt_mechanism_loss(
+            P2, ParticipationSchema(32, 8, 2)
+        )
+        with pytest.raises(ValueError, match="schema has n = 16"):
+            loss_fn(ParticipationSchema(16, 8, 2))
 
     def test_dense_validation(self):
         schema = ParticipationSchema(4, 2, 2)
