@@ -9,8 +9,9 @@ The two key structural facts implemented here:
 
 1. Multiplication by C and by C^-1 can be streamed row by row with a d x m
    buffer matrix S, independent of the number of rounds n.
-2. C^-1 is itself a d-buffer BLT: its decays theta_hat are recoverable in
-   closed form, and the output scales pair up through ``calc_output_scale``.
+2. C^-1 is itself a d-buffer BLT whose decays theta_hat and output scales
+   come from one d x d symmetric eigenproblem; ``calc_output_scale`` gives
+   the output scales that pair given decays with given inverse decays.
 
 All coefficient math is double precision on purpose: decays like
 1 - 8e-12 lose all structure in single precision. Several helpers accept
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 # minimum gap between decay values before the pairing formula is declared
 # degenerate (w_i divides by pairwise differences of 1/theta)
@@ -219,18 +219,19 @@ def _roundtrip_residual(theta, omega, theta_hat, omega_hat, n):
     return np.max(np.abs(conv))
 
 
-def inverse_blt_params(params: BltParams, check_tol: float = 1e-9) -> InversePair:
+def inverse_blt_params(params: BltParams) -> InversePair:
     """Parameters (theta_hat, omega_hat) of the inverse strategy C^-1.
 
-    The generating function of the coefficients is C(x) = N(x)/p(x) with
-    N(x) = p(x) + x * sum_j omega_j prod_{l!=j}(1 - theta_l x), a degree-d
-    polynomial with N(0) = 1. Hence 1/C(x) = p(x)/N(x) and the inverse
-    decays are the reciprocals of the roots of N. omega_hat then follows
-    from ``calc_output_scale(theta_hat, theta)``.
+    ``stream_mult_inverse`` runs C^-1 as the state-space recurrence
+    S_t = A S_{t-1} + 1 z_t with A = diag(theta) - 1 omega^T and output
+    chat_i = -omega^T A^(i-1) 1. With s = sqrt(omega), A is similar to the
+    symmetric M = diag(theta) - s s^T = Q diag(theta_hat) Q^T, so the
+    inverse decays are the eigenvalues of M and chat_i = -s^T M^(i-1) s
+    gives omega_hat = -(Q^T s)^2.
 
     Correctness is defined solely by the roundtrip C * C^-1 = I, which is
-    verified on the leading coefficients. Complex or unstable roots, or a
-    roundtrip residual above ``check_tol``, raise ``np.linalg.LinAlgError``.
+    verified on the leading coefficients; a roundtrip residual above 1e-9
+    raises ``np.linalg.LinAlgError``.
     """
     params.validate(relaxed=True)
     theta, omega = params.theta, params.omega
@@ -240,62 +241,30 @@ def inverse_blt_params(params: BltParams, check_tol: float = 1e-9) -> InversePai
         return InversePair(theta.copy(), np.zeros(d))
     params.validate(relaxed=False)
 
-    numer = _poly_from_decays(theta, float).copy()
-    for j in range(d):
-        others = np.delete(theta, j)
-        numer[1:] += omega[j] * _poly_from_decays(others, float)
-    roots = np.roots(numer[::-1])  # np.roots wants descending coefficients
-    # polish: companion eigenvalues lose digits on clustered roots, Newton
-    # restores them as long as the roots are simple
-    dnumer = numer[1:] * np.arange(1, d + 1)
-    for _ in range(3):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = npoly.polyval(roots, numer) / npoly.polyval(roots, dnumer)
-        roots = np.where(np.isfinite(step), roots - step, roots)
-    # N has degree d - 1 exactly when sum omega_j/theta_j = 1: np.roots
-    # drops the root at infinity, which is the inverse decay theta_hat = 0
-    roots = np.concatenate([roots, np.full(d - len(roots), np.inf)])
-
-    if np.any(
-        np.abs(roots.imag) > 1e-9 * np.maximum(1.0, np.abs(roots.real))
-    ):
-        raise np.linalg.LinAlgError(
-            f"inverse decay recovery failed: numerator roots {roots!r} are "
-            f"not {d} real values"
-        )
-    with np.errstate(divide="ignore", over="ignore"):
-        theta_hat = np.sort(1.0 / roots.real)[::-1]
-    # one inverse decay turns negative when the column mass sits up
-    # front (sum omega_j/theta_j > 1); magnitude stays <= 1 whenever
-    # the strategy coefficients are non-increasing, so only stability
-    # is gated here, not the sign
-    if not (np.all(np.isfinite(theta_hat)) and np.all(np.abs(theta_hat) <= 1.0 + 1e-12)):
-        raise np.linalg.LinAlgError(
-            f"inverse decay recovery failed: unstable inverse decays {theta_hat!r}"
-        )
-    if np.any(theta_hat == 0.0):
-        # calc_output_scale divides by theta_hat; match chat_1..chat_d of
-        # the O(d^2) recurrence instead: chat_i = sum_j omega_hat_j theta_hat_j^(i-1)
-        chat = toeplitz_inverse_coefs(_geometric_coefs(theta, omega, d + 1))
-        omega_hat = np.linalg.solve(np.vander(theta_hat, d, increasing=True).T, chat[1:])
-    else:
-        try:
-            omega_hat = calc_output_scale(theta_hat, theta)
-        except DegenerateParamsError as exc:
-            raise np.linalg.LinAlgError(f"inverse decay recovery failed: {exc}") from exc
+    s = np.sqrt(omega)
+    M = -np.outer(s, s)
+    # theta - omega rather than theta - s**2: when sum omega_j/theta_j = 1
+    # the exact diagonal keeps the zero inverse decay exactly 0
+    np.fill_diagonal(M, theta - omega)
+    # M is symmetric, so theta_hat is real, and interlacing under the
+    # rank-one downdate puts it in [theta_d - sum(omega), theta_1], inside
+    # (-1, 1) for strictly valid params: only the residual is checked
+    evals, Q = np.linalg.eigh(M)
+    theta_hat = evals[::-1]
+    omega_hat = -((s @ Q) ** 2)[::-1]
     resid = _roundtrip_residual(theta, omega, theta_hat, omega_hat, 2 * d + 2)
-    if not resid <= check_tol:  # a NaN residual fails too
+    if not resid <= 1e-9:  # a NaN residual fails too
         raise np.linalg.LinAlgError(
             f"inverse decay recovery failed: roundtrip residual {resid:.2e}"
         )
-    return InversePair(theta_hat, np.asarray(omega_hat, dtype=float))
+    return InversePair(theta_hat, omega_hat)
 
 
 def toeplitz_inverse_coefs(c: np.ndarray) -> np.ndarray:
     """Coefficients of LtToep(c)^-1 by the O(n^2) triangular recurrence.
 
     chat_0 = 1/c_0 and chat_i = -(1/c_0) sum_{j=1..i} c_j chat_{i-j}.
-    This is the brute-force oracle used to validate the O(n*d) pairing
+    This is the brute-force oracle used to validate the O(n*d) inverse
     path; it is also the generic inverse for non-BLT coefficients.
     """
     c = np.asarray(c, dtype=float)
@@ -312,15 +281,16 @@ def toeplitz_inverse_coefs(c: np.ndarray) -> np.ndarray:
 
 
 def blt_inverse_coefs(params: BltParams, n: int) -> np.ndarray:
-    """First n coefficients of the inverse strategy via the pairing; O(n*d).
+    """First n coefficients of the inverse strategy; O(n*d).
 
     Same values as ``toeplitz_inverse_coefs(blt_coefs(params, n))`` but
-    through the closed-form inverse decays, so cost stays linear in n.
+    through the inverse decays of ``inverse_blt_params``, so cost stays
+    linear in n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     pair = inverse_blt_params(params)
-    return _geometric_coefs(pair.theta_hat, pair.omega_hat, n).real.astype(float)
+    return _geometric_coefs(pair.theta_hat, pair.omega_hat, n)
 
 
 # ---------------------------------------------------------------------------

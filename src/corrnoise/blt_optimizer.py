@@ -385,9 +385,10 @@ def optimize_blt(config: OptimizerConfig) -> OptimizationResult:
     loss, gap, params, theta_hat, iters, conv = best
 
     # cross-module consistency: the pairing-path mechanism loss must
-    # reproduce the reported barrier-free loss. The pipeline re-derives
-    # theta_hat from polynomial roots, so agreement is limited by root
-    # conditioning (~1e-7 at clustered optima), not float epsilon.
+    # reproduce the reported barrier-free loss. The pipeline re-derives the
+    # inverse from an eigenproblem while the fit pairs through
+    # calc_output_scale, whose conditioning near unit decays (not float
+    # epsilon) limits the agreement.
     bundle = blt_mechanism_loss(params, schema)
     reference = bundle.max_loss if config.objective == "max" else bundle.rms_loss
     if abs(reference - loss) > 1e-5 * max(1.0, abs(loss)):

@@ -68,11 +68,16 @@ def _schema_args(p: argparse.ArgumentParser):
         default=None,
         help="participation cap (default: worst case for n and min-sep)",
     )
+    p.set_defaults(parser=p)
 
 
-def _make_schema(n, min_sep, max_part):
-    k = max_part if max_part is not None else max_participations(n, min_sep)
-    return ParticipationSchema(n=n, b=min_sep, k=k)
+def _make_schema(args):
+    """Schema of --n, --min-sep and --max-part; a cap that cannot fit exits with usage."""
+    k = args.max_part or max_participations(args.n, args.min_sep)
+    try:
+        return ParticipationSchema(n=args.n, b=args.min_sep, k=k)
+    except ValueError as exc:
+        args.parser.error(f"--max-part: {exc}")
 
 
 def _loss_dict(bundle):
@@ -94,7 +99,7 @@ def _print_json(doc, stream=None):
 
 
 def cmd_optimize(args) -> int:
-    schema = _make_schema(args.n, args.min_sep, args.max_part)
+    schema = _make_schema(args)
     config = OptimizerConfig(
         schema=schema,
         d=args.buffers,
@@ -125,7 +130,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    schema = _make_schema(args.n, args.min_sep, args.max_part)
+    schema = _make_schema(args)
     if args.params:
         params, _ = load_params(args.params)
         bundle = blt_mechanism_loss(params, schema, args.noise_multiplier)

@@ -33,6 +33,7 @@ from corrnoise.blt_core import (
 from corrnoise.blt_optimizer import _sigmoid
 from corrnoise.participation import (
     ParticipationSchema,
+    _shifted_sum_norm,
     max_participations,
     toeplitz_sensitivity,
 )
@@ -272,15 +273,18 @@ def eval_model(model, X, y, task):
     return loss, acc
 
 
-def configured_sensitivity(config: TrainConfig) -> float:
-    """Clip-normalized sensitivity of the configured mechanism and schema."""
+def _configured_schema(config: TrainConfig) -> ParticipationSchema:
     k = config.est_max_part
     if k is None:
         k = max_participations(config.rounds, config.min_sep)
-    schema = ParticipationSchema(config.rounds, config.min_sep, k)
+    return ParticipationSchema(config.rounds, config.min_sep, k)
+
+
+def configured_sensitivity(config: TrainConfig) -> float:
+    """Clip-normalized sensitivity of the configured mechanism and schema."""
     mech = config.mechanism if config.mechanism is not None else IDENTITY_MECHANISM
     c = blt_coefs(mech, config.rounds, relaxed=True)
-    return toeplitz_sensitivity(c, schema)
+    return toeplitz_sensitivity(c, _configured_schema(config))
 
 
 def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult:
@@ -297,9 +301,12 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
 
     population.last_round[:] = -(10**9)
     dim = population.dim
-    sens = configured_sensitivity(config)
-    sigma_zeta = config.noise_multiplier * sens * config.clip_norm
     mech = config.mechanism if config.mechanism is not None else IDENTITY_MECHANISM
+    # validated once by the configured sensitivity; the realized
+    # sensitivities below read prefixes of it, which stay valid
+    c_full = blt_coefs(mech, config.rounds, relaxed=True)
+    sens = toeplitz_sensitivity(c_full, _configured_schema(config))
+    sigma_zeta = config.noise_multiplier * sens * config.clip_norm
 
     noise_state = None
     if sigma_zeta > 0:
@@ -314,7 +321,6 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     state = ServerState(
         model=np.zeros(dim), momentum_buf=np.zeros(dim), noise_state=noise_state
     )
-    c_full = blt_coefs(mech, config.rounds, relaxed=True)
 
     counts = np.zeros(population.n_clients, dtype=np.int64)
     prev_round = np.full(population.n_clients, -1, dtype=np.int64)
@@ -348,8 +354,8 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
 
         k_real = int(counts.max())
         b_real = int(min_gap) if math.isfinite(min_gap) else t + 1
-        sens_real = toeplitz_sensitivity(
-            c_full[: t + 1], ParticipationSchema(t + 1, b_real, k_real)
+        sens_real = float(
+            _shifted_sum_norm(c_full[: t + 1], ParticipationSchema(t + 1, b_real, k_real))
         )
         if sigma_zeta > 0:
             rho = zcdp_of(sens_real * config.clip_norm, sigma_zeta)
@@ -365,8 +371,8 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     _audit_min_sep(participation, config.min_sep)
     realized_k = int(counts.max())
     realized_b = int(min_gap) if math.isfinite(min_gap) else config.rounds
-    sens_real = toeplitz_sensitivity(
-        c_full, ParticipationSchema(config.rounds, realized_b, realized_k)
+    sens_real = float(
+        _shifted_sum_norm(c_full, ParticipationSchema(config.rounds, realized_b, realized_k))
     )
     rho_realized = (
         zcdp_of(sens_real * config.clip_norm, sigma_zeta) if sigma_zeta > 0 else math.inf

@@ -270,6 +270,18 @@ class TestSweep:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", ["optimize", "eval"])
+def test_max_part_that_does_not_fit_exits_with_usage(command, capsys):
+    # (k - 1) * b = 144 >= n = 64: no participation pattern fits
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "64", "--min-sep", "16", "--max-part", "10"]
+             + (["--tree"] if command == "eval" else []))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage" in captured.err and "does not fit" in captured.err
+    assert captured.out == ""
+
+
 class TestAccountCmd:
     def test_json_matches_library(self, capsys):
         code, out = run_cli(

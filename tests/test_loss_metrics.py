@@ -71,6 +71,18 @@ class TestMechanismLoss:
         assert fast.max_loss == pytest.approx(slow.max_loss, rel=1e-10)
         assert fast.rms_loss == pytest.approx(slow.rms_loss, rel=1e-10)
 
+    def test_blt_path_agrees_with_recurrence_at_near_unit_decay(self):
+        # the largest decay sits 3.5e-12 below 1
+        p = BltParams(
+            np.array([0.9999999999964722, 0.9934320216434129, 0.8086575090194579]),
+            np.array([0.00694308297025582, 0.12019372656770756, 0.33014344475602986]),
+        )
+        schema = ParticipationSchema(2052, 342, 6)
+        fast = blt_mechanism_loss(p, schema)
+        slow = mechanism_loss(blt_coefs(p, 2052), schema)
+        assert fast.max_loss == pytest.approx(slow.max_loss, rel=1e-12)
+        assert fast.rms_loss == pytest.approx(slow.rms_loss, rel=1e-12)
+
     def test_identity_params_bundle(self):
         p = BltParams(np.array([0.5]), np.array([0.0]))
         schema = ParticipationSchema(16, 4, 4)

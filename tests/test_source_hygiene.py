@@ -1,7 +1,8 @@
 """Static checks on the package source, stdlib ``ast`` only.
 
-No unused module-level imports, a public namespace whose every name
-resolves, and the test-only oracles kept out of the package.
+No unused module-level imports, no module-level private name and no
+function parameter that nothing reads, a public namespace whose every
+name resolves, and the test-only oracles kept out of the package.
 """
 
 import ast
@@ -86,3 +87,65 @@ def test_oracles_live_only_in_tests():
             f"corrnoise.{path.stem}"
         )
         assert not [n for n in ORACLES if hasattr(module, n)]
+
+
+def _reads(tree):
+    """Names read anywhere in the tree: loads, attribute names and imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _module_level_private_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_module_level_private_names_are_used():
+    trees = {path.name: _parse(path) for path in MODULES}
+    read = set().union(*map(_reads, trees.values()))
+    unused = sorted(
+        f"{file}: {name} (line {line})"
+        for file, tree in trees.items()
+        for name, line in _module_level_private_names(tree)
+        if name not in read
+    )
+    assert unused == [], f"private names nothing in src uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_function_parameters_are_read(path):
+    unread = []
+    for node in ast.walk(_parse(path)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            f"{getattr(node, 'name', 'lambda')}({arg.arg}) line {node.lineno}"
+            for arg in params
+            if arg is not None and arg.arg not in ("self", "cls") and arg.arg not in loaded
+        ]
+    assert unread == [], f"{path.name}: parameters never read {unread}"
