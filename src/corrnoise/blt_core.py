@@ -10,8 +10,9 @@ The two key structural facts implemented here:
 1. Multiplication by C and by C^-1 can be streamed row by row with a d x m
    buffer matrix S, independent of the number of rounds n.
 2. C^-1 is itself a d-buffer BLT whose decays theta_hat and output scales
-   come from one d x d symmetric eigenproblem; ``calc_output_scale`` gives
-   the output scales that pair given decays with given inverse decays.
+   come from one d x d symmetric eigenproblem; ``calc_output_scale`` gives,
+   in product form, the output scales that pair given decays with given
+   inverse decays.
 
 All coefficient math is double precision on purpose: decays like
 1 - 8e-12 lose all structure in single precision. Several helpers accept
@@ -28,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 # minimum gap between decay values before the pairing formula is declared
-# degenerate (w_i divides by pairwise differences of 1/theta)
+# degenerate (omega_j divides by the pairwise differences theta_j - theta_l)
 DEGENERATE_GAP = 1e-12
 
 
@@ -127,32 +128,15 @@ def blt_coefs(params: BltParams, n: int, relaxed: bool = False) -> np.ndarray:
     return _geometric_coefs(params.theta, params.omega, n).astype(float)
 
 
-def _poly_from_decays(decays, dt):
-    """Ascending coefficients of prod_i (1 - decays_i * x)."""
-    p = np.ones(1, dtype=dt)
-    for t in decays:
-        p = np.convolve(p, np.array([1.0, -t], dtype=dt))
-    return p
-
-
-def _polyval_ascending(coefs, x):
-    """Horner evaluation of sum_k coefs[k] x^k at each point of x."""
-    r = np.zeros_like(x) + coefs[-1] if len(coefs) else np.zeros_like(x)
-    for ck in coefs[-2::-1]:
-        r = r * x + ck
-    return r
-
-
 def _check_distinct(decays, what):
-    d = len(decays)
-    if d <= 1:
+    if np.shape(decays)[-1] <= 1:
         return
-    # control-flow check only; fine to look at magnitudes of complex inputs
-    vals = np.sort(np.real(np.asarray(decays)))
-    if np.min(np.diff(vals)) < DEGENERATE_GAP:
+    # control-flow check only; fine to look at real parts of complex inputs
+    vals = np.sort(np.real(np.asarray(decays)), axis=-1)
+    if np.min(np.diff(vals, axis=-1)) < DEGENERATE_GAP:
         raise DegenerateParamsError(
             f"{what} entries closer than {DEGENERATE_GAP}; "
-            "pairing weights w_i are undefined or ill-conditioned"
+            "the pairing divides by their differences"
         )
 
 
@@ -160,44 +144,30 @@ def calc_output_scale(theta, theta_hat) -> np.ndarray:
     """Output scales omega pairing the decays theta with inverse decays theta_hat.
 
     Returns the unique omega such that C = BLT(theta, omega) has
-    C^-1 = BLT(theta_hat, .). Computed through the polynomials
-    p(x) = prod(1 - theta_i x), q(x) = prod(1 - theta_hat_i x),
-    f = (p - q)/x, the weights w_i = 1/prod_{j!=i}(1/theta_i - 1/theta_j)
-    and z = prod(-theta_i):
+    C^-1 = BLT(theta_hat, .), in product form:
 
-        omega_i = -f(1/theta_i) * (-theta_i * w_i / z)
+        omega_j = prod_l (theta_j - theta_hat_l) / prod_{l!=j} (theta_j - theta_l)
 
-    The overall sign is fixed so that the roundtrip identity
-    BLT(theta, omega) * BLT(theta_hat, omega_hat) = I holds (the widely
-    restated recipe produces the opposite sign, which at d=1 gives
-    omega = theta_hat - theta instead of the correct theta - theta_hat;
-    see the unit tests, which pin both orientations).
+    These are the partial-fraction weights of the generating function
+    q(x)/p(x), with p(x) = prod(1 - theta_l x) and q(x) = prod(1 - theta_hat_l x).
+    Swapping the arguments gives the inverse's output scales omega_hat; at
+    d=1, omega = theta - theta_hat. Every factor is a plain difference of
+    decays, so decays near 1 keep full relative accuracy.
 
+    Broadcasts over leading axes: (..., d) inputs give (..., d) output.
     Complex-safe: accepts complex inputs for derivative propagation.
-    Entries of theta and theta_hat may coincide across the two vectors
-    (f is a polynomial, so the division by x is exact), but theta itself
-    must be pairwise distinct.
+    Entries of theta and theta_hat may coincide across the two vectors,
+    but theta itself must be pairwise distinct.
     """
     theta = np.atleast_1d(np.asarray(theta))
     theta_hat = np.atleast_1d(np.asarray(theta_hat))
     if theta.shape != theta_hat.shape:
         raise ValueError("theta and theta_hat must have equal length")
-    d = theta.shape[0]
     _check_distinct(theta, "theta")
-    dt = np.result_type(theta, theta_hat, float)
-    p = _poly_from_decays(theta, dt)
-    q = _poly_from_decays(theta_hat, dt)
-    f = (p - q)[1:]  # (p - q) has zero constant term; divide by x exactly
-    inv = 1.0 / theta
-    fv = _polyval_ascending(f, inv)
-    z = np.prod(-theta)
-    if d == 1:
-        w = np.ones(1, dtype=dt)
-    else:
-        w = np.empty(d, dtype=dt)
-        for i in range(d):
-            w[i] = 1.0 / np.prod(inv[i] - np.delete(inv, i))
-    return -fv * (-theta * w / z)
+    num = np.prod(theta[..., :, None] - theta_hat[..., None, :], axis=-1)
+    gaps = theta[..., :, None] - theta[..., None, :]
+    den = np.prod(np.where(np.eye(theta.shape[-1], dtype=bool), 1.0, gaps), axis=-1)
+    return num / den
 
 
 class InversePair(NamedTuple):

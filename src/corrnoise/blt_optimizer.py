@@ -1,20 +1,21 @@
 """Fit BLT parameters to a participation schema and loss objective.
 
-The loss treats (theta, theta_hat) as the free variables: both output
-scales follow from the pairing formula, the coefficients and sensitivity
-from theta/omega, the decoder error from theta_hat/omega_hat, and a log
-barrier keeps omega positive. Sensitivity and error go through the same
-kernels as ``toeplitz_sensitivity`` and ``toeplitz_error``, so the fit and
-the evaluation share one loss formula. Infeasible points evaluate to +inf
-(never an exception) so line searches can step into them safely; the
-optimizer works in logit space so the (0, 1) boxes on the decays are
-structural.
+The loss treats (theta, theta_hat) as the free variables: omega follows
+from the product-form pairing, sensitivity and decoder error from
+(theta, omega) through the n-independent kernels that
+``blt_mechanism_loss`` also uses (so the fit and the evaluation share one
+loss formula), and a log barrier keeps omega positive. Infeasible points
+evaluate to +inf (never an exception) so line searches can step into
+them safely; the optimizer works in logit space so the (0, 1) boxes on
+the decays are structural.
 
 Gradients are complex-step derivatives (imag part at h = 1e-100), which
 match central finite differences to ~1e-8 relative but have no
-subtractive cancellation. Everything on the differentiated path is
-complex-analytic: sums of squares instead of absolute values, and a
-sigmoid branched on the real part.
+subtractive cancellation. The value and all 2d partial derivatives come
+from one batched loss call on the (2d, 2d) stack x + i h e_j. Everything
+on the differentiated path is complex-analytic: sums of squares instead
+of absolute values, transposes instead of conjugates, and a sigmoid
+branched on the real part.
 
 The quasi-Newton driver is a hand-rolled two-loop L-BFGS with a strong
 Wolfe line search that understands +inf returns: off-the-shelf L-BFGS-B
@@ -32,15 +33,22 @@ import numpy as np
 from corrnoise.blt_core import (
     BltParams,
     DegenerateParamsError,
+    blt_coefs,
+    blt_inverse_coefs,
     calc_output_scale,
-    _geometric_coefs,
 )
-from corrnoise.loss_metrics import _prefix_errors, blt_mechanism_loss
-from corrnoise.participation import ParticipationSchema, _shifted_sum_norm
+from corrnoise.loss_metrics import _blt_errors, toeplitz_error
+from corrnoise.participation import (
+    ParticipationSchema,
+    _blt_sensitivity,
+    toeplitz_sensitivity,
+)
 
 OBJECTIVES = ("max", "rms")
 # log-barrier weight during the fit; reported losses are barrier-free
 BARRIER_LAMBDA = 1e-7
+# complex-step size: h^2 vanishes against any loss value
+COMPLEX_STEP = 1e-100
 
 
 @dataclass
@@ -79,6 +87,49 @@ def _sigmoid(x):
     return out
 
 
+def _loss_batch(theta, theta_hat, schema: ParticipationSchema, objective, barrier_lambda):
+    """``blt_loss`` at the rows of (B, d) theta and theta_hat, as a (B,) array.
+
+    The rows are meant to be complex-step perturbations of one real point,
+    which share their real parts, so feasibility is decided for the batch
+    as a whole: if any row is infeasible, every row is +inf.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
+    infeasible = np.full(theta.shape[0], np.inf)
+    rth, rthh = np.real(theta), np.real(theta_hat)
+    if np.any(rth <= 0) or np.any(rth >= 1) or np.any(rthh <= 0) or np.any(rthh >= 1):
+        return infeasible
+    # near-coincident decays make the pairing blow up: infeasible
+    try:
+        omega = calc_output_scale(theta, theta_hat)
+    except DegenerateParamsError:
+        return infeasible
+    if not np.all(np.real(omega) > 0):
+        return infeasible
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_error, rms_error = _blt_errors(theta, omega, schema.n)
+        loss = (max_error if objective == "max" else rms_error) * _blt_sensitivity(
+            theta, omega, schema
+        )
+    if not np.all(np.isfinite(np.real(loss))):
+        return infeasible
+    if barrier_lambda != 0.0:
+        pen = (
+            -np.sum(np.log(theta), axis=-1)
+            - np.sum(np.log1p(-theta), axis=-1)
+            - np.sum(np.log(omega), axis=-1)
+        )
+        loss = loss + barrier_lambda * pen
+    return loss
+
+
+def _value_and_gradient(loss_batch, x):
+    """loss(x) and its complex-step gradient from one batch of x + i h e_j."""
+    values = loss_batch(x + 1j * COMPLEX_STEP * np.eye(len(x)))
+    return np.real(values[0]), np.imag(values) / COMPLEX_STEP
+
+
 def blt_loss(
     theta,
     theta_hat,
@@ -88,53 +139,20 @@ def blt_loss(
 ):
     """Differentiable mechanism loss at (theta, theta_hat).
 
-    err(theta_hat) * sens(theta) plus barrier_lambda times the log
-    barrier -sum log theta - sum log(1-theta) - sum log omega. Domain
-    violations (decays outside (0,1), near-coincident decays, omega <= 0,
-    which includes the identity endpoint theta_hat = theta) return +inf
-    rather than raising, so the function is safe inside line searches.
+    err(theta, omega) * sens(theta, omega), with omega from the pairing,
+    plus barrier_lambda times the log barrier -sum log theta
+    - sum log(1-theta) - sum log omega. Domain violations (decays outside
+    (0,1), near-coincident decays, omega <= 0, which includes the identity
+    endpoint theta_hat = theta) return +inf rather than raising, so the
+    function is safe inside line searches.
 
-    Complex-safe in both arguments for derivative propagation.
+    Complex-safe in both arguments for derivative propagation: a float
+    for real input, a complex number for complex input.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
     theta = np.atleast_1d(np.asarray(theta))
     theta_hat = np.atleast_1d(np.asarray(theta_hat))
-    rth, rthh = np.real(theta), np.real(theta_hat)
-    if np.any(rth <= 0) or np.any(rth >= 1) or np.any(rthh <= 0) or np.any(rthh >= 1):
-        return np.inf
-    # near-coincident decays make the pairing weights blow up: infeasible
-    try:
-        omega = calc_output_scale(theta, theta_hat)
-        omega_hat = calc_output_scale(theta_hat, theta)
-    except DegenerateParamsError:
-        return np.inf
-    if np.any(np.real(omega) <= 0):
-        return np.inf
-    n = schema.n
-    with np.errstate(over="ignore", invalid="ignore"):
-        sens = _shifted_sum_norm(_geometric_coefs(theta, omega, n), schema)
-        max_error, rms_error = _prefix_errors(_geometric_coefs(theta_hat, omega_hat, n))
-        loss = (max_error if objective == "max" else rms_error) * sens
-    if not np.iscomplexobj(loss) and not np.isfinite(loss):
-        return np.inf
-    if barrier_lambda != 0.0:
-        pen = (
-            -np.sum(np.log(theta))
-            - np.sum(np.log1p(-theta))
-            - np.sum(np.log(omega))
-        )
-        loss = loss + barrier_lambda * pen
+    loss = _loss_batch(theta[None], theta_hat[None], schema, objective, barrier_lambda)[0]
     return loss if np.iscomplexobj(loss) else float(loss)
-
-
-def _complex_step_grad(func, x, h=1e-100):
-    g = np.empty(len(x))
-    for j in range(len(x)):
-        xc = x.astype(complex)
-        xc[j] += 1j * h
-        g[j] = np.imag(func(xc)) / h
-    return g
 
 
 def blt_loss_gradient(
@@ -146,22 +164,21 @@ def blt_loss_gradient(
 ):
     """Gradient of ``blt_loss`` in both parameter blocks.
 
-    Complex-step differentiation; satisfies the central-finite-difference
-    contract (1e-5 relative at feasible points) without its truncation
-    error. The point must be feasible (finite loss).
+    Complex-step differentiation, all coordinates in one batched loss
+    call; satisfies the central-finite-difference contract (1e-5 relative
+    at feasible points) without its truncation error. The point must be
+    feasible (finite loss).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     d = len(theta)
-    x = np.concatenate([theta, theta_hat])
-    f0 = blt_loss(theta, theta_hat, schema, objective, barrier_lambda)
+
+    def loss_batch(X):
+        return _loss_batch(X[:, :d], X[:, d:], schema, objective, barrier_lambda)
+
+    f0, g = _value_and_gradient(loss_batch, np.concatenate([theta, theta_hat]))
     if not np.isfinite(f0):
         raise ValueError("gradient requested at an infeasible point (loss = +inf)")
-
-    def func(xc):
-        return blt_loss(xc[:d], xc[d:], schema, objective, barrier_lambda)
-
-    g = _complex_step_grad(func, x)
     return g[:d], g[d:]
 
 
@@ -328,23 +345,26 @@ def optimize_blt(config: OptimizerConfig) -> OptimizationResult:
     """L-BFGS over (logit theta, logit theta_hat) with random restarts.
 
     Keeps the best barrier-free feasible loss across restarts (ties go to
-    the better-conditioned inverse pair). The extracted parameters are
-    validated (strict invariants plus the cross-module loss identity)
-    before returning; restarts that end infeasible or non-monotone are
-    dropped, and if every restart drops the call errors with diagnostics.
+    the better-conditioned inverse pair). The extracted decays are sorted
+    into canonical order and validated strictly; restarts that end
+    infeasible or invalid are dropped, and if every restart drops the call
+    errors with diagnostics. The winner's loss is checked against the
+    independent O(n) coefficient path to 1e-9 relative before returning.
     """
     d = config.d
     schema = config.schema
     rng = np.random.default_rng(config.seed)
 
-    def f(x, lam=BARRIER_LAMBDA):
-        return blt_loss(_sigmoid(x[:d]), _sigmoid(x[d:]), schema, config.objective, lam)
+    def loss_batch(X, lam=BARRIER_LAMBDA):
+        return _loss_batch(
+            _sigmoid(X[:, :d]), _sigmoid(X[:, d:]), schema, config.objective, lam
+        )
 
     def fg(x):
-        f0 = f(x)
-        if not np.isfinite(np.real(f0)):
+        f0, g = _value_and_gradient(loss_batch, x)
+        if not np.isfinite(f0):
             return np.inf, np.zeros_like(x)
-        return float(np.real(f0)), _complex_step_grad(f, x)
+        return float(f0), g
 
     best = None
     restart_losses = []
@@ -355,13 +375,15 @@ def optimize_blt(config: OptimizerConfig) -> OptimizationResult:
         # inf losses, so intermediate overflow warnings carry no information
         with np.errstate(over="ignore", invalid="ignore"):
             x, _, iters, conv = _lbfgs(fg, x0)
-        loss = f(x, 0.0)
+        loss = loss_batch(x[None], 0.0)[0]
         if not np.isfinite(loss):
             failures.append(f"restart {r}: infeasible terminal point")
             restart_losses.append(np.inf)
             continue
-        theta = _sigmoid(x[:d])
-        theta_hat = _sigmoid(x[d:])
+        # the loss does not change when theta (with omega) or theta_hat is
+        # reordered, so the canonical descending order is a sort
+        theta = np.sort(_sigmoid(x[:d]))[::-1]
+        theta_hat = np.sort(_sigmoid(x[d:]))[::-1]
         omega = calc_output_scale(theta, theta_hat)
         try:
             params = BltParams(theta, omega).validate()
@@ -384,14 +406,14 @@ def optimize_blt(config: OptimizerConfig) -> OptimizationResult:
         )
     loss, gap, params, theta_hat, iters, conv = best
 
-    # cross-module consistency: the pairing-path mechanism loss must
-    # reproduce the reported barrier-free loss. The pipeline re-derives the
-    # inverse from an eigenproblem while the fit pairs through
-    # calc_output_scale, whose conditioning near unit decays (not float
-    # epsilon) limits the agreement.
-    bundle = blt_mechanism_loss(params, schema)
-    reference = bundle.max_loss if config.objective == "max" else bundle.rms_loss
-    if abs(reference - loss) > 1e-5 * max(1.0, abs(loss)):
+    # independent check: the O(n) coefficient path, with the inverse from
+    # the eigenproblem of ``inverse_blt_params``, must reproduce the loss
+    n = schema.n
+    max_error, rms_error = toeplitz_error(blt_inverse_coefs(params, n))
+    reference = (max_error if config.objective == "max" else rms_error) * (
+        toeplitz_sensitivity(blt_coefs(params, n), schema)
+    )
+    if abs(reference - loss) > 1e-9 * max(1.0, abs(loss)):
         raise RuntimeError(
             f"extracted parameters disagree with the loss pipeline: "
             f"{reference!r} vs {loss!r}"

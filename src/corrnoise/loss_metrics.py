@@ -6,10 +6,12 @@ proportional to the t-th row norm of B. MaxError is the worst row norm,
 RmsError the quadratic mean; multiplying by the sensitivity of C gives
 MaxLoss and RmsLoss, the mechanism-quality objectives.
 
-Two pipelines: an O(n) Toeplitz path working on the inverse coefficients,
-and a dense path for arbitrary strategies. They agree to float precision
-on Toeplitz inputs and are cross-tested. ``blt_optimizer.blt_loss`` calls
-the same Toeplitz error and shifted-sum sensitivity kernels.
+Three pipelines: for BLT strategies, kernels in (theta, omega) whose cost
+does not depend on n (errors by doubling, sensitivity by the pulse
+recursion of ``participation``), shared with ``blt_optimizer.blt_loss``;
+an O(n) Toeplitz path working on inverse coefficients; and a dense path
+for arbitrary strategies. They agree to float precision and are
+cross-tested.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from corrnoise import blt_core
 from corrnoise.blt_core import BltParams, toeplitz_inverse_coefs
 from corrnoise.participation import (
     ParticipationSchema,
+    _blt_sensitivity,
+    _validate_toeplitz_column,
     matrix_sensitivity_lower_bound,
     toeplitz_sensitivity,
 )
@@ -74,6 +78,74 @@ def _prefix_errors(c_inv):
     return max_error, rms_error
 
 
+def _matrix_power(F, n):
+    """F^n for a (B, k, k) stack, by binary powering over the bits of n."""
+    Fn = np.broadcast_to(np.eye(F.shape[-1], dtype=F.dtype), F.shape)
+    for bit in bin(n)[2:]:
+        Fn = Fn @ Fn
+        if bit == "1":
+            Fn = F @ Fn
+    return Fn
+
+
+def _blt_errors(theta, omega, n):
+    """(MaxError, RmsError) of BLT(theta, omega) over n rounds, O(d^3 log n).
+
+    theta and omega are (B, d); returns two (B,) arrays. Unvalidated and
+    complex-safe (transposes, never conjugates). With A = diag(theta) -
+    1 omega^T, the prefix sums b_i of C^-1 are the last entry of
+    x_i = F^i x_0, x_0 = 1, F = [[A, 0], [-omega^T, 1]]: the recurrence
+    ``stream_mult_inverse`` runs, with a running sum appended. So
+    MaxError^2 = sum_{i<n} b_i^2 and n RmsError^2 = sum_{i<n} (n - i) b_i^2
+    are quadratic forms in P_n = sum_{i<n} y_i y_i^T and
+    Q_n = sum_{i<n} (n - i) y_i y_i^T for any coordinates y_i = T x_i.
+    Both double over the bits of n (Smith 1968): P_2m = P_m + G^m P_m G^mT,
+    Q_2m = Q_m + m P_m + G^m Q_m G^mT, and per set bit P <- Y + G P G^T,
+    then Q <- Q + P, with G = T F T^-1 and Y = y_0 y_0^T.
+
+    In the plain coordinates (T = I) the prefix sums of a good strategy
+    settle near 0, so every doubling cancels O(1) entries to a small
+    tail and the rounding error grows like n eps. The coordinates
+    y_i = (s_i, b_{n+i}) avoid that: with w = F^n[d, :d], b_{n+i} =
+    b_i + w . s_i is the small tail itself, G = [[A, 0], [-omega^T A^n, 1]],
+    and b_i = b_{n+i} - w . s_i is recovered once, at the end.
+    No inverse decays are needed.
+    """
+    theta = np.asarray(theta)
+    omega = np.asarray(omega)
+    batch, d = theta.shape
+    dt = np.result_type(theta, omega, float)
+    F = np.zeros((batch, d + 1, d + 1), dtype=dt)
+    F[:, :, :d] = -omega[:, None, :]
+    F[:, np.arange(d), np.arange(d)] += theta
+    F[:, d, d] = 1.0
+    Fn = _matrix_power(F, n)
+    G = F.copy()
+    G[:, d, :d] = -(omega[:, None, :] @ Fn[:, :d, :d])[:, 0]
+    y0 = np.ones((batch, d + 1), dtype=dt)
+    y0[:, d] = np.sum(Fn[:, d], axis=-1)  # b_n
+    Y = y0[:, :, None] * y0[:, None, :]
+    GT = G.swapaxes(-1, -2)
+    P = Q = np.zeros(G.shape, dtype=dt)
+    Gm = np.broadcast_to(np.eye(d + 1, dtype=dt), G.shape)  # G^m
+    m = 0
+    for bit in bin(n)[2:]:
+        if m:
+            # one stacked product moves P and Q together
+            moved = Gm[:, None] @ np.stack([P, Q], axis=1) @ Gm.swapaxes(-1, -2)[:, None]
+            P, Q = P + moved[:, 0], Q + m * P + moved[:, 1]
+            Gm = Gm @ Gm
+            m *= 2
+        if bit == "1":
+            P = Y + G @ P @ GT
+            Q = Q + P
+            Gm = G @ Gm
+            m += 1
+    v = np.concatenate([-Fn[:, d, :d], np.ones((batch, 1), dtype=dt)], axis=1)
+    sums = np.einsum("bi,bkij,bj->kb", v, np.stack([P, Q], axis=1), v)
+    return np.sqrt(sums[0]), np.sqrt(sums[1] / n)
+
+
 def dense_error(B) -> tuple[float, float]:
     """(MaxError, RmsError) of an explicit decoder matrix B.
 
@@ -105,7 +177,7 @@ def mechanism_loss(
 
     1-d input: Toeplitz path. Coefficients are validated for the exact
     front-loaded-pattern sensitivity and inverted by the O(n^2)
-    recurrence (use ``blt_mechanism_loss`` for the O(n d) pairing path).
+    recurrence (use ``blt_mechanism_loss`` for the n-independent BLT path).
 
     2-d input: dense path. C must be square lower-triangular with
     nonzero diagonal; sensitivity is the front-loaded lower bound and is
@@ -135,26 +207,32 @@ def mechanism_loss(
 
 
 def blt_mechanism_loss_fn(params: BltParams, n: int, noise_multiplier: float = 1.0):
-    """``schema -> MechanismLoss`` for a BLT strategy over n rounds, O(n d).
+    """``schema -> MechanismLoss`` for a BLT strategy over n rounds.
 
-    The coefficients and the errors do not depend on the schema: the
-    first call expands the coefficients, validates them through the
-    sensitivity and only then pairs for the errors; every call after
-    that computes only the sensitivity. A step that raises is not kept,
-    so each later call raises the same way. Nothing runs until the
-    first call; the schema's n must equal ``n``.
+    Errors and sensitivity come from the same n-independent kernels as
+    ``blt_optimizer.blt_loss``: the errors by doubling in O(d^3 log n),
+    once, since they do not depend on the schema; the sensitivity by the
+    pulse recursion in O(k d^2) on every call. The first call validates
+    as the coefficient path does: relaxed parameters, a non-increasing
+    column, and strict parameters unless omega = 0 (the identity). A step
+    that raises is not kept, so each later call raises the same way.
+    Nothing runs until the first call; the schema's n must equal ``n``.
     """
-    c = errors = None
+    theta, omega = params.theta[None], params.omega[None]
+    errors = None
 
     def loss(schema: ParticipationSchema) -> MechanismLoss:
-        nonlocal c, errors
+        nonlocal errors
         if schema.n != n:
             raise ValueError(f"schema has n = {schema.n}, evaluator has n = {n}")
-        if c is None:
-            c = blt_core.blt_coefs(params, n, relaxed=True)
-        sens = toeplitz_sensitivity(c, schema)
         if errors is None:
-            errors = toeplitz_error(blt_core.blt_inverse_coefs(params, n))
+            # with 0 < theta <= 1 and omega >= 0 only c_1 - c_0 = sum(omega) - 1
+            # can break monotonicity, so the first two coefficients decide
+            _validate_toeplitz_column(blt_core.blt_coefs(params, min(n, 2), relaxed=True))
+            if np.any(params.omega != 0.0):
+                params.validate()
+            errors = tuple(float(e[0]) for e in _blt_errors(theta, omega, n))
+        sens = float(_blt_sensitivity(theta, omega, schema)[0])
         max_error, rms_error = errors
         return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "toeplitz")
 
@@ -164,10 +242,10 @@ def blt_mechanism_loss_fn(params: BltParams, n: int, noise_multiplier: float = 1
 def blt_mechanism_loss(
     params: BltParams, schema: ParticipationSchema, noise_multiplier: float = 1.0
 ) -> MechanismLoss:
-    """Loss bundle for a BLT strategy through the O(n d) pairing path.
+    """Loss bundle for a BLT strategy through the n-independent kernels.
 
-    Identical result to ``mechanism_loss(blt_coefs(params, n), schema)``
-    but the inverse coefficients come from the inverse-pair decays
-    instead of the quadratic recurrence, so this stays cheap at large n.
+    Agrees with ``mechanism_loss(blt_coefs(params, n), schema)`` to float
+    precision, but costs O(d^3 log n + k d^2) instead of O(n^2), so it
+    stays cheap at large n.
     """
     return blt_mechanism_loss_fn(params, schema.n, noise_multiplier)(schema)

@@ -5,7 +5,8 @@ contribute to at most k rounds with pairwise gaps of at least b. The
 sensitivity of a strategy matrix C is the worst case of ||C u(pi)|| over
 participation patterns pi; for non-negative non-increasing Toeplitz
 strategies the worst case is the front-loaded pattern
-pi* = (0, b, ..., (k-1)b) and reduces to an O(k n) shifted-sum norm.
+pi* = (0, b, ..., (k-1)b) and reduces to an O(k n) shifted-sum norm, or
+for a BLT column to an O(k d^2) recursion over its d-dimensional state.
 """
 
 from __future__ import annotations
@@ -79,6 +80,42 @@ def _shifted_sum_norm(c, schema: ParticipationSchema):
         s = i * schema.b
         cbar[s:] += c[: n - s]
     return np.sqrt(np.sum(cbar * cbar))
+
+
+def _blt_sensitivity(theta, omega, schema: ParticipationSchema):
+    """``_shifted_sum_norm`` of the BLT(theta, omega) column in O(k d^2).
+
+    theta and omega are (B, d); returns (B,). Unvalidated and complex-safe.
+    C u for the front-loaded pattern runs the recurrence
+    out_t = u_t + omega^T s_{t-1}, s_t = theta * s_{t-1} + u_t, so a pulse
+    entering state s contributes (1 + omega^T s)^2 at its own round and,
+    with v = theta * s + 1, (omega * v)^T G (omega * v) over the L - 1
+    rounds up to the next pulse, where G_jl = sum_{r < L-1} (theta_j theta_l)^r
+    (L = b, or what is left of n for the last pulse); the state then
+    moves on to theta^(L-1) * v. G comes from expm1 of summed log decays,
+    which keeps decays near 1 accurate, and equals L - 1 where they are 1.
+    """
+    n, b, k = schema.n, schema.b, schema.k
+    log_theta = np.log(theta)
+    log_pair = log_theta[:, :, None] + log_theta[:, None, :]
+
+    def segment(length):
+        """(G, theta^(L-1)) for a segment of L rounds."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            g = np.expm1((length - 1) * log_pair) / np.expm1(log_pair)
+        return np.where(log_pair == 0, length - 1, g), np.exp((length - 1) * log_theta)
+
+    inner = segment(b)
+    s = np.zeros_like(log_theta)
+    total = 0.0
+    for i in range(k):
+        g, decay = inner if i < k - 1 else segment(n - i * b)
+        head = 1.0 + np.sum(omega * s, axis=-1)
+        v = theta * s + 1.0
+        wv = omega * v
+        total = total + head * head + np.einsum("bj,bjl,bl->b", wv, g, wv)
+        s = decay * v
+    return np.sqrt(total)
 
 
 def toeplitz_sensitivity(

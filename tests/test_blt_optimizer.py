@@ -11,7 +11,13 @@ import pytest
 
 from corrnoise.blt_core import BltParams, calc_output_scale, inverse_blt_params
 from corrnoise.blt_optimizer import (
+    BARRIER_LAMBDA,
+    COMPLEX_STEP,
+    OBJECTIVES,
     OptimizerConfig,
+    _loss_batch,
+    _sigmoid,
+    _value_and_gradient,
     blt_loss,
     blt_loss_gradient,
     optimize_blt,
@@ -104,6 +110,34 @@ class TestGradient:
         dn = blt_loss(theta - np.array([h, 0]), theta_hat, SCHEMA)
         assert g_th[0] == pytest.approx((up - dn) / (2 * h), rel=1e-6, abs=1e-8)
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_batched_gradient_equals_per_coordinate_complex_step(self, objective):
+        # the fit's fg: one batch of x + i h e_j in logit space, against one
+        # complex blt_loss call per coordinate
+        schema = ParticipationSchema(2052, 342, 6)
+        theta = np.array([0.99, 0.9, 0.5])
+        theta_hat = np.array([0.97, 0.8, 0.3])
+        decays = np.concatenate([theta, theta_hat])
+        x = np.log(decays / (1 - decays))
+        d = len(theta)
+
+        def loss_batch(X):
+            return _loss_batch(
+                _sigmoid(X[:, :d]), _sigmoid(X[:, d:]), schema, objective, BARRIER_LAMBDA
+            )
+
+        f0, g = _value_and_gradient(loss_batch, x)
+        per = np.empty(2 * d)
+        for j in range(2 * d):
+            xc = x.astype(complex)
+            xc[j] += 1j * COMPLEX_STEP
+            val = blt_loss(_sigmoid(xc[:d]), _sigmoid(xc[d:]), schema, objective, BARRIER_LAMBDA)
+            per[j] = val.imag / COMPLEX_STEP
+        np.testing.assert_allclose(g, per, rtol=1e-12, atol=0)
+        assert f0 == pytest.approx(
+            blt_loss(theta, theta_hat, schema, objective, BARRIER_LAMBDA), rel=1e-14
+        )
+
 
 class TestOptimizeBlt:
     def test_config_validation(self):
@@ -145,6 +179,14 @@ class TestOptimizeBlt:
         np.testing.assert_array_equal(a.params.theta, b.params.theta)
         np.testing.assert_array_equal(a.params.omega, b.params.omega)
         assert a.restart_losses == b.restart_losses
+
+    def test_four_buffer_toy_fit_with_one_restart(self):
+        # restarts ending with unsorted decays were once dropped as
+        # non-canonical, and this fit then raised "all restarts failed"
+        res = optimize_blt(OptimizerConfig(schema=SCHEMA, d=4, restarts=1, seed=0))
+        assert res.converged
+        res.params.validate()
+        assert np.all(np.isfinite(res.restart_losses))
 
     def test_more_buffers_never_hurt_much(self):
         # d=2 optimum should not beat d=3 by more than numerical slack

@@ -6,18 +6,35 @@ dense and Toeplitz pipelines cross-check each other on BLT strategies.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import lt_toeplitz, prefix_sum_matrix
+from strategies import near_unit_params_strategy
 
-from corrnoise.blt_core import BltParams, blt_coefs, toeplitz_inverse_coefs
+from corrnoise.blt_core import (
+    IDENTITY_MECHANISM,
+    BltParams,
+    blt_coefs,
+    blt_inverse_coefs,
+    toeplitz_inverse_coefs,
+)
 from corrnoise.loss_metrics import (
     MechanismLoss,
+    _blt_errors,
+    _prefix_errors,
     blt_mechanism_loss,
     blt_mechanism_loss_fn,
     dense_error,
     mechanism_loss,
     toeplitz_error,
 )
-from corrnoise.participation import ParticipationSchema
+from corrnoise.participation import (
+    ParticipationSchema,
+    _blt_sensitivity,
+    _shifted_sum_norm,
+    max_participations,
+    toeplitz_sensitivity,
+)
 
 P2 = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
 
@@ -50,6 +67,50 @@ class TestErrorFunctionals:
     def test_prefix_sum_matrix(self):
         A = prefix_sum_matrix(4)
         np.testing.assert_array_equal(A, np.tril(np.ones((4, 4))))
+
+
+# the O(k n) shifted-sum oracle stays below about a second per example
+SHIFTED_SUM_BUDGET = 3 * 10**7
+
+
+@st.composite
+def schemas(draw, nmax=10**6):
+    n = draw(st.integers(1, nmax))
+    b = draw(st.integers(1, n))
+    k = draw(st.integers(1, min(max_participations(n, b), max(1, SHIFTED_SUM_BUDGET // n))))
+    return ParticipationSchema(n, b, k)
+
+
+def _batch(p):
+    return p.theta[None], p.omega[None]
+
+
+class TestBltKernels:
+    """The n-independent kernels against the O(n) and O(n^2) coefficient paths."""
+
+    @settings(max_examples=60)
+    @given(p=near_unit_params_strategy(), n=st.integers(1, 10**6))
+    def test_errors_match_inverse_coefficients(self, p, n):
+        fast = [e[0] for e in _blt_errors(*_batch(p), n)]
+        slow = _prefix_errors(blt_inverse_coefs(p, n))
+        np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=0)
+
+    @settings(max_examples=60)
+    @given(p=near_unit_params_strategy(), n=st.integers(1, 4096))
+    def test_errors_match_quadratic_recurrence(self, p, n):
+        fast = [e[0] for e in _blt_errors(*_batch(p), n)]
+        slow = _prefix_errors(toeplitz_inverse_coefs(blt_coefs(p, n)))
+        np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=0)
+
+    @settings(max_examples=60)
+    @given(p=near_unit_params_strategy(), schema=schemas())
+    @example(p=BltParams([0.9999999999921251, 0.5], [0.5, 0.4]), schema=ParticipationSchema(64, 1, 64))
+    @example(p=BltParams([0.9999999999921251, 0.5], [0.5, 0.4]), schema=ParticipationSchema(2052, 2052, 1))
+    @example(p=BltParams([0.9999999999921251, 0.5], [0.5, 0.4]), schema=ParticipationSchema(10**6, 400, 2500))
+    def test_sensitivity_matches_shifted_sum(self, p, schema):
+        fast = _blt_sensitivity(*_batch(p), schema)[0]
+        slow = _shifted_sum_norm(blt_coefs(p, schema.n), schema)
+        assert fast == pytest.approx(slow, rel=1e-10)
 
 
 class TestMechanismLoss:
@@ -90,6 +151,29 @@ class TestMechanismLoss:
         assert bundle.sens == pytest.approx(2.0, rel=1e-14)  # sqrt(k)
         assert bundle.max_error == pytest.approx(4.0, rel=1e-14)  # sqrt(n)
         assert bundle.rms_error == pytest.approx(np.sqrt(8.5), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "theta, omega", [([1.0], [1.0]), ([1.0, 0.5], [0.5, 0.25])]
+    )
+    def test_unit_decay_with_weight_rejected(self, theta, omega):
+        with pytest.raises(ValueError, match="strictly inside"):
+            blt_mechanism_loss(BltParams(theta, omega), ParticipationSchema(16, 4, 4))
+
+    def test_unit_decay_identity_equals_identity(self):
+        schema = ParticipationSchema(2052, 342, 6)
+        assert blt_mechanism_loss(BltParams([1.0], [0.0]), schema) == blt_mechanism_loss(
+            IDENTITY_MECHANISM, schema
+        )
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_increasing_column_rejected_like_the_coefficient_path(self, n):
+        p = BltParams([0.9, 0.5], [0.6, 0.4 + 2e-12])
+        schema = ParticipationSchema(n, 1, 1)
+        with pytest.raises(ValueError) as coefficient_path:
+            toeplitz_sensitivity(blt_coefs(p, n, relaxed=True), schema)
+        with pytest.raises(ValueError) as evaluator:
+            blt_mechanism_loss(p, schema)
+        assert str(evaluator.value) == str(coefficient_path.value)
 
     def test_noise_multiplier_scales_losses_only(self):
         schema = ParticipationSchema(32, 8, 2)
