@@ -8,7 +8,9 @@ Subpackages by function:
   (fast Toeplitz path, dense lower bound).
 - ``loss_metrics``: MaxError/RmsError and MaxLoss/RmsLoss functionals.
 - ``tree_baseline``: binary-tree aggregation baseline with full
-  pseudoinverse decoding; loading external strategy matrices (.npy or CSV).
+  pseudoinverse decoding, evaluated in closed form from the Haar basis
+  (the dense tree and decoder remain as reference); loading external
+  strategy matrices (.npy or CSV).
 - ``blt_optimizer``: differentiable loss and L-BFGS driver that fits BLT
   parameters to a schema and objective.
 - ``accountant``: Gaussian-mechanism zCDP and zCDP -> (epsilon, delta).

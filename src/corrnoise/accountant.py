@@ -27,10 +27,10 @@ DEFAULT_DELTA = 1e-10
 
 def zcdp_of(sens: float, sigma: float) -> float:
     """rho = sens^2 / (2 sigma^2); sigma = 0 reports infinite rho explicitly."""
-    if sens < 0:
-        raise ValueError("sensitivity must be >= 0")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not sens >= 0:  # written so that NaN fails too
+        raise ValueError(f"sensitivity must be >= 0, got {sens}")
+    if not sigma >= 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return math.inf
     return sens * sens / (2.0 * sigma * sigma)
@@ -50,9 +50,9 @@ def eps_of_zcdp(rho: float, delta: float = DEFAULT_DELTA, refined: bool = False)
     true epsilon is 0 (the Gaussian's total variation is below delta).
     """
     if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not rho >= 0:  # NaN fails too (zcdp_of(inf, inf))
+        raise ValueError(f"rho must be >= 0, got {rho}")
     if rho == 0.0:
         return 0.0
     if math.isinf(rho):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -54,6 +55,14 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text):
+    """argparse type: a finite float > 0, so NaN and negative multipliers exit with usage."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -215,8 +224,11 @@ def cmd_noisegen(args) -> int:
 
 
 def cmd_account(args) -> int:
-    rho = zcdp_of(args.sens, args.sigma)
-    eps = eps_of_zcdp(rho, args.delta, refined=args.refined)
+    try:
+        rho = zcdp_of(args.sens, args.sigma)
+        eps = eps_of_zcdp(rho, args.delta, refined=args.refined)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     _print_json(
         {"rho": rho, "epsilon": eps, "sens": args.sens, "method": METHOD_LABEL}
     )
@@ -275,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--params", type=str, help="params JSON file")
     src.add_argument("--matrix", type=str, help="strategy matrix, .npy or CSV")
     src.add_argument("--tree", action="store_true", help="binary-tree baseline")
-    p.add_argument("--noise-multiplier", type=float, default=1.0)
+    p.add_argument("--noise-multiplier", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="loss grid over min-separation values")
@@ -284,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-stop", type=int, required=True)
     p.add_argument("--b-step", type=_positive_int, default=10)
     p.add_argument("--max-part", type=_positive_int, default=None)
-    p.add_argument("--noise-multiplier", type=float, default=1.0)
+    p.add_argument("--noise-multiplier", type=_positive_float, default=1.0)
     p.add_argument("--params", type=str, nargs="*", help="params JSON files")
     p.add_argument("--tree", action="store_true")
     p.add_argument("--identity", action="store_true")
@@ -305,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--delta", type=float, default=1e-10)
     p.add_argument("--refined", action="store_true")
-    p.set_defaults(func=cmd_account)
+    p.set_defaults(func=cmd_account, parser=p)
 
     p = sub.add_parser("simulate", help="run the training simulator")
     p.add_argument("--config", type=str, required=True, help="JSON config file")

@@ -4,25 +4,34 @@ The tree strategy over 2^(L-1) leaves is built by the recursion
 
     C(1) = [1],    C(L) = [[C(L-1), 0], [0, C(L-1)], [1 ... 1]]
 
-so every column (round) sums to L: each leaf lies under L nodes. For
-arbitrary n the next power-of-two tree is truncated to the first n
-columns and all-zero rows are dropped, which keeps full column rank.
-Decoding uses the Moore-Penrose pseudoinverse (all nodes optimally
-combined); the baseline is evaluation-only and dense, so it is guarded
-to desk scales.
+so every column (round) sums to L: each leaf lies under L nodes.
+``build_tree_matrix`` materializes it (for arbitrary n, the next
+power-of-two tree truncated to the first n columns, all-zero rows
+dropped) and ``full_decoder`` decodes it by the Moore-Penrose
+pseudoinverse; both are dense and guarded to desk scales, and serve as
+the reference the closed forms are checked against.
+
+Evaluation never builds C. It runs at complete horizons h = 2^L, where
+C^T C is diagonal in the Haar basis (a wavelet of support 2^s has
+eigenvalue 2^s - 1, the constant vector 2h - 1), so the pseudoinverse
+decoder's prefix variances are a sum of L + 1 terms (Honaker 2015,
+"Efficient Use of Differentially Private Binary Trees"; Hay et al. 2010,
+arXiv 0904.0942), and ||C u|| is a count of pattern rounds per node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from corrnoise.loss_metrics import MechanismLoss, _bundle, dense_error
+from corrnoise.loss_metrics import MechanismLoss, _bundle
 from corrnoise.participation import (
     ParticipationSchema,
-    matrix_sensitivity_lower_bound,
+    max_participations,
+    worst_case_pattern,
 )
 
 DENSE_GUARD = 8192
@@ -88,27 +97,54 @@ def tree_eval_horizon(n: int) -> int:
     return 1 << (int(n).bit_length() - 1)
 
 
+def _tree_errors(h: int) -> tuple[float, float]:
+    """(MaxError, RmsError) of the pseudoinverse-decoded complete tree over h = 2^L rounds.
+
+    The prefix indicator 1_t has component t on the constant vector and
+    m_s(t) = min(a, 2^s - a), a = t mod 2^s, on the one wavelet of
+    support 2^s that straddles t, so its variance 1_t^T (C^T C)^-1 1_t is
+    t^2 / (h (2h - 1)) + sum_{s=1..L} m_s(t)^2 / (2^s (2^s - 1)).
+    """
+    t = np.arange(1, h + 1)
+    var = (t * t) / (h * (2.0 * h - 1.0))
+    for s in range(1, h.bit_length()):
+        q = 1 << s
+        a = t & (q - 1)
+        m = np.minimum(a, q - a)
+        var += (m * m) / (q * (q - 1.0))
+    return float(np.sqrt(var.max())), float(np.sqrt(var.mean()))
+
+
+def _tree_sensitivity(h: int, schema: ParticipationSchema) -> float:
+    """||C u|| of the complete tree over h = 2^L rounds for the front-loaded pattern.
+
+    Rounds past h are dropped, by capping k at what fits in h rounds. The
+    node at level l covering leaves [j 2^l, (j+1) 2^l) sums
+    bincount(idx >> l)[j] pattern rounds, so the squared norm is an exact
+    integer sum over the L + 1 levels.
+    """
+    k = min(schema.k, max_participations(h, schema.b))
+    idx = worst_case_pattern(ParticipationSchema(h, schema.b, k))
+    sq = sum(int(np.sum(np.bincount(idx >> level) ** 2)) for level in range(h.bit_length()))
+    return math.sqrt(sq)
+
+
 def tree_loss_fn(n: int, noise_multiplier: float = 1.0):
     """``schema -> MechanismLoss`` for full-decoded tree aggregation over n rounds.
 
-    The decode does not depend on the schema: the first call builds the
-    tree at the evaluation horizon, decodes it and takes its errors, and
-    every call then computes only the sensitivity. A decode that raises
-    is not kept, so each later call raises the same way. Nothing runs
-    until the first call.
+    The errors do not depend on the schema: the first call takes them at
+    the evaluation horizon, and every call then computes only the
+    sensitivity. Nothing runs until the first call.
     """
-    decoded = None  # (tree, max_error, rms_error) once the decode succeeds
+    evaluated = None  # (horizon, max_error, rms_error) after the first call
 
     def loss(schema: ParticipationSchema) -> MechanismLoss:
-        nonlocal decoded
-        if decoded is None:
-            tree = build_tree_matrix(tree_eval_horizon(n))
-            decoded = (tree, *dense_error(full_decoder(tree)))
-        tree, max_error, rms_error = decoded
-        eval_schema = ParticipationSchema(
-            tree.n, schema.b, min(schema.k, -(-tree.n // schema.b))
-        )
-        sens = matrix_sensitivity_lower_bound(tree.C, eval_schema)
+        nonlocal evaluated
+        if evaluated is None:
+            h = tree_eval_horizon(n)
+            evaluated = (h, *_tree_errors(h))
+        h, max_error, rms_error = evaluated
+        sens = _tree_sensitivity(h, schema)
         return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "lower_bound")
 
     return loss

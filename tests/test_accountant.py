@@ -39,6 +39,11 @@ class TestZcdp:
         with pytest.raises(ValueError):
             zcdp_of(1.0, -1.0)
 
+    @pytest.mark.parametrize("sens, sigma", [(math.nan, 1.0), (1.0, math.nan), (math.nan, 0.0)])
+    def test_nan_inputs_rejected(self, sens, sigma):
+        with pytest.raises(ValueError):
+            zcdp_of(sens, sigma)
+
     def test_production_parameters_anchor(self):
         # single participation over 2000 rounds at sigma = 8.681
         sens = toeplitz_sensitivity(
@@ -68,6 +73,10 @@ class TestEpsConversion:
             eps_of_zcdp(0.5, 0.0)
         with pytest.raises(ValueError):
             eps_of_zcdp(0.5, 1.0)
+        with pytest.raises(ValueError):
+            eps_of_zcdp(math.nan, 1e-9)
+        with pytest.raises(ValueError):
+            eps_of_zcdp(0.5, math.nan)
 
     def test_default_delta(self):
         assert DEFAULT_DELTA == 1e-10

@@ -5,6 +5,7 @@ one subprocess test confirms the installed entry point matches.
 """
 
 import json
+import math
 import subprocess
 import sys
 
@@ -101,6 +102,16 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["sens_method"] == "lower_bound"
 
+    def test_tree_eval_past_the_dense_guard(self, capsys):
+        # one participation in a 2^20-leaf tree lies under 21 nodes
+        n = 1 << 20
+        code, out = run_cli(
+            ["eval", "--tree", "--n", str(n), "--min-sep", str(n)], capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["k"] == 1 and doc["sens"] == math.sqrt(21)
+
     def test_matrix_eval(self, tmp_path, capsys):
         C = np.tril(np.ones((8, 8)))
         path = tmp_path / "C.csv"
@@ -186,20 +197,20 @@ class TestSweep:
 
     def test_tree_decodes_once_per_invocation(self, monkeypatch, capsys):
         calls = []
-        decode = corrnoise.tree_baseline.full_decoder
+        errors = corrnoise.tree_baseline._tree_errors
 
-        def counting_decoder(tree):
-            calls.append(tree.n)
-            return decode(tree)
+        def counting_errors(h):
+            calls.append(h)
+            return errors(h)
 
-        monkeypatch.setattr(corrnoise.tree_baseline, "full_decoder", counting_decoder)
+        monkeypatch.setattr(corrnoise.tree_baseline, "_tree_errors", counting_errors)
         argv = ["sweep", "--n", "64", "--b-start", "8", "--b-stop", "32", "--b-step", "8",
                 "--tree"]
-        for expected in (1, 2):  # no decode outlives a main call
+        for expected in (1, 2):  # no tree error outlives a main call
             code, out = run_cli(argv, capsys)
             assert code == 0 and out.count(",ok\n") == 4
-            assert len(calls) == expected
-        # every cell infeasible: nothing is decoded
+            assert calls == [64] * expected
+        # every cell infeasible: no tree error is computed
         code, out = run_cli(
             ["sweep", "--n", "64", "--b-start", "40", "--b-stop", "60", "--b-step", "10",
              "--max-part", "3", "--tree"],
@@ -228,18 +239,43 @@ class TestSweep:
                 repr(ref.max_loss), repr(ref.rms_loss), ref.sens_method, "ok",
             ]
 
-    def test_failing_decode_reported_in_every_feasible_cell(self, capsys):
+    def test_failing_decode_reported_in_every_feasible_cell(self, tmp_path, capsys):
+        # theta = 1 fails strict validation on the first feasible cell; the
+        # failure is not kept, so every later cell fails the same way
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "d": 1, "theta": [1.0], "omega": [1.0], "opt_n": 64, "opt_min_sep": 16,
+            "opt_max_part": 4, "objective": "max",
+        }))
         code, out = run_cli(
-            ["sweep", "--n", "20000", "--b-start", "100", "--b-stop", "300",
-             "--b-step", "100", "--tree"],
+            ["sweep", "--n", "64", "--b-start", "16", "--b-stop", "48", "--b-step", "16",
+             "--params", str(bad)],
             capsys,
         )
         assert code == 0
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 3
         for row in rows:
-            assert row.endswith(",,,,,,error:n = 16384 exceeds the dense "
-                                "materialization guard (8192)")
+            assert row.endswith(",,,,,,error:theta must lie strictly inside (0, 1)")
+
+    def test_tree_past_the_dense_guard_is_evaluated(self, capsys):
+        # horizon 16384 > 8192, which the dense decode refused
+        n = 20000
+        code, out = run_cli(
+            ["sweep", "--n", str(n), "--b-start", "100", "--b-stop", "300",
+             "--b-step", "100", "--tree"],
+            capsys,
+        )
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 3
+        for line in rows:
+            row = line.split(",")
+            ref = eval_tree(n, ParticipationSchema(n, int(row[2]), int(row[3])))
+            assert row[4:] == [
+                repr(ref.sens), repr(ref.max_error), repr(ref.rms_error),
+                repr(ref.max_loss), repr(ref.rms_loss), ref.sens_method, "ok",
+            ]
 
     @pytest.mark.parametrize(
         "argv",
@@ -264,6 +300,29 @@ class TestSweep:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "usage" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--n", "64", "--min-sep", "16", "--tree", "--noise-multiplier", "-1"],
+            ["eval", "--n", "64", "--min-sep", "16", "--tree", "--noise-multiplier", "nan"],
+            ["eval", "--n", "64", "--min-sep", "16", "--tree", "--noise-multiplier", "0"],
+            ["eval", "--n", "64", "--min-sep", "16", "--tree", "--noise-multiplier", "inf"],
+            ["sweep", "--n", "64", "--b-start", "8", "--b-stop", "16", "--tree",
+             "--noise-multiplier", "-1"],
+            ["sweep", "--n", "64", "--b-start", "8", "--b-stop", "16", "--tree",
+             "--noise-multiplier", "nan"],
+        ],
+        ids=["eval-negative", "eval-nan", "eval-zero", "eval-inf", "sweep-negative",
+             "sweep-nan"],
+    )
+    def test_bad_noise_multiplier_exits_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage" in captured.err and "--noise-multiplier" in captured.err
+        assert captured.out == ""
 
     def test_no_mechanism_is_an_error(self, capsys):
         code = main(["sweep", "--n", "64", "--b-start", "8", "--b-stop", "8"])
@@ -294,6 +353,27 @@ class TestAccountCmd:
         assert doc["epsilon"] == eps_of_zcdp(rho, 1e-7)
         assert doc["sens"] == 2.0
         assert "upper bound" in doc["method"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--sens", "nan", "--sigma", "1"], "sensitivity"),
+            (["--sens", "1", "--sigma", "nan"], "sigma"),
+            (["--sens", "-1", "--sigma", "1"], "sensitivity"),
+            (["--sens", "1", "--sigma", "1", "--delta", "2"], "delta"),
+            (["--sens", "1", "--sigma", "1", "--delta", "nan"], "delta"),
+            (["--sens", "inf", "--sigma", "inf"], "rho"),
+        ],
+        ids=["sens-nan", "sigma-nan", "sens-negative", "delta-above-1", "delta-nan",
+             "inf-over-inf"],
+    )
+    def test_bad_inputs_exit_with_usage(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["account", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage" in captured.err and message in captured.err
+        assert captured.out == ""
 
 
 class TestNoisegen:

@@ -1,15 +1,25 @@
 """Binary-tree aggregation baseline and strategy-matrix loading.
 
 The covering construction is pinned on hand-checkable sizes, the full
-decoder against numpy's pseudoinverse, and the published-table loss row
-as a regression anchor.
+decoder against numpy's pseudoinverse, the closed-form errors and
+sensitivity against the dense tree and decoder, and the published-table
+loss row as a regression anchor.
 """
+
+import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrnoise.participation import ParticipationSchema
+from corrnoise.loss_metrics import dense_error
+from corrnoise.participation import ParticipationSchema, matrix_sensitivity_lower_bound
 from corrnoise.tree_baseline import (
+    _tree_errors,
+    _tree_sensitivity,
     build_tree_matrix,
     eval_tree,
     full_decoder,
@@ -64,6 +74,47 @@ class TestFullDecoder:
         B = full_decoder(tree)
         Bref = np.cumsum(np.linalg.pinv(tree.C), axis=0)
         np.testing.assert_allclose(B, Bref, atol=1e-9)
+
+
+@lru_cache(maxsize=None)
+def _dense_tree(h):
+    return build_tree_matrix(h)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("h", [1 << L for L in range(12)])
+    def test_errors_match_dense_decoder(self, h):
+        want = dense_error(full_decoder(_dense_tree(h)))
+        np.testing.assert_allclose(_tree_errors(h), want, rtol=1e-12, atol=0)
+
+    @given(
+        levels=st.integers(0, 10),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_sensitivity_equals_dense_lower_bound(self, levels, data):
+        # n runs past the horizon h, so the k capping is exercised too
+        h = 1 << levels
+        n = data.draw(st.integers(1, 2 * h), label="n")
+        b = data.draw(st.integers(1, n), label="b")
+        k = data.draw(st.integers(1, -(-n // b)), label="k")
+        schema = ParticipationSchema(n, b, k)
+        want = matrix_sensitivity_lower_bound(_dense_tree(h).C, schema)
+        assert _tree_sensitivity(h, schema) == want
+
+    def test_rms_error_matches_exact_rational_at_2_to_the_20(self):
+        # mean over t of the prefix variance, term by term: the constant
+        # vector averages (h+1)(2h+1) / (6 h (2h-1)); at scale s, with
+        # q = 2^(s-1), sum_a min(a, 2^s - a)^2 over a block is
+        # 2 (q-1) q (2q-1) / 6 + q^2
+        h = 1 << 20
+        mean_var = Fraction((h + 1) * (2 * h + 1), 6 * h * (2 * h - 1))
+        for s in range(1, 21):
+            q, size = 1 << (s - 1), 1 << s
+            block = Fraction(2 * (q - 1) * q * (2 * q - 1), 6) + q * q
+            mean_var += block / (size * size * (size - 1))
+        _, rms_error = _tree_errors(h)
+        assert rms_error == pytest.approx(math.sqrt(mean_var), rel=1e-15, abs=0)
 
 
 class TestEvalHorizon:
