@@ -10,7 +10,9 @@ Subcommands:
     simulate        run the federated-averaging simulator from a JSON config
 
 All floats are printed with repr (shortest round-trip form), so outputs
-are byte-reproducible across runs on the same platform.
+are byte-reproducible across runs on the same platform. JSON output is
+strict (RFC 8259): an unbounded value, such as the rho of a noiseless
+release, prints as null.
 """
 
 from __future__ import annotations
@@ -104,7 +106,12 @@ def _loss_dict(bundle):
 
 
 def _print_json(doc, stream=None):
-    (stream or sys.stdout).write(json.dumps(doc, indent=2) + "\n")
+    """Strict JSON: a non-finite float prints as null (unbounded), never as Infinity."""
+    doc = {
+        key: None if isinstance(val, float) and not math.isfinite(val) else val
+        for key, val in doc.items()
+    }
+    (stream or sys.stdout).write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_optimize(args) -> int:
@@ -224,6 +231,8 @@ def cmd_noisegen(args) -> int:
 
 
 def cmd_account(args) -> int:
+    if math.isinf(args.sens):
+        args.parser.error(f"sensitivity must be finite, got {args.sens} (rho unbounded)")
     try:
         rho = zcdp_of(args.sens, args.sigma)
         eps = eps_of_zcdp(rho, args.delta, refined=args.refined)

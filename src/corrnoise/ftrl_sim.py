@@ -7,6 +7,10 @@ privatized average. The server optimizer sees only the privatized delta
 (post-processing), so the privacy guarantee follows entirely from the
 noise calibration sigma * zeta = alpha * sens * zeta.
 
+Every client holds the same number of samples, so the population is one
+(clients, m, dim) array and a round steps its whole cohort as one
+stacked batch: a single ``client_update`` call on the cohort's slice.
+
 Tasks are synthetic linear / logistic problems with per-client parameter
 heterogeneity: small enough to run hundreds of rounds in seconds, rich
 enough to exercise every line of the training loop. Accounting is
@@ -52,10 +56,15 @@ class StarvationError(RuntimeError):
 
 @dataclass
 class ClientPopulation:
-    """Synthetic per-client datasets plus participation bookkeeping."""
+    """Synthetic per-client datasets plus participation bookkeeping.
 
-    features: list
-    labels: list
+    ``features`` is one (n_clients, m, dim) array and ``labels`` one
+    (n_clients, m) array, so ``features[cohort]`` is a cohort's stacked
+    batch and ``features[cid]`` one client's (m, dim) dataset.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
     last_round: np.ndarray
     task: str
     dim: int
@@ -143,12 +152,13 @@ def make_population(
             y = (rng.uniform(size=m) < _sigmoid(X @ w)).astype(float)
         return X, y
 
-    features, labels = [], []
-    for _ in range(n_clients):
+    # filled in place, client by client in the draw order, so the
+    # population is never held twice
+    features = np.empty((n_clients, samples_per_client, dim))
+    labels = np.empty((n_clients, samples_per_client))
+    for cid in range(n_clients):
         w_c = w_star + heterogeneity * rng.normal(0.0, 1.0, dim) / math.sqrt(dim)
-        X, y = draw(w_c, samples_per_client)
-        features.append(X)
-        labels.append(y)
+        features[cid], labels[cid] = draw(w_c, samples_per_client)
     eval_X, eval_y = draw(w_star, eval_samples)
     return ClientPopulation(
         features=features,
@@ -192,26 +202,33 @@ def client_update(
     batch_size: int = 16,
     task: str = "linear",
 ) -> np.ndarray:
-    """Local SGD followed by the exact clip delta * min(1, zeta/||delta||)."""
-    w = model.copy()
-    m = y.shape[0]
+    """Local SGD followed by the exact clip delta * min(1, zeta/||delta||).
+
+    ``X`` is (..., m, dim) and ``y`` (..., m): one client's data gives its
+    (dim,) delta, a stacked cohort's gives one delta row per client. Every
+    client steps through the same minibatches, and each row equals what
+    the client's own 2-D call returns, bit for bit.
+    """
+    w = np.broadcast_to(model, X.shape[:-2] + model.shape).copy()
+    m = y.shape[-1]
     # divergence is reported via the finite check below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(local_epochs):
             for start in range(0, m, batch_size):
-                Xb = X[start : start + batch_size]
-                yb = y[start : start + batch_size]
-                if task == "linear":
-                    grad = Xb.T @ (Xb @ w - yb) / yb.shape[0]
-                else:
-                    grad = Xb.T @ (_sigmoid(Xb @ w) - yb) / yb.shape[0]
+                Xb = X[..., start : start + batch_size, :]
+                yb = y[..., start : start + batch_size]
+                pred = (Xb @ w[..., None])[..., 0]
+                r = pred - yb if task == "linear" else _sigmoid(pred) - yb
+                grad = (Xb.swapaxes(-1, -2) @ r[..., None])[..., 0] / yb.shape[-1]
                 w -= client_lr * grad
         delta = w - model
     if not np.all(np.isfinite(delta)):
         raise FloatingPointError("non-finite client delta (diverging local SGD)")
-    nrm = float(np.linalg.norm(delta))
-    if math.isfinite(clip_norm) and nrm > 0:
-        delta = delta * min(1.0, clip_norm / nrm)
+    if math.isfinite(clip_norm):
+        # the row-by-row dot product, which is what the 1-D norm computes
+        nrm = np.sqrt(delta[..., None, :] @ delta[..., :, None])[..., 0]
+        ratio = np.divide(clip_norm, nrm, out=np.full_like(nrm, np.inf), where=nrm > 0)
+        delta = delta * np.minimum(1.0, ratio)
     return delta
 
 
@@ -325,34 +342,35 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     counts = np.zeros(population.n_clients, dtype=np.int64)
     prev_round = np.full(population.n_clients, -1, dtype=np.int64)
     min_gap = math.inf
+    k_real = 0
     metrics = []
     participation = []
     for t in range(config.rounds):
         cohort = select_cohort(
             population, t, config.clients_per_round, config.min_sep, cohort_rng
         )
-        delta_sum = np.zeros(dim)
-        for cid in cohort:
-            delta_sum += client_update(
-                state.model,
-                population.features[cid],
-                population.labels[cid],
-                config.client_lr,
-                config.clip_norm,
-                config.local_epochs,
-                config.batch_size,
-                population.task,
-            )
-            participation.append((t, int(cid)))
-        for cid in cohort:
-            if prev_round[cid] >= 0:
-                min_gap = min(min_gap, t - prev_round[cid])
-            prev_round[cid] = t
-            counts[cid] += 1
+        deltas = client_update(
+            state.model,
+            population.features[cohort],
+            population.labels[cohort],
+            config.client_lr,
+            config.clip_norm,
+            config.local_epochs,
+            config.batch_size,
+            population.task,
+        )
+        delta_sum = deltas.sum(axis=0)  # row by row, in cohort order
+        participation.extend((t, cid) for cid in cohort.tolist())
+        returning = prev_round[cohort]
+        returning = returning[returning >= 0]
+        if returning.size:
+            min_gap = min(min_gap, t - int(returning.max()))
+        prev_round[cohort] = t
+        counts[cohort] += 1  # cohort ids are unique
+        k_real = max(k_real, int(counts[cohort].max()))
 
         state = server_round(state, delta_sum, config.clients_per_round, config)
 
-        k_real = int(counts.max())
         b_real = int(min_gap) if math.isfinite(min_gap) else t + 1
         sens_real = float(
             _shifted_sum_norm(c_full[: t + 1], ParticipationSchema(t + 1, b_real, k_real))
@@ -369,7 +387,7 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
         )
 
     _audit_min_sep(participation, config.min_sep)
-    realized_k = int(counts.max())
+    realized_k = k_real
     realized_b = int(min_gap) if math.isfinite(min_gap) else config.rounds
     sens_real = float(
         _shifted_sum_norm(c_full, ParticipationSchema(config.rounds, realized_b, realized_k))

@@ -2,14 +2,18 @@
 
 These exist only to validate the package: a dense lower-triangular
 Toeplitz builder, streaming multiplication by C (the package only
-streams C^-1), the prefix-sum workload matrix, and exhaustive
-participation-pattern enumeration with the sensitivity it implies.
+streams C^-1), the prefix-sum workload matrix, exhaustive
+participation-pattern enumeration with the sensitivity it implies, and
+the one-client-at-a-time simulator steps that the stacked cohort batch
+replaces.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
+from corrnoise.blt_optimizer import _sigmoid
 from corrnoise.participation import ParticipationSchema
 
 
@@ -144,3 +148,56 @@ def exact_sensitivity_bruteforce(
             U[list(p), j] = 1.0
     norms = np.linalg.norm(C @ U, axis=0)
     return clip_norm * float(norms.max(initial=0.0))
+
+
+def client_update_single(
+    model, X, y, client_lr, clip_norm, local_epochs=1, batch_size=16, task="linear"
+):
+    """One client's local SGD and exact clip, on its own (m, dim) data.
+
+    The per-client loop body the stacked ``client_update`` must match bit
+    for bit, row by row.
+    """
+    w = model.copy()
+    m = y.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(local_epochs):
+            for start in range(0, m, batch_size):
+                Xb = X[start : start + batch_size]
+                yb = y[start : start + batch_size]
+                if task == "linear":
+                    grad = Xb.T @ (Xb @ w - yb) / yb.shape[0]
+                else:
+                    grad = Xb.T @ (_sigmoid(Xb @ w) - yb) / yb.shape[0]
+                w -= client_lr * grad
+        delta = w - model
+    if not np.all(np.isfinite(delta)):
+        raise FloatingPointError("non-finite client delta (diverging local SGD)")
+    nrm = float(np.linalg.norm(delta))
+    if math.isfinite(clip_norm) and nrm > 0:
+        delta = delta * min(1.0, clip_norm / nrm)
+    return delta
+
+
+def population_per_client(
+    n_clients, dim, samples_per_client, heterogeneity=0.5, task="linear",
+    eval_samples=512, seed=0,
+):
+    """(features, labels) drawn client by client into lists.
+
+    The same RNG calls in the same order as ``make_population``, which
+    must store exactly these values in its stacked arrays.
+    """
+    rng = np.random.default_rng(seed)
+    w_star = rng.normal(0.0, 1.0, dim) / math.sqrt(dim)
+    features, labels = [], []
+    for _ in range(n_clients):
+        w_c = w_star + heterogeneity * rng.normal(0.0, 1.0, dim) / math.sqrt(dim)
+        X = rng.normal(0.0, 1.0, (samples_per_client, dim))
+        if task == "linear":
+            y = X @ w_c + 0.05 * rng.normal(0.0, 1.0, samples_per_client)
+        else:
+            y = (rng.uniform(size=samples_per_client) < _sigmoid(X @ w_c)).astype(float)
+        features.append(X)
+        labels.append(y)
+    return features, labels

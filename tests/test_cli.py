@@ -36,6 +36,15 @@ def run_cli(argv, capsys):
     return code, out
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name} in output")
+
+
+def strict_loads(text):
+    """json.loads that fails on the NaN / Infinity tokens RFC 8259 forbids."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 class TestOptimize:
     def test_writes_self_consistent_params(self, tmp_path, capsys):
         out_path = tmp_path / "fit.json"
@@ -347,12 +356,19 @@ class TestAccountCmd:
             ["account", "--sens", "2.0", "--sigma", "4.0", "--delta", "1e-7"], capsys
         )
         assert code == 0
-        doc = json.loads(out)
+        doc = strict_loads(out)
         rho = zcdp_of(2.0, 4.0)
         assert doc["rho"] == rho
         assert doc["epsilon"] == eps_of_zcdp(rho, 1e-7)
         assert doc["sens"] == 2.0
         assert "upper bound" in doc["method"]
+
+    def test_unbounded_rho_prints_null(self, capsys):
+        code, out = run_cli(["account", "--sens", "1", "--sigma", "0"], capsys)
+        assert code == 0
+        doc = strict_loads(out)
+        assert doc["rho"] is None and doc["epsilon"] is None
+        assert doc["sens"] == 1.0
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -363,9 +379,10 @@ class TestAccountCmd:
             (["--sens", "1", "--sigma", "1", "--delta", "2"], "delta"),
             (["--sens", "1", "--sigma", "1", "--delta", "nan"], "delta"),
             (["--sens", "inf", "--sigma", "inf"], "rho"),
+            (["--sens", "inf", "--sigma", "1"], "sensitivity must be finite"),
         ],
         ids=["sens-nan", "sigma-nan", "sens-negative", "delta-above-1", "delta-nan",
-             "inf-over-inf"],
+             "inf-over-inf", "sens-inf"],
     )
     def test_bad_inputs_exit_with_usage(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -390,28 +407,32 @@ class TestNoisegen:
         assert len(lines) == 5
 
 
+def simulate_config(**training):
+    base = {
+        "rounds": 6,
+        "clients_per_round": 3,
+        "client_lr": 0.1,
+        "server_lr": 0.3,
+        "noise_multiplier": 0.2,
+        "min_sep": 2,
+        "seed": 2,
+    }
+    base.update(training)
+    return {
+        "population": {
+            "n_clients": 12,
+            "dim": 4,
+            "samples_per_client": 16,
+            "task": "linear",
+            "eval_samples": 32,
+            "seed": 1,
+        },
+        "training": base,
+    }
+
+
 class TestSimulate:
-    def test_end_to_end_outputs(self, params_file, tmp_path, capsys):
-        config = {
-            "population": {
-                "n_clients": 12,
-                "dim": 4,
-                "samples_per_client": 16,
-                "task": "linear",
-                "eval_samples": 32,
-                "seed": 1,
-            },
-            "training": {
-                "rounds": 6,
-                "clients_per_round": 3,
-                "client_lr": 0.1,
-                "server_lr": 0.3,
-                "noise_multiplier": 0.2,
-                "min_sep": 2,
-                "seed": 2,
-                "params_file": params_file,
-            },
-        }
+    def run(self, config, tmp_path, capsys):
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps(config))
         outdir = tmp_path / "out"
@@ -419,14 +440,24 @@ class TestSimulate:
             ["simulate", "--config", str(cfg_path), "--outdir", str(outdir)], capsys
         )
         assert code == 0
-        doc = json.loads(out)
+        return strict_loads(out), outdir
+
+    def test_end_to_end_outputs(self, params_file, tmp_path, capsys):
+        config = simulate_config(params_file=params_file)
+        doc, outdir = self.run(config, tmp_path, capsys)
         assert doc["rounds"] == 6
+        assert math.isfinite(doc["rho_realized"])
         metrics = (outdir / "metrics.csv").read_text().strip().split("\n")
         assert metrics[0] == "round,eval_loss,eval_acc,rho_so_far"
         assert len(metrics) == 7
         part = (outdir / "participation.csv").read_text().strip().split("\n")
         assert part[0] == "round,client_id"
         assert len(part) == 1 + 6 * 3
+
+    def test_noiseless_run_prints_null_rho(self, tmp_path, capsys):
+        doc, _ = self.run(simulate_config(noise_multiplier=0.0), tmp_path, capsys)
+        assert doc["rho_realized"] is None
+        assert doc["sigma_zeta"] == 0.0
 
 
 def test_console_script_installed():

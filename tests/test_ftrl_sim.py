@@ -6,10 +6,12 @@ module; here the contract is trajectory-level (bitwise zero-noise
 equality, determinism, audits) plus per-operation closed forms.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from oracles import client_update_single, population_per_client
 
 import corrnoise.ftrl_sim as sim
 from corrnoise.blt_core import BltParams, blt_inverse_coefs
@@ -72,6 +74,17 @@ class TestPopulation:
         assert a.eval_features.shape == (128, 8)
         np.testing.assert_array_equal(a.features[3], b.features[3])
         np.testing.assert_array_equal(a.eval_labels, b.eval_labels)
+
+    @pytest.mark.parametrize("task", ["linear", "logistic"])
+    def test_stacked_arrays_are_the_per_client_draws(self, task):
+        pop = small_population(task=task)
+        assert pop.features.shape == (40, 32, 8)
+        assert pop.labels.shape == (40, 32)
+        features, labels = population_per_client(
+            40, 8, 32, heterogeneity=0.5, task=task, eval_samples=128, seed=1
+        )
+        assert pop.features.tobytes() == np.stack(features).tobytes()
+        assert pop.labels.tobytes() == np.stack(labels).tobytes()
 
     def test_logistic_labels_binary(self):
         p = small_population(task="logistic")
@@ -151,6 +164,74 @@ class TestClientUpdate:
         y = np.zeros(4)
         with pytest.raises(FloatingPointError):
             client_update(np.ones(2), X, y, 1e200, 1.0)
+
+
+class TestStackedClientUpdate:
+    """A cohort's stacked call must equal its clients' one-client calls."""
+
+    @pytest.mark.parametrize(
+        "task, batch_size, local_epochs, clip_norm",
+        itertools.product(["linear", "logistic"], [7, 32], [0, 1, 3], [0.01, math.inf]),
+    )
+    def test_rows_equal_single_client_oracle(
+        self, task, batch_size, local_epochs, clip_norm
+    ):
+        # m = 32: batch size 7 leaves a short last minibatch, 32 is one batch
+        pop = small_population(task=task)
+        model = np.random.default_rng(2).normal(0.0, 0.3, 8)
+        cohort = np.array([0, 3, 4, 17, 29, 39])
+        args = (0.1, clip_norm, local_epochs, batch_size, task)
+        got = client_update(model, pop.features[cohort], pop.labels[cohort], *args)
+        want = np.stack(
+            [
+                client_update_single(model, pop.features[c], pop.labels[c], *args)
+                for c in cohort
+            ]
+        )
+        np.testing.assert_array_equal(got, want)
+        if local_epochs and clip_norm == 0.01:  # clipping is active on every row
+            assert np.linalg.norm(want, axis=1) == pytest.approx(0.01, rel=1e-12)
+
+    def test_zero_epoch_cohort_gives_exact_zeros_without_warnings(self):
+        pop = small_population()
+        with np.errstate(all="raise"):
+            deltas = client_update(
+                np.ones(8), pop.features[:5], pop.labels[:5], 0.1, 1.0, local_epochs=0
+            )
+        assert deltas.shape == (5, 8)
+        np.testing.assert_array_equal(deltas, np.zeros((5, 8)))
+
+    def test_each_round_sums_its_cohort_in_order(self, monkeypatch):
+        pop = small_population()
+        cfg = config(mechanism=MECH, noise_multiplier=0.4, batch_size=7)
+        seen = []
+        orig = sim.server_round
+
+        def spy(state, delta_sum, m_clients, cfg, noise_row=None):
+            seen.append((state.model.copy(), delta_sum.copy()))
+            return orig(state, delta_sum, m_clients, cfg, noise_row)
+
+        monkeypatch.setattr(sim, "server_round", spy)
+        r = run_training(cfg, pop)
+        assert len(seen) == cfg.rounds
+        for t, (model, delta_sum) in enumerate(seen):
+            want = np.zeros(8)
+            for round_idx, cid in r.participation:
+                if round_idx == t:
+                    want += client_update_single(
+                        model, pop.features[cid], pop.labels[cid], cfg.client_lr,
+                        cfg.clip_norm, cfg.local_epochs, cfg.batch_size, pop.task,
+                    )
+            np.testing.assert_array_equal(delta_sum, want)
+
+    def test_one_diverging_client_fails_the_round(self, monkeypatch):
+        pop = small_population(n_clients=4)
+        pop.features[2] = 1e200
+        steps = []
+        monkeypatch.setattr(sim, "server_round", lambda *a, **k: steps.append(a))
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            run_training(config(clients_per_round=4, min_sep=1), pop)
+        assert steps == []  # nothing of the failed round reached the server
 
 
 class TestServerRound:
@@ -248,6 +329,15 @@ class TestRunTraining:
             last[cid] = t
         assert r.realized_b >= 4
         assert r.realized_k <= math.ceil(16 / r.realized_b)
+
+    def test_realized_b_and_k_are_those_of_the_log(self):
+        pop = small_population(n_clients=16)
+        r = run_training(config(min_sep=3, rounds=30), pop)
+        rounds_of = {}
+        for t, cid in r.participation:
+            rounds_of.setdefault(cid, []).append(t)
+        assert r.realized_k == max(len(ts) for ts in rounds_of.values())
+        assert r.realized_b == min(b - a for ts in rounds_of.values() for a, b in zip(ts, ts[1:]))
 
     def test_rho_accounting_realized_schema(self):
         pop = small_population()
