@@ -7,17 +7,15 @@ alpha = sigma / sens and satisfies rho-zCDP with rho = sens^2 / (2 sigma^2).
 
 The conversion to (epsilon, delta) uses the standard zCDP tail bound.
 Both forms here are upper bounds: the closed form
-epsilon = rho + 2 sqrt(rho ln(1/delta)), and a refined minimization over
-the Renyi order that is never larger. Numerically tighter accountants
-(privacy loss distributions) give smaller epsilon for the same mechanism;
-outputs are labeled accordingly.
+epsilon = rho + 2 sqrt(rho ln(1/delta)), and the exact minimum of a
+refined bound over the Renyi order, which is never larger. Numerically
+tighter accountants (privacy loss distributions) give smaller epsilon for
+the same mechanism; outputs are labeled accordingly.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.optimize import minimize_scalar
 
 METHOD_LABEL = "upper bound (zCDP conversion)"
 
@@ -45,7 +43,10 @@ def eps_of_zcdp(rho: float, delta: float = DEFAULT_DELTA, refined: bool = False)
         epsilon(a) = rho a + (log(1/delta) + (a-1) log(1 - 1/a) - log a) / (a - 1)
 
     is minimized over the order a > 1, which is never worse than the
-    closed form. Both are upper bounds on the true epsilon. The refined
+    closed form. Its derivative rho - (log(1/delta) - log a)/(a - 1)^2
+    has one zero on a > 1, the root of rho (a-1)^2 + log a = log(1/delta),
+    which lies in (1, 1 + sqrt(log(1/delta)/rho)) and is found by
+    bisection. Both are upper bounds on the true epsilon. The refined
     value is clamped at 0: at tiny rho the bound dips below 0, where the
     true epsilon is 0 (the Gaussian's total variation is below delta).
     """
@@ -62,15 +63,19 @@ def eps_of_zcdp(rho: float, delta: float = DEFAULT_DELTA, refined: bool = False)
     if not refined:
         return closed
 
-    def eps_at(a):
-        return rho * a + (log1d + (a - 1.0) * math.log1p(-1.0 / a) - math.log(a)) / (
-            a - 1.0
-        )
-
-    # the closed form is the unrefined bound's optimum at
-    # a* = 1 + sqrt(log(1/delta)/rho); search around it
-    a_star = 1.0 + math.sqrt(log1d / rho)
-    res = minimize_scalar(
-        eps_at, bounds=(1.0 + 1e-9, max(10.0 * a_star, 100.0)), method="bounded"
+    # the left side of the root equation increases on a > 1; bisect
+    # until the bracket is two adjacent doubles (at huge rho the upper
+    # end would round to 1, so it is kept at least one double above)
+    lo, hi = 1.0, max(1.0 + math.sqrt(log1d / rho), math.nextafter(1.0, 2.0))
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if rho * (mid - 1.0) ** 2 + math.log(mid) < log1d:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    a = hi
+    refined_eps = rho * a + (log1d + (a - 1.0) * math.log1p(-1.0 / a) - math.log(a)) / (
+        a - 1.0
     )
-    return float(max(0.0, min(closed, res.fun)))
+    return max(0.0, min(closed, refined_eps))

@@ -23,6 +23,7 @@ them; nothing here takes an absolute value on the differentiated path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -45,9 +46,9 @@ class BltParams:
     omega: output scales, positive, with sum(omega) <= 1 so that the
         Toeplitz coefficients are non-increasing (c_1 = sum(omega) <= c_0).
 
-    Validation is explicit (``validate``) rather than implicit so that
-    relaxed uses (omega = 0 identity, theta = 1 prefix sums) stay
-    representable.
+    d = 0 is allowed: the BLT with no buffers is the identity C = I
+    (``IDENTITY_MECHANISM``). Validation is explicit (``validate``) and
+    the same for every consumer.
     """
 
     theta: np.ndarray
@@ -66,23 +67,11 @@ class BltParams:
     def d(self) -> int:
         return self.theta.shape[0]
 
-    def validate(self, relaxed: bool = False) -> "BltParams":
-        """Check parameter invariants; returns self for chaining.
-
-        Strict mode (default) enforces the strategy-matrix invariants.
-        Relaxed mode only requires theta in (0, 1] and omega >= 0, which
-        admits the identity mechanism (omega = 0) and prefix sums
-        (theta = 1, omega = 1).
-        """
+    def validate(self) -> "BltParams":
+        """Check the strategy-matrix invariants; returns self for chaining."""
         th, om = self.theta, self.omega
         if not (np.all(np.isfinite(th)) and np.all(np.isfinite(om))):
             raise ValueError("non-finite BLT parameters")
-        if relaxed:
-            if np.any(th <= 0) or np.any(th > 1):
-                raise ValueError("relaxed mode requires 0 < theta <= 1")
-            if np.any(om < 0):
-                raise ValueError("relaxed mode requires omega >= 0")
-            return self
         if np.any(th <= 0) or np.any(th >= 1):
             raise ValueError("theta must lie strictly inside (0, 1)")
         if np.any(np.diff(th) >= 0):
@@ -100,8 +89,8 @@ class BltParams:
         return self
 
 
-# identity strategy C = I (independent noise) as a relaxed BLT: omega = 0
-IDENTITY_MECHANISM = BltParams(np.array([0.5]), np.array([0.0]))
+# identity strategy C = I (independent noise): the BLT with no buffers
+IDENTITY_MECHANISM = BltParams(np.empty(0), np.empty(0))
 
 
 def _geometric_coefs(theta, omega, n):
@@ -117,14 +106,14 @@ def _geometric_coefs(theta, omega, n):
     return c
 
 
-def blt_coefs(params: BltParams, n: int, relaxed: bool = False) -> np.ndarray:
+def blt_coefs(params: BltParams, n: int) -> np.ndarray:
     """First n Toeplitz coefficients of the BLT strategy matrix.
 
-    O(n*d) time and memory. Strictly validated unless ``relaxed``.
+    O(n*d) time and memory. Validated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    params.validate(relaxed=relaxed)
+    params.validate()
     return _geometric_coefs(params.theta, params.omega, n).astype(float)
 
 
@@ -197,20 +186,15 @@ def inverse_blt_params(params: BltParams) -> InversePair:
     chat_i = -omega^T A^(i-1) 1. With s = sqrt(omega), A is similar to the
     symmetric M = diag(theta) - s s^T = Q diag(theta_hat) Q^T, so the
     inverse decays are the eigenvalues of M and chat_i = -s^T M^(i-1) s
-    gives omega_hat = -(Q^T s)^2.
+    gives omega_hat = -(Q^T s)^2. The identity (d = 0) gives the 0 x 0
+    problem and the empty pair.
 
     Correctness is defined solely by the roundtrip C * C^-1 = I, which is
     verified on the leading coefficients; a roundtrip residual above 1e-9
     raises ``np.linalg.LinAlgError``.
     """
-    params.validate(relaxed=True)
+    params.validate()
     theta, omega = params.theta, params.omega
-    d = params.d
-    if np.all(omega == 0.0):
-        # identity matrix: canonicalize theta_hat = theta, omega_hat = 0
-        return InversePair(theta.copy(), np.zeros(d))
-    params.validate(relaxed=False)
-
     s = np.sqrt(omega)
     M = -np.outer(s, s)
     # theta - omega rather than theta - s**2: when sum omega_j/theta_j = 1
@@ -222,7 +206,7 @@ def inverse_blt_params(params: BltParams) -> InversePair:
     evals, Q = np.linalg.eigh(M)
     theta_hat = evals[::-1]
     omega_hat = -((s @ Q) ** 2)[::-1]
-    resid = _roundtrip_residual(theta, omega, theta_hat, omega_hat, 2 * d + 2)
+    resid = _roundtrip_residual(theta, omega, theta_hat, omega_hat, 2 * params.d + 2)
     if not resid <= 1e-9:  # a NaN residual fails too
         raise np.linalg.LinAlgError(
             f"inverse decay recovery failed: roundtrip residual {resid:.2e}"
@@ -301,7 +285,6 @@ def make_noise_generator(
     noise_std: float,
     seed: int = 0,
     max_rounds: Optional[int] = None,
-    relaxed: bool = False,
 ) -> NoiseGeneratorState:
     """Fresh zero-buffer state for ``stream_mult_inverse``.
 
@@ -309,11 +292,11 @@ def make_noise_generator(
     extend naturally to any n); passing the optimization horizon catches
     accidental overruns instead.
     """
-    params.validate(relaxed=relaxed)
+    params.validate()
     if m < 1:
         raise ValueError("m must be >= 1")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
+    if not 0.0 <= noise_std < math.inf:  # NaN fails too
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     return NoiseGeneratorState(
         params=params,
         buffers=np.zeros((params.d, m)),

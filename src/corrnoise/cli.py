@@ -68,6 +68,14 @@ def _positive_float(text):
     return value
 
 
+def _nonnegative_float(text):
+    """argparse type: a finite float >= 0; NaN, Inf and negatives exit with usage."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
 def _schema_args(p: argparse.ArgumentParser):
     p.add_argument("--n", type=_positive_int, required=True, help="number of rounds")
     p.add_argument(
@@ -283,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="fit noise parameters for a schema")
     _schema_args(p)
-    p.add_argument("--buffers", type=int, default=3, help="decay buffers d")
+    p.add_argument("--buffers", type=_positive_int, default=3, help="decay buffers d")
     p.add_argument("--objective", choices=("max", "rms"), default="max")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None, help="write params JSON here")
     p.set_defaults(func=cmd_optimize)
@@ -314,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noisegen", help="stream correlated noise rows to CSV")
     p.add_argument("--params", type=str, required=True)
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--noise-std", type=float, default=1.0)
+    p.add_argument("--rounds", type=_positive_int, required=True)
+    p.add_argument("--dim", type=_positive_int, default=1)
+    p.add_argument("--noise-std", type=_nonnegative_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_noisegen)

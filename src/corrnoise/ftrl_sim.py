@@ -85,7 +85,7 @@ class TrainConfig:
     momentum: float = 0.9
     clip_norm: float = 1.0
     noise_multiplier: float = 0.0
-    mechanism: Optional[BltParams] = None  # None = independent (identity) noise
+    mechanism: Optional[BltParams] = None  # None = IDENTITY_MECHANISM, independent noise
     min_sep: int = 1
     est_max_part: Optional[int] = None  # default: worst case ceil(rounds/min_sep)
     local_epochs: int = 1
@@ -93,15 +93,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("rounds", "clients_per_round", "min_sep"):
+        counts = ("rounds", "clients_per_round", "min_sep", "local_epochs", "batch_size")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.est_max_part is not None and self.est_max_part < 1:
             raise ValueError("est_max_part must be >= 1 (or None for the worst case)")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
-        if self.noise_multiplier < 0:
-            raise ValueError("noise_multiplier must be >= 0")
+        # written so that NaN fails too: a NaN sigma_zeta would train noiselessly
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if not self.noise_multiplier >= 0:
+            raise ValueError(f"noise_multiplier must be >= 0, got {self.noise_multiplier}")
+        if self.mechanism is None:
+            self.mechanism = IDENTITY_MECHANISM
+        self.mechanism.validate()
 
 
 @dataclass
@@ -299,8 +304,7 @@ def _configured_schema(config: TrainConfig) -> ParticipationSchema:
 
 def configured_sensitivity(config: TrainConfig) -> float:
     """Clip-normalized sensitivity of the configured mechanism and schema."""
-    mech = config.mechanism if config.mechanism is not None else IDENTITY_MECHANISM
-    c = blt_coefs(mech, config.rounds, relaxed=True)
+    c = blt_coefs(config.mechanism, config.rounds)
     return toeplitz_sensitivity(c, _configured_schema(config))
 
 
@@ -318,22 +322,20 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
 
     population.last_round[:] = -(10**9)
     dim = population.dim
-    mech = config.mechanism if config.mechanism is not None else IDENTITY_MECHANISM
     # validated once by the configured sensitivity; the realized
     # sensitivities below read prefixes of it, which stay valid
-    c_full = blt_coefs(mech, config.rounds, relaxed=True)
+    c_full = blt_coefs(config.mechanism, config.rounds)
     sens = toeplitz_sensitivity(c_full, _configured_schema(config))
     sigma_zeta = config.noise_multiplier * sens * config.clip_norm
 
     noise_state = None
     if sigma_zeta > 0:
         noise_state = make_noise_generator(
-            mech,
+            config.mechanism,
             m=dim,
             noise_std=sigma_zeta,
             seed=int(ss_noise.generate_state(1, dtype=np.uint64)[0]),
             max_rounds=config.rounds,
-            relaxed=True,
         )
     state = ServerState(
         model=np.zeros(dim), momentum_buf=np.zeros(dim), noise_state=noise_state

@@ -21,12 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from corrnoise import blt_core
 from corrnoise.blt_core import BltParams, toeplitz_inverse_coefs
 from corrnoise.participation import (
     ParticipationSchema,
     _blt_sensitivity,
-    _validate_toeplitz_column,
     matrix_sensitivity_lower_bound,
     toeplitz_sensitivity,
 )
@@ -213,9 +211,9 @@ def blt_mechanism_loss_fn(params: BltParams, n: int, noise_multiplier: float = 1
     ``blt_optimizer.blt_loss``: the errors by doubling in O(d^3 log n),
     once, since they do not depend on the schema; the sensitivity by the
     pulse recursion in O(k d^2) on every call. The first call validates
-    as the coefficient path does: relaxed parameters, a non-increasing
-    column, and strict parameters unless omega = 0 (the identity). A step
-    that raises is not kept, so each later call raises the same way.
+    ``params`` as ``blt_coefs`` does; valid parameters give a non-negative,
+    non-increasing column, on which this sensitivity is exact. A failed
+    validation is not kept, so each later call raises the same way.
     Nothing runs until the first call; the schema's n must equal ``n``.
     """
     theta, omega = params.theta[None], params.omega[None]
@@ -226,11 +224,7 @@ def blt_mechanism_loss_fn(params: BltParams, n: int, noise_multiplier: float = 1
         if schema.n != n:
             raise ValueError(f"schema has n = {schema.n}, evaluator has n = {n}")
         if errors is None:
-            # with 0 < theta <= 1 and omega >= 0 only c_1 - c_0 = sum(omega) - 1
-            # can break monotonicity, so the first two coefficients decide
-            _validate_toeplitz_column(blt_core.blt_coefs(params, min(n, 2), relaxed=True))
-            if np.any(params.omega != 0.0):
-                params.validate()
+            params.validate()
             errors = tuple(float(e[0]) for e in _blt_errors(theta, omega, n))
         sens = float(_blt_sensitivity(theta, omega, schema)[0])
         max_error, rms_error = errors

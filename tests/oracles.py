@@ -3,15 +3,16 @@
 These exist only to validate the package: a dense lower-triangular
 Toeplitz builder, streaming multiplication by C (the package only
 streams C^-1), the prefix-sum workload matrix, exhaustive
-participation-pattern enumeration with the sensitivity it implies, and
-the one-client-at-a-time simulator steps that the stacked cohort batch
-replaces.
+participation-pattern enumeration with the sensitivity it implies, the
+one-client-at-a-time simulator steps that the stacked cohort batch
+replaces, and a numerical minimization of the refined epsilon bound.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from corrnoise.blt_optimizer import _sigmoid
 from corrnoise.participation import ParticipationSchema
@@ -25,16 +26,15 @@ def lt_toeplitz(c: np.ndarray) -> np.ndarray:
     return np.where(idx >= 0, c[np.clip(idx, 0, n - 1)], 0.0)
 
 
-def stream_mult(params, rows, relaxed: bool = False) -> np.ndarray:
+def stream_mult(params, rows) -> np.ndarray:
     """Multiply a row stream by C using only the d x m buffer.
 
         Z_t = Zhat_t + omega @ S_{t-1};  S_t = diag(theta) S_{t-1} + Zhat_t
 
     ``rows`` is an (T, m) array or an iterable of length-m rows; returns
-    the (T, m) array of outputs. Relaxed validation admits omega = 0
-    (identity) and theta = 1 (running prefix sums).
+    the (T, m) array of outputs.
     """
-    params.validate(relaxed=relaxed)
+    params.validate()
     rows = [np.asarray(r, dtype=float) for r in rows]
     if not rows:
         return np.zeros((0, 0))
@@ -201,3 +201,26 @@ def population_per_client(
         features.append(X)
         labels.append(y)
     return features, labels
+
+
+def refined_eps_minimize_scalar(rho, delta):
+    """The refined (epsilon, delta) bound minimized by a bounded scalar search.
+
+    The same tail bound as ``eps_of_zcdp(rho, delta, refined=True)``,
+    searched numerically over the Renyi order around the closed form's
+    optimum a* = 1 + sqrt(log(1/delta)/rho), with the same clamp at 0 and
+    cap at the closed form.
+    """
+    log1d = math.log(1.0 / delta)
+    closed = rho + 2.0 * math.sqrt(rho * log1d)
+
+    def eps_at(a):
+        return rho * a + (log1d + (a - 1.0) * math.log1p(-1.0 / a) - math.log(a)) / (
+            a - 1.0
+        )
+
+    a_star = 1.0 + math.sqrt(log1d / rho)
+    res = minimize_scalar(
+        eps_at, bounds=(1.0 + 1e-9, max(10.0 * a_star, 100.0)), method="bounded"
+    )
+    return float(max(0.0, min(closed, res.fun)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import refined_eps_minimize_scalar
 from scipy.special import ndtr
 
 from corrnoise.accountant import DEFAULT_DELTA, METHOD_LABEL, eps_of_zcdp, zcdp_of
@@ -106,6 +107,22 @@ class TestEpsConversion:
         mu = math.sqrt(2.0 * rho)
         exact_delta = ndtr(-eps / mu + mu / 2) - math.exp(eps) * ndtr(-eps / mu - mu / 2)
         assert exact_delta <= delta
+
+    @given(
+        log_rho=st.floats(-8.0, 3.0),
+        log_delta=st.floats(-15.0, -0.3),
+    )
+    @example(log_rho=-6.0, log_delta=-3.0)  # clamped at 0 by both
+    @example(log_rho=3.0, log_delta=-15.0)
+    @settings(max_examples=300)
+    def test_refined_is_the_minimum_the_numerical_search_finds(self, log_rho, log_delta):
+        # never worse than the bounded search beyond rounding, and below it
+        # by no more than the search's own tolerance
+        rho, delta = 10.0**log_rho, 10.0**log_delta
+        oracle = refined_eps_minimize_scalar(rho, delta)
+        refined = eps_of_zcdp(rho, delta, refined=True)
+        assert refined <= oracle * (1 + 1e-12)
+        assert refined >= oracle * (1 - 1e-9)
 
     def test_monotone_in_rho_and_delta(self):
         assert eps_of_zcdp(0.2, 1e-7) < eps_of_zcdp(0.4, 1e-7)

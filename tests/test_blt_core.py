@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from corrnoise.blt_core import (
     DEGENERATE_GAP,
+    IDENTITY_MECHANISM,
     BltParams,
     DegenerateParamsError,
     blt_coefs,
@@ -65,9 +66,10 @@ class TestBltParams:
         with pytest.raises(ValueError):
             BltParams(np.array(theta, dtype=float), np.array(omega, dtype=float)).validate()
 
-    def test_relaxed_validation_admits_identity_and_unit_decay(self):
-        BltParams(np.array([0.5]), np.array([0.0])).validate(relaxed=True)
-        BltParams(np.array([1.0]), np.array([1.0])).validate(relaxed=True)
+    def test_identity_is_the_zero_buffer_blt(self):
+        assert IDENTITY_MECHANISM.d == 0
+        assert IDENTITY_MECHANISM.validate() is IDENTITY_MECHANISM
+        np.testing.assert_array_equal(blt_coefs(IDENTITY_MECHANISM, 5), np.eye(5)[0])
 
 
 class TestBltCoefs:
@@ -87,10 +89,10 @@ class TestBltCoefs:
         assert np.all(c > 0)
         assert np.all(np.diff(c[1:]) <= 0)
 
-    def test_unit_decay_relaxed_gives_prefix_sum_column(self):
-        # theta = 1, omega = 1: c = all ones, C = prefix-sum matrix
-        p = BltParams(np.array([1.0]), np.array([1.0]))
-        np.testing.assert_array_equal(blt_coefs(p, 5, relaxed=True), np.ones(5))
+    def test_unit_decay_rejected(self):
+        # theta = 1, omega = 1 would be the prefix-sum column, which is not a BLT
+        with pytest.raises(ValueError, match="strictly inside"):
+            blt_coefs(BltParams(np.array([1.0]), np.array([1.0])), 5)
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
@@ -138,9 +140,10 @@ class TestInverseBltParams:
         assert pair.omega_hat[0] == pytest.approx(-0.25, abs=1e-14)
 
     def test_identity_params(self):
-        pair = inverse_blt_params(BltParams(np.array([0.5]), np.array([0.0])))
-        np.testing.assert_array_equal(pair.theta_hat, np.array([0.5]))
-        np.testing.assert_array_equal(pair.omega_hat, np.zeros(1))
+        # the 0 x 0 eigenproblem: the inverse of no buffers has no buffers
+        pair = inverse_blt_params(IDENTITY_MECHANISM)
+        assert pair.theta_hat.shape == pair.omega_hat.shape == (0,)
+        np.testing.assert_array_equal(blt_inverse_coefs(IDENTITY_MECHANISM, 5), np.eye(5)[0])
 
     def test_reference_params_roundtrip(self):
         p = BltParams(THETA_B400, OMEGA_B400)
@@ -282,6 +285,18 @@ class TestStreaming:
         np.testing.assert_array_equal(np.stack(head + tail), expect)
         with pytest.raises(RuntimeError):  # the restored round keeps the horizon
             stream_mult_inverse(resumed)
+
+    def test_identity_stream_passes_rows_through(self, rng):
+        state = make_noise_generator(IDENTITY_MECHANISM, m=3, noise_std=1.0)
+        assert state.buffers.shape == (0, 3)
+        for row in rng.normal(size=(4, 3)):
+            np.testing.assert_array_equal(stream_mult_inverse(state, row)[0], row)
+        np.testing.assert_array_equal(stream_mult(IDENTITY_MECHANISM, np.eye(3)), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_noise_std_rejected(self, bad):
+        with pytest.raises(ValueError, match="noise_std"):
+            make_noise_generator(IDENTITY_MECHANISM, m=2, noise_std=bad)
 
     def test_input_row_shape_check(self):
         p = BltParams(np.array([0.7]), np.array([0.3]))

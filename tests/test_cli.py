@@ -92,6 +92,15 @@ class TestOptimize:
         assert exc.value.code != 0
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--buffers", "--restarts"])
+    def test_zero_count_exits_with_usage(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--n", "64", flag, "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage" in captured.err and flag in captured.err
+        assert captured.out == ""
+
 
 class TestEval:
     def test_params_eval_matches_library(self, params_file, capsys):
@@ -105,6 +114,16 @@ class TestEval:
         bundle = blt_mechanism_loss(MECH, ParticipationSchema(64, 16, 4))
         assert doc["max_loss"] == bundle.max_loss  # repr round-trip exact
         assert doc["sens_method"] == "toeplitz"
+
+    def test_weightless_buffer_params_rejected(self, tmp_path):
+        # omega = 0 is not the identity; every command validates the same way
+        path = tmp_path / "weightless.json"
+        path.write_text(json.dumps({
+            "d": 1, "theta": [0.5], "omega": [0.0], "opt_n": 64, "opt_min_sep": 16,
+            "opt_max_part": 4, "objective": "max",
+        }))
+        with pytest.raises(ValueError, match="strictly positive"):
+            main(["eval", "--n", "64", "--min-sep", "16", "--params", str(path)])
 
     def test_tree_eval(self, capsys):
         code, out = run_cli(["eval", "--n", "64", "--min-sep", "16", "--tree"], capsys)
@@ -405,6 +424,21 @@ class TestNoisegen:
         lines = out1.strip().split("\n")
         assert lines[0] == "round,z0,z1,z2"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--noise-std", "nan"), ("--noise-std", "inf"), ("--noise-std", "-1"),
+         ("--dim", "0"), ("--rounds", "0"), ("--rounds", "-3")],
+        ids=["std-nan", "std-inf", "std-negative", "dim-0", "rounds-0", "rounds-negative"],
+    )
+    def test_bad_arguments_exit_with_usage(self, flag, value, params_file, capsys):
+        argv = {"--rounds": "2", "--dim": "2", "--noise-std": "1.0", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["noisegen", "--params", params_file, *sum(argv.items(), ())])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage" in captured.err and flag in captured.err
+        assert captured.out == ""
 
 
 def simulate_config(**training):

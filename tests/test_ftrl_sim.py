@@ -14,7 +14,7 @@ import pytest
 from oracles import client_update_single, population_per_client
 
 import corrnoise.ftrl_sim as sim
-from corrnoise.blt_core import BltParams, blt_inverse_coefs
+from corrnoise.blt_core import IDENTITY_MECHANISM, BltParams, blt_inverse_coefs
 from corrnoise.ftrl_sim import (
     ClientPopulation,
     ServerState,
@@ -271,11 +271,26 @@ class TestServerRound:
 
 class TestTrainConfig:
     # caught where they enter: unchecked, est_max_part=0 would silently mean
-    # the worst case and the other two would fail mid-run with unrelated errors
-    @pytest.mark.parametrize("name", ["est_max_part", "min_sep", "clients_per_round"])
+    # the worst case, local_epochs=0 would train nothing, and the others
+    # would fail mid-run with unrelated errors
+    @pytest.mark.parametrize(
+        "name",
+        ["est_max_part", "min_sep", "clients_per_round", "batch_size", "local_epochs"],
+    )
     def test_zero_rejected_at_construction(self, name):
         with pytest.raises(ValueError, match=name):
             config(**{name: 0})
+
+    # unchecked, a NaN sigma_zeta fails "> 0" and the run trains with no noise
+    @pytest.mark.parametrize("name", ["noise_multiplier", "clip_norm"])
+    def test_nan_rejected_at_construction(self, name):
+        with pytest.raises(ValueError, match=name):
+            config(**{name: math.nan})
+
+    def test_mechanism_resolved_and_validated_at_construction(self):
+        assert config(mechanism=None).mechanism is IDENTITY_MECHANISM
+        with pytest.raises(ValueError, match="strictly positive"):
+            config(mechanism=BltParams([0.5], [0.0]))
 
 
 class TestConfiguredSensitivity:

@@ -145,9 +145,8 @@ class TestMechanismLoss:
         assert fast.rms_loss == pytest.approx(slow.rms_loss, rel=1e-12)
 
     def test_identity_params_bundle(self):
-        p = BltParams(np.array([0.5]), np.array([0.0]))
         schema = ParticipationSchema(16, 4, 4)
-        bundle = blt_mechanism_loss(p, schema)
+        bundle = blt_mechanism_loss(IDENTITY_MECHANISM, schema)
         assert bundle.sens == pytest.approx(2.0, rel=1e-14)  # sqrt(k)
         assert bundle.max_error == pytest.approx(4.0, rel=1e-14)  # sqrt(n)
         assert bundle.rms_error == pytest.approx(np.sqrt(8.5), rel=1e-14)
@@ -159,18 +158,20 @@ class TestMechanismLoss:
         with pytest.raises(ValueError, match="strictly inside"):
             blt_mechanism_loss(BltParams(theta, omega), ParticipationSchema(16, 4, 4))
 
-    def test_unit_decay_identity_equals_identity(self):
+    def test_weightless_buffer_rejected(self):
+        # the identity is the BLT with no buffers, not one with omega = 0
         schema = ParticipationSchema(2052, 342, 6)
-        assert blt_mechanism_loss(BltParams([1.0], [0.0]), schema) == blt_mechanism_loss(
-            IDENTITY_MECHANISM, schema
-        )
+        with pytest.raises(ValueError, match="strictly inside"):
+            blt_mechanism_loss(BltParams([1.0], [0.0]), schema)
+        with pytest.raises(ValueError, match="strictly positive"):
+            blt_mechanism_loss(BltParams([0.5], [0.0]), schema)
 
     @pytest.mark.parametrize("n", [2, 64])
     def test_increasing_column_rejected_like_the_coefficient_path(self, n):
         p = BltParams([0.9, 0.5], [0.6, 0.4 + 2e-12])
         schema = ParticipationSchema(n, 1, 1)
         with pytest.raises(ValueError) as coefficient_path:
-            toeplitz_sensitivity(blt_coefs(p, n, relaxed=True), schema)
+            toeplitz_sensitivity(blt_coefs(p, n), schema)
         with pytest.raises(ValueError) as evaluator:
             blt_mechanism_loss(p, schema)
         assert str(evaluator.value) == str(coefficient_path.value)

@@ -2,11 +2,15 @@
 
 No unused module-level imports, no module-level private name and no
 function parameter that nothing reads, a public namespace whose every
-name resolves, and the test-only oracles kept out of the package.
+name resolves, the test-only oracles kept out of the package, and no
+``scipy.optimize`` on import.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,7 @@ ORACLES = (
     "enumerate_patterns",
     "count_patterns",
     "exact_sensitivity_bruteforce",
+    "refined_eps_minimize_scalar",
 )
 
 
@@ -87,6 +92,22 @@ def test_oracles_live_only_in_tests():
             f"corrnoise.{path.stem}"
         )
         assert not [n for n in ORACLES if hasattr(module, n)]
+
+
+def test_import_loads_no_scipy_optimize():
+    # a fresh interpreter, since this one has the test oracles loaded
+    code = (
+        "import sys, corrnoise; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def _reads(tree):
