@@ -6,7 +6,8 @@ Subpackages by function:
   inverse pairing, and O(d*m)-memory streaming multiplication by C^-1.
 - ``participation``: min-separation participation schemas and sensitivity
   (fast Toeplitz path, dense lower bound).
-- ``loss_metrics``: MaxError/RmsError and MaxLoss/RmsLoss functionals.
+- ``loss_metrics``: MaxError/RmsError and MaxLoss/RmsLoss functionals:
+  the n-independent BLT path and a dense path for strategy matrices.
 - ``tree_baseline``: binary-tree aggregation baseline with full
   pseudoinverse decoding, evaluated in closed form from the Haar basis
   (the dense tree and decoder remain as reference); loading external
@@ -18,9 +19,10 @@ Subpackages by function:
 - ``cli``: batch entry points (optimize, eval, sweep, noisegen, account,
   simulate).
 
-The dense and brute-force oracles the tests check these against
-(``lt_toeplitz``, ``stream_mult``, pattern enumeration) live in
-``tests/oracles.py``, not in the package.
+The package needs numpy alone. The dense, O(n^2) and brute-force
+oracles the tests check these against (``lt_toeplitz``, ``stream_mult``,
+the Toeplitz-coefficient loss, the ``blt_loss`` gradient, pattern
+enumeration) live in ``tests/oracles.py``, not in the package.
 """
 
 from corrnoise.blt_core import (

@@ -155,33 +155,6 @@ def blt_loss(
     return loss if np.iscomplexobj(loss) else float(loss)
 
 
-def blt_loss_gradient(
-    theta,
-    theta_hat,
-    schema: ParticipationSchema,
-    objective: str = "max",
-    barrier_lambda: float = 0.0,
-):
-    """Gradient of ``blt_loss`` in both parameter blocks.
-
-    Complex-step differentiation, all coordinates in one batched loss
-    call; satisfies the central-finite-difference contract (1e-5 relative
-    at feasible points) without its truncation error. The point must be
-    feasible (finite loss).
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    d = len(theta)
-
-    def loss_batch(X):
-        return _loss_batch(X[:, :d], X[:, d:], schema, objective, barrier_lambda)
-
-    f0, g = _value_and_gradient(loss_batch, np.concatenate([theta, theta_hat]))
-    if not np.isfinite(f0):
-        raise ValueError("gradient requested at an infeasible point (loss = +inf)")
-    return g[:d], g[d:]
-
-
 # ---------------------------------------------------------------------------
 # quasi-Newton engine
 # ---------------------------------------------------------------------------

@@ -99,6 +99,15 @@ def _make_schema(args):
         args.parser.error(f"--max-part: {exc}")
 
 
+def _load_mechanism(parser, path):
+    """Parameters from a file that ``validate()`` accepts; invalid ones exit with usage."""
+    params, _ = load_params(path)
+    try:
+        return params.validate()
+    except ValueError as exc:
+        parser.error(f"{path}: {exc}")
+
+
 def _loss_dict(bundle):
     return {
         "n": bundle.schema.n,
@@ -156,7 +165,7 @@ def cmd_optimize(args) -> int:
 def cmd_eval(args) -> int:
     schema = _make_schema(args)
     if args.params:
-        params, _ = load_params(args.params)
+        params = _load_mechanism(args.parser, args.params)
         bundle = blt_mechanism_loss(params, schema, args.noise_multiplier)
     elif args.matrix:
         C = load_strategy_matrix(args.matrix)
@@ -217,7 +226,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_noisegen(args) -> int:
-    params, _ = load_params(args.params)
+    params = _load_mechanism(args.parser, args.params)
     state = make_noise_generator(
         params,
         m=args.dim,
@@ -260,7 +269,7 @@ def cmd_simulate(args) -> int:
     mechanism = None
     params_file = train_doc.pop("params_file", None)
     if params_file:
-        mechanism, _ = load_params(params_file)
+        mechanism = _load_mechanism(args.parser, params_file)
     population = make_population(**pop_doc)
     config = TrainConfig(mechanism=mechanism, **train_doc)
     result = run_training(config, population)
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-std", type=_nonnegative_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_noisegen)
+    p.set_defaults(func=cmd_noisegen, parser=p)
 
     p = sub.add_parser("account", help="zCDP and epsilon for sens / sigma")
     p.add_argument("--sens", type=float, required=True)
@@ -339,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the training simulator")
     p.add_argument("--config", type=str, required=True, help="JSON config file")
     p.add_argument("--outdir", type=str, required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
     return ap
 
 

@@ -104,6 +104,9 @@ class TrainConfig:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
         if not self.noise_multiplier >= 0:
             raise ValueError(f"noise_multiplier must be >= 0, got {self.noise_multiplier}")
+        # the noise scale is noise_multiplier * sens * clip_norm
+        if self.noise_multiplier > 0 and math.isinf(self.clip_norm):
+            raise ValueError("clip_norm must be finite when noise_multiplier > 0")
         if self.mechanism is None:
             self.mechanism = IDENTITY_MECHANISM
         self.mechanism.validate()
@@ -326,7 +329,9 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     # sensitivities below read prefixes of it, which stay valid
     c_full = blt_coefs(config.mechanism, config.rounds)
     sens = toeplitz_sensitivity(c_full, _configured_schema(config))
-    sigma_zeta = config.noise_multiplier * sens * config.clip_norm
+    sigma_zeta = 0.0
+    if config.noise_multiplier > 0:  # 0 * inf is NaN for an unclipped noiseless run
+        sigma_zeta = config.noise_multiplier * sens * config.clip_norm
 
     noise_state = None
     if sigma_zeta > 0:

@@ -6,11 +6,12 @@ proportional to the t-th row norm of B. MaxError is the worst row norm,
 RmsError the quadratic mean; multiplying by the sensitivity of C gives
 MaxLoss and RmsLoss, the mechanism-quality objectives.
 
-Three pipelines: for BLT strategies, kernels in (theta, omega) whose cost
+BLT strategies are evaluated by kernels in (theta, omega) whose cost
 does not depend on n (errors by doubling, sensitivity by the pulse
-recursion of ``participation``), shared with ``blt_optimizer.blt_loss``;
-an O(n) Toeplitz path working on inverse coefficients; and a dense path
-for arbitrary strategies. They agree to float precision and are
+recursion of ``participation``), shared with ``blt_optimizer.blt_loss``.
+``toeplitz_error`` takes the errors of any Toeplitz strategy from its
+inverse coefficients in O(n), and ``mechanism_loss`` evaluates an
+arbitrary dense strategy. They agree to float precision and are
 cross-tested.
 """
 
@@ -19,14 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from corrnoise.blt_core import BltParams, toeplitz_inverse_coefs
+from corrnoise.blt_core import BltParams
 from corrnoise.participation import (
     ParticipationSchema,
     _blt_sensitivity,
     matrix_sensitivity_lower_bound,
-    toeplitz_sensitivity,
 )
 
 
@@ -63,17 +62,11 @@ def toeplitz_error(c_inv) -> tuple[float, float]:
     The i = 0 term carries weight n; for the identity strategy this gives
     the closed form RmsError = sqrt((n+1)/2).
     """
-    max_error, rms_error = _prefix_errors(np.asarray(c_inv, dtype=float))
-    return float(max_error), float(rms_error)
-
-
-def _prefix_errors(c_inv):
-    """Unvalidated (MaxError, RmsError) of ``toeplitz_error``; no abs, complex-safe."""
-    b = np.cumsum(c_inv)
+    b = np.cumsum(np.asarray(c_inv, dtype=float))
     n = b.shape[0]
     max_error = np.sqrt(np.sum(b * b))
     rms_error = np.sqrt(np.sum((n - np.arange(n)) * b * b) / n)
-    return max_error, rms_error
+    return float(max_error), float(rms_error)
 
 
 def _matrix_power(F, n):
@@ -171,26 +164,17 @@ def _bundle(schema, sens, max_error, rms_error, noise_multiplier, method):
 def mechanism_loss(
     strategy, schema: ParticipationSchema, noise_multiplier: float = 1.0
 ) -> MechanismLoss:
-    """Loss bundle for a strategy given as Toeplitz coefficients or dense C.
+    """Loss bundle for a strategy given as a dense matrix C.
 
-    1-d input: Toeplitz path. Coefficients are validated for the exact
-    front-loaded-pattern sensitivity and inverted by the O(n^2)
-    recurrence (use ``blt_mechanism_loss`` for the n-independent BLT path).
-
-    2-d input: dense path. C must be square lower-triangular with
-    nonzero diagonal; sensitivity is the front-loaded lower bound and is
-    flagged as such.
+    C must be square lower-triangular with nonzero diagonal; it is
+    inverted densely in O(n^3). Sensitivity is the front-loaded lower
+    bound and is flagged as such. BLT strategies take the n-independent
+    path of ``blt_mechanism_loss``.
     """
-    strategy = np.asarray(strategy, dtype=float)
+    C = np.asarray(strategy, dtype=float)
     n = schema.n
-    if strategy.ndim == 1:
-        c = strategy[:n]
-        sens = toeplitz_sensitivity(c, schema)
-        max_error, rms_error = toeplitz_error(toeplitz_inverse_coefs(c))
-        return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "toeplitz")
-    if strategy.ndim != 2:
-        raise ValueError("strategy must be 1-d coefficients or a 2-d matrix")
-    C = strategy
+    if C.ndim != 2:
+        raise ValueError(f"strategy must be a 2-d matrix, got {C.ndim}-d")
     if C.shape != (n, n):
         raise ValueError(f"dense strategy must be ({n}, {n}), got {C.shape}")
     if np.any(np.triu(C, 1) != 0):
@@ -198,8 +182,7 @@ def mechanism_loss(
     if np.any(np.diag(C) == 0):
         raise ValueError("dense strategy must have a nonzero diagonal")
     sens = matrix_sensitivity_lower_bound(C, schema)
-    Cinv = scipy.linalg.solve_triangular(C, np.eye(n), lower=True)
-    B = np.cumsum(Cinv, axis=0)  # A @ Cinv for the prefix-sum workload
+    B = np.cumsum(np.linalg.inv(C), axis=0)  # A @ C^-1 for the prefix-sum workload
     max_error, rms_error = dense_error(B)
     return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "lower_bound")
 
@@ -238,8 +221,8 @@ def blt_mechanism_loss(
 ) -> MechanismLoss:
     """Loss bundle for a BLT strategy through the n-independent kernels.
 
-    Agrees with ``mechanism_loss(blt_coefs(params, n), schema)`` to float
-    precision, but costs O(d^3 log n + k d^2) instead of O(n^2), so it
-    stays cheap at large n.
+    Agrees with the O(n^2) path through ``blt_coefs``,
+    ``toeplitz_sensitivity`` and ``toeplitz_error`` to float precision,
+    but costs O(d^3 log n + k d^2), so it stays cheap at large n.
     """
     return blt_mechanism_loss_fn(params, schema.n, noise_multiplier)(schema)

@@ -53,13 +53,6 @@ def worst_case_pattern(schema: ParticipationSchema) -> np.ndarray:
     return np.arange(schema.k) * schema.b
 
 
-def participation_vector(indices, n: int) -> np.ndarray:
-    """0/1 indicator vector of a pattern over n rounds."""
-    u = np.zeros(n)
-    u[np.asarray(indices, dtype=int)] = 1.0
-    return u
-
-
 def _validate_toeplitz_column(c):
     if np.any(c < -1e-12):
         raise ValueError(
@@ -149,6 +142,6 @@ def matrix_sensitivity_lower_bound(
     C = np.asarray(C, dtype=float)
     n = C.shape[1]
     idx = worst_case_pattern(schema)
-    idx = idx[idx < n]
-    u = participation_vector(idx, n)
+    u = np.zeros(n)
+    u[idx[idx < n]] = 1.0
     return clip_norm * float(np.linalg.norm(C @ u))

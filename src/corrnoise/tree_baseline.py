@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from corrnoise.loss_metrics import MechanismLoss, _bundle
 from corrnoise.participation import (
@@ -77,10 +76,10 @@ def full_decoder(tree: TreeStrategy) -> np.ndarray:
     """
     C = tree.C
     n = tree.n
-    Q, R = scipy.linalg.qr(C, mode="economic")
+    Q, R = np.linalg.qr(C)
     if np.min(np.abs(np.diag(R))) <= 1e-10:
         raise np.linalg.LinAlgError("tree strategy lost column rank")
-    Cplus = scipy.linalg.solve_triangular(R, Q.T)
+    Cplus = np.linalg.solve(R, Q.T)
     resid = np.linalg.norm(Cplus @ C - np.eye(n))
     if resid > 1e-8:
         raise np.linalg.LinAlgError(f"pseudoinverse residual {resid:.2e} > 1e-8")

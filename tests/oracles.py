@@ -2,10 +2,12 @@
 
 These exist only to validate the package: a dense lower-triangular
 Toeplitz builder, streaming multiplication by C (the package only
-streams C^-1), the prefix-sum workload matrix, exhaustive
-participation-pattern enumeration with the sensitivity it implies, the
-one-client-at-a-time simulator steps that the stacked cohort batch
-replaces, and a numerical minimization of the refined epsilon bound.
+streams C^-1), the prefix-sum workload matrix, the O(n^2) loss of a
+Toeplitz strategy from its coefficients, the complex-step gradient of
+``blt_loss`` in (theta, theta_hat), exhaustive participation-pattern
+enumeration with the sensitivity it implies, the one-client-at-a-time
+simulator steps that the stacked cohort batch replaces, and a numerical
+minimization of the refined epsilon bound.
 """
 
 import math
@@ -14,8 +16,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from corrnoise.blt_optimizer import _sigmoid
-from corrnoise.participation import ParticipationSchema
+from corrnoise.blt_core import toeplitz_inverse_coefs
+from corrnoise.blt_optimizer import _loss_batch, _sigmoid, _value_and_gradient
+from corrnoise.loss_metrics import MechanismLoss, _bundle, toeplitz_error
+from corrnoise.participation import ParticipationSchema, toeplitz_sensitivity
 
 
 def lt_toeplitz(c: np.ndarray) -> np.ndarray:
@@ -53,6 +57,49 @@ def stream_mult(params, rows) -> np.ndarray:
 def prefix_sum_matrix(n: int) -> np.ndarray:
     """The lower-triangular all-ones workload A (running sums)."""
     return np.tril(np.ones((n, n)))
+
+
+def toeplitz_mechanism_loss(
+    c, schema: ParticipationSchema, noise_multiplier: float = 1.0
+) -> MechanismLoss:
+    """Loss bundle of LtToep(c) from its first n coefficients, O(n^2).
+
+    The exact front-loaded-pattern sensitivity (c validated non-negative
+    and non-increasing) times the errors of the inverse coefficients from
+    the triangular recurrence.
+    """
+    c = np.asarray(c, dtype=float)[: schema.n]
+    sens = toeplitz_sensitivity(c, schema)
+    max_error, rms_error = toeplitz_error(toeplitz_inverse_coefs(c))
+    return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "toeplitz")
+
+
+def blt_loss_gradient(
+    theta,
+    theta_hat,
+    schema: ParticipationSchema,
+    objective: str = "max",
+    barrier_lambda: float = 0.0,
+):
+    """Gradient of ``blt_loss`` in both parameter blocks.
+
+    Complex-step differentiation, all coordinates in one batched loss
+    call (the fit's ``_value_and_gradient``, here in the decays rather
+    than their logits); satisfies the central-finite-difference contract
+    (1e-5 relative at feasible points) without its truncation error. The
+    point must be feasible (finite loss).
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
+    d = len(theta)
+
+    def loss_batch(X):
+        return _loss_batch(X[:, :d], X[:, d:], schema, objective, barrier_lambda)
+
+    f0, g = _value_and_gradient(loss_batch, np.concatenate([theta, theta_hat]))
+    if not np.isfinite(f0):
+        raise ValueError("gradient requested at an infeasible point (loss = +inf)")
+    return g[:d], g[d:]
 
 
 ENUMERATION_GUARD = 24

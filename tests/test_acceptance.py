@@ -19,7 +19,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_sensitivity_bruteforce, lt_toeplitz, stream_mult
+from oracles import blt_loss_gradient, exact_sensitivity_bruteforce, lt_toeplitz, stream_mult
 from strategies import blt_params_strategy, monotone_coefs_strategy
 
 from corrnoise.accountant import eps_of_zcdp, zcdp_of
@@ -31,7 +31,7 @@ from corrnoise.blt_core import (
     stream_mult_inverse,
     toeplitz_inverse_coefs,
 )
-from corrnoise.blt_optimizer import OptimizerConfig, blt_loss, blt_loss_gradient, optimize_blt
+from corrnoise.blt_optimizer import OptimizerConfig, blt_loss, optimize_blt
 from corrnoise.ftrl_sim import TrainConfig, make_population, run_training
 from corrnoise.loss_metrics import blt_mechanism_loss, dense_error, toeplitz_error
 from corrnoise.participation import (

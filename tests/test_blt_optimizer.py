@@ -8,6 +8,7 @@ the baselines it exists to beat.
 
 import numpy as np
 import pytest
+from oracles import blt_loss_gradient, toeplitz_mechanism_loss
 
 from corrnoise.blt_core import BltParams, calc_output_scale, inverse_blt_params
 from corrnoise.blt_optimizer import (
@@ -19,10 +20,9 @@ from corrnoise.blt_optimizer import (
     _sigmoid,
     _value_and_gradient,
     blt_loss,
-    blt_loss_gradient,
     optimize_blt,
 )
-from corrnoise.loss_metrics import blt_mechanism_loss, mechanism_loss
+from corrnoise.loss_metrics import blt_mechanism_loss
 from corrnoise.participation import ParticipationSchema
 from corrnoise.tree_baseline import eval_tree
 
@@ -153,7 +153,7 @@ class TestOptimizeBlt:
         tree = eval_tree(SCHEMA.n, SCHEMA)
         ident = np.zeros(SCHEMA.n)
         ident[0] = 1.0
-        identity = mechanism_loss(ident, SCHEMA)
+        identity = toeplitz_mechanism_loss(ident, SCHEMA)
         assert res.loss < tree.max_loss
         assert res.loss < identity.max_loss
 

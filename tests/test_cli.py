@@ -11,13 +11,15 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
+from oracles import lt_toeplitz, toeplitz_mechanism_loss
 
 import corrnoise.tree_baseline
 from corrnoise.accountant import eps_of_zcdp, zcdp_of
-from corrnoise.blt_core import BltParams, load_params, save_params
+from corrnoise.blt_core import BltParams, blt_coefs, load_params, save_params
 from corrnoise.cli import SWEEP_HEADER, main
-from corrnoise.loss_metrics import blt_mechanism_loss, mechanism_loss
-from corrnoise.participation import ParticipationSchema
+from corrnoise.loss_metrics import blt_mechanism_loss, dense_error
+from corrnoise.participation import ParticipationSchema, matrix_sensitivity_lower_bound
 from corrnoise.tree_baseline import eval_tree
 
 MECH = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
@@ -28,6 +30,25 @@ def params_file(tmp_path):
     path = tmp_path / "mech.json"
     save_params(path, MECH, opt_n=64, opt_min_sep=16, opt_max_part=4, objective="max")
     return str(path)
+
+
+@pytest.fixture
+def weightless_file(tmp_path):
+    # omega = 0 is not the identity; every command validates the same way
+    path = tmp_path / "weightless.json"
+    path.write_text(json.dumps({
+        "d": 1, "theta": [0.5], "omega": [0.0], "opt_n": 64, "opt_min_sep": 16,
+        "opt_max_part": 4, "objective": "max",
+    }))
+    return str(path)
+
+
+def assert_usage_names_file(exc, capsys, path):
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage" in captured.err and path in captured.err
+    assert "strictly positive" in captured.err
+    assert captured.out == ""
 
 
 def run_cli(argv, capsys):
@@ -115,15 +136,10 @@ class TestEval:
         assert doc["max_loss"] == bundle.max_loss  # repr round-trip exact
         assert doc["sens_method"] == "toeplitz"
 
-    def test_weightless_buffer_params_rejected(self, tmp_path):
-        # omega = 0 is not the identity; every command validates the same way
-        path = tmp_path / "weightless.json"
-        path.write_text(json.dumps({
-            "d": 1, "theta": [0.5], "omega": [0.0], "opt_n": 64, "opt_min_sep": 16,
-            "opt_max_part": 4, "objective": "max",
-        }))
-        with pytest.raises(ValueError, match="strictly positive"):
-            main(["eval", "--n", "64", "--min-sep", "16", "--params", str(path)])
+    def test_weightless_buffer_params_rejected(self, weightless_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--n", "64", "--min-sep", "16", "--params", weightless_file])
+        assert_usage_names_file(exc, capsys, weightless_file)
 
     def test_tree_eval(self, capsys):
         code, out = run_cli(["eval", "--n", "64", "--min-sep", "16", "--tree"], capsys)
@@ -159,6 +175,31 @@ class TestEval:
         _, out_csv = run_cli(argv + [str(tmp_path / "C.csv")], capsys)
         assert out_npy == out_csv
 
+    @pytest.mark.parametrize("suffix", ["csv", "npy"])
+    def test_matrix_eval_matches_triangular_solve(self, suffix, tmp_path, capsys):
+        n, b = 512, 64
+        theta = np.array([0.9999999999921251, 0.9944453083640997, 0.8985923474607591])
+        omega = np.array([0.0070314825502323835, 0.10613806907600574, 0.1898159060327625])
+        C = lt_toeplitz(blt_coefs(BltParams(theta, omega), n))
+        path = tmp_path / f"C.{suffix}"
+        if suffix == "npy":
+            np.save(path, C)
+        else:
+            np.savetxt(path, C, delimiter=",", fmt="%.17g")
+        code, out = run_cli(
+            ["eval", "--n", str(n), "--min-sep", str(b), "--matrix", str(path)], capsys
+        )
+        assert code == 0
+        doc = strict_loads(out)
+        schema = ParticipationSchema.worst_case(n, b)
+        Cinv = scipy.linalg.solve_triangular(C, np.eye(n), lower=True)
+        max_error, rms_error = dense_error(np.cumsum(Cinv, axis=0))
+        sens = matrix_sensitivity_lower_bound(C, schema)
+        assert doc["sens"] == sens
+        for key, want in [("max_error", max_error), ("rms_error", rms_error),
+                          ("max_loss", sens * max_error), ("rms_loss", sens * rms_error)]:
+            assert doc[key] == pytest.approx(want, rel=1e-12, abs=0), key
+
 
 class TestSweep:
     def test_deterministic_bytes_and_header(self, params_file, tmp_path, capsys):
@@ -191,8 +232,8 @@ class TestSweep:
         assert float(row[8]) == pytest.approx(sens * rms_error)
 
     def test_identity_rows_equal_one_d_reference(self, capsys):
-        # identity runs as the omega = 0 BLT; the 1-d Toeplitz path on
-        # e_0 is the reference and must agree bit for bit
+        # identity runs as the zero-buffer BLT; the O(n^2) Toeplitz path
+        # on e_0 is the reference and must agree bit for bit
         n = 96
         code, out = run_cli(
             ["sweep", "--n", str(n), "--b-start", "5", "--b-stop", "96", "--b-step", "13",
@@ -205,7 +246,7 @@ class TestSweep:
         for line in out.strip().split("\n")[1:]:
             row = line.split(",")
             b, k = int(row[2]), int(row[3])
-            ref = mechanism_loss(e0, ParticipationSchema(n, b, k), 1.7)
+            ref = toeplitz_mechanism_loss(e0, ParticipationSchema(n, b, k), 1.7)
             assert row[4:] == [
                 repr(ref.sens), repr(ref.max_error), repr(ref.rms_error),
                 repr(ref.max_loss), repr(ref.rms_loss), ref.sens_method, "ok",
@@ -440,6 +481,11 @@ class TestNoisegen:
         assert "usage" in captured.err and flag in captured.err
         assert captured.out == ""
 
+    def test_weightless_buffer_params_rejected(self, weightless_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["noisegen", "--params", weightless_file, "--rounds", "2"])
+        assert_usage_names_file(exc, capsys, weightless_file)
+
 
 def simulate_config(**training):
     base = {
@@ -492,6 +538,14 @@ class TestSimulate:
         doc, _ = self.run(simulate_config(noise_multiplier=0.0), tmp_path, capsys)
         assert doc["rho_realized"] is None
         assert doc["sigma_zeta"] == 0.0
+
+    def test_weightless_buffer_params_rejected(self, weightless_file, tmp_path, capsys):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(simulate_config(params_file=weightless_file)))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg_path), "--outdir", str(tmp_path / "out")])
+        assert_usage_names_file(exc, capsys, weightless_file)
+        assert not (tmp_path / "out").exists()
 
 
 def test_console_script_installed():

@@ -287,6 +287,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=name):
             config(**{name: math.nan})
 
+    def test_unclipped_noise_rejected_at_construction(self):
+        # the noise scale noise_multiplier * sens * clip_norm would be infinite
+        with pytest.raises(ValueError, match="clip_norm must be finite"):
+            config(clip_norm=math.inf, noise_multiplier=0.5)
+
     def test_mechanism_resolved_and_validated_at_construction(self):
         assert config(mechanism=None).mechanism is IDENTITY_MECHANISM
         with pytest.raises(ValueError, match="strictly positive"):
@@ -367,6 +372,11 @@ class TestRunTraining:
         r = run_training(config(noise_multiplier=0.0), pop)
         assert r.rho_realized == math.inf
         assert r.metrics[0]["rho_so_far"] == math.inf
+
+    def test_unclipped_noiseless_run_has_zero_noise_scale(self):
+        r = run_training(config(clip_norm=math.inf, noise_multiplier=0.0), small_population())
+        assert r.sigma_zeta == 0.0
+        assert r.rho_realized == math.inf
 
     def test_clean_linear_loss_decreases_smoothed(self):
         pop = small_population()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import lt_toeplitz, prefix_sum_matrix
+from oracles import lt_toeplitz, prefix_sum_matrix, toeplitz_mechanism_loss
 from strategies import near_unit_params_strategy
 
 from corrnoise.blt_core import (
@@ -21,7 +21,6 @@ from corrnoise.blt_core import (
 from corrnoise.loss_metrics import (
     MechanismLoss,
     _blt_errors,
-    _prefix_errors,
     blt_mechanism_loss,
     blt_mechanism_loss_fn,
     dense_error,
@@ -92,14 +91,14 @@ class TestBltKernels:
     @given(p=near_unit_params_strategy(), n=st.integers(1, 10**6))
     def test_errors_match_inverse_coefficients(self, p, n):
         fast = [e[0] for e in _blt_errors(*_batch(p), n)]
-        slow = _prefix_errors(blt_inverse_coefs(p, n))
+        slow = toeplitz_error(blt_inverse_coefs(p, n))
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=0)
 
     @settings(max_examples=60)
     @given(p=near_unit_params_strategy(), n=st.integers(1, 4096))
     def test_errors_match_quadratic_recurrence(self, p, n):
         fast = [e[0] for e in _blt_errors(*_batch(p), n)]
-        slow = _prefix_errors(toeplitz_inverse_coefs(blt_coefs(p, n)))
+        slow = toeplitz_error(toeplitz_inverse_coefs(blt_coefs(p, n)))
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=0)
 
     @settings(max_examples=60)
@@ -117,7 +116,7 @@ class TestMechanismLoss:
     def test_toeplitz_and_dense_paths_agree(self):
         schema = ParticipationSchema(96, 16, 3)
         c = blt_coefs(P2, 96)
-        a = mechanism_loss(c, schema)
+        a = toeplitz_mechanism_loss(c, schema)
         b = mechanism_loss(lt_toeplitz(c), schema)
         assert a.sens == pytest.approx(b.sens, rel=1e-12)
         assert a.max_error == pytest.approx(b.max_error, rel=1e-10)
@@ -128,7 +127,7 @@ class TestMechanismLoss:
     def test_blt_pairing_path_agrees_with_recurrence(self):
         schema = ParticipationSchema(256, 64, 4)
         fast = blt_mechanism_loss(P2, schema)
-        slow = mechanism_loss(blt_coefs(P2, 256), schema)
+        slow = toeplitz_mechanism_loss(blt_coefs(P2, 256), schema)
         assert fast.max_loss == pytest.approx(slow.max_loss, rel=1e-10)
         assert fast.rms_loss == pytest.approx(slow.rms_loss, rel=1e-10)
 
@@ -140,7 +139,7 @@ class TestMechanismLoss:
         )
         schema = ParticipationSchema(2052, 342, 6)
         fast = blt_mechanism_loss(p, schema)
-        slow = mechanism_loss(blt_coefs(p, 2052), schema)
+        slow = toeplitz_mechanism_loss(blt_coefs(p, 2052), schema)
         assert fast.max_loss == pytest.approx(slow.max_loss, rel=1e-12)
         assert fast.rms_loss == pytest.approx(slow.rms_loss, rel=1e-12)
 
@@ -208,6 +207,8 @@ class TestMechanismLoss:
             mechanism_loss(np.tril(np.ones((5, 5))), schema)  # wrong shape
         with pytest.raises(ValueError):
             mechanism_loss(np.ones((2, 2, 2)), schema)  # bad rank
+        with pytest.raises(ValueError, match="2-d matrix"):
+            mechanism_loss(np.ones(4), schema)  # Toeplitz coefficients
 
     def test_bundle_is_frozen(self):
         bundle = blt_mechanism_loss(P2, ParticipationSchema(8, 2, 2))

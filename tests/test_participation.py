@@ -20,7 +20,6 @@ from corrnoise.participation import (
     ParticipationSchema,
     matrix_sensitivity_lower_bound,
     max_participations,
-    participation_vector,
     toeplitz_sensitivity,
     worst_case_pattern,
 )
@@ -48,10 +47,6 @@ class TestSchema:
     def test_worst_case_pattern(self):
         s = ParticipationSchema(10, 3, 3)
         np.testing.assert_array_equal(worst_case_pattern(s), [0, 3, 6])
-
-    def test_participation_vector(self):
-        v = participation_vector([0, 3], 5)
-        np.testing.assert_array_equal(v, [1, 0, 0, 1, 0])
 
 
 class TestToeplitzSensitivity:
