@@ -252,6 +252,11 @@ def blt_inverse_coefs(params: BltParams, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# columns per fused pass of ``stream_mult_inverse``: a d x _CHUNK slice of
+# the buffers (512 KB at d = 4) stays in L2 from the draw to the update
+_CHUNK = 1 << 14
+
+
 @dataclass
 class NoiseGeneratorState:
     """State for streaming multiplication by C^-1 (correlated noise).
@@ -260,7 +265,10 @@ class NoiseGeneratorState:
     the problem: exactly d x m reals. ``round`` counts emissions; a state
     is single-owner and strictly sequential (round t depends on t-1).
     Gaussian draws come from a counter-based Philox generator seeded by
-    ``rng_seed``, so identical seeds give bitwise-identical streams.
+    ``rng_seed``. Every round is elementwise ufunc arithmetic in a fixed
+    order, with no BLAS call, so identical seeds give bitwise-identical
+    streams on every numpy build. A round allocates one m-length array,
+    the row it returns.
     ``buffers``, ``round`` and ``rng.bit_generator.state`` form a checkpoint:
     copied into a fresh ``make_noise_generator`` state for the same params
     and m, they continue the stream bit for bit.
@@ -314,12 +322,20 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
     independent Gaussian draw of std ``noise_std`` unless a deterministic
     row is supplied):
 
-        Zhat_t = Z_t - omega @ S_{t-1}
+        Zhat_t = Z_t - omega_0 S_{t-1,0} - ... - omega_{d-1} S_{t-1,d-1}
         S_t    = diag(theta) S_{t-1} + outer(1_d, Zhat_t)
 
-    Zhat_t is row t of C^-1 Z. O(d*m) per round. The state is mutated in
-    place and returned for convenience. A supplied row with NaN or Inf is
-    rejected before the state changes.
+    Zhat_t is row t of C^-1 Z. The round is one pass over column chunks of
+    ``_CHUNK``: each chunk's Gaussians are drawn into the output row, the
+    buffer rows are subtracted in the order above, and the chunk's buffers
+    are updated while they are still in cache. Elementwise arithmetic in
+    that fixed order makes the bits independent of the chunk width and of
+    the BLAS build, and chunked draws equal one ``normal(0, noise_std,
+    size=m)`` draw, so the Philox state after the round is the same too.
+    O(d*m) per round; the returned row is the only m-length allocation.
+    The state is mutated in place and returned for convenience. A supplied
+    row with the wrong shape, NaN or Inf is rejected before the state
+    changes.
     """
     if state.max_rounds is not None and state.round >= state.max_rounds:
         raise RuntimeError(
@@ -327,18 +343,32 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
             f"{state.max_rounds} rounds; construct one with a larger "
             f"max_rounds (or None) to extend the stream"
         )
-    m = state.buffers.shape[1]
-    if input_row is None:
-        z = state.rng.normal(0.0, state.noise_std, size=m)
-    else:
+    S = state.buffers
+    m = S.shape[1]
+    if input_row is not None:
         z = np.asarray(input_row, dtype=float)
         if z.shape != (m,):
             raise ValueError(f"input row has shape {z.shape}, state expects ({m},)")
         if not np.all(np.isfinite(z)):
             raise ValueError("input row contains NaN or Inf")
-    zhat = z - state.params.omega @ state.buffers
-    state.buffers *= state.params.theta[:, None]
-    state.buffers += zhat[None, :]
+    theta = state.params.theta[:, None]
+    omega = state.params.omega.tolist()
+    zhat = np.empty(m)
+    prod = np.empty(min(m, _CHUNK))
+    for lo in range(0, m, _CHUNK):
+        out, S_c = zhat[lo : lo + _CHUNK], S[:, lo : lo + _CHUNK]
+        tmp = prod[: out.shape[0]]
+        if input_row is None:
+            state.rng.standard_normal(out=out)
+            out *= state.noise_std
+            out += 0.0  # normal(0, s) is 0 + s*z: a zero-noise row is +0.0, not -0.0
+        else:
+            out[...] = z[lo : lo + _CHUNK]
+        for w, S_j in zip(omega, S_c):
+            np.multiply(S_j, w, out=tmp)
+            out -= tmp
+        S_c *= theta
+        S_c += out
     state.round += 1
     return zhat, state
 
@@ -378,16 +408,28 @@ def save_params(
 
 
 def load_params(path):
-    """Read a parameter document; returns (BltParams, metadata dict)."""
+    """Read a parameter document; returns (BltParams, metadata dict).
+
+    A file that is not JSON, lacks a key, holds a value of the wrong type
+    or gives a ``d`` other than the length of theta raises ValueError
+    naming the file. The parameters are not validated here.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
-    params = BltParams(np.array(doc["theta"]), np.array(doc["omega"]))
-    if params.d != doc["d"]:
-        raise ValueError(f"{path}: d = {doc['d']} but theta has length {params.d}")
-    meta = {
-        "opt_n": int(doc["opt_n"]),
-        "opt_min_sep": int(doc["opt_min_sep"]),
-        "opt_max_part": int(doc["opt_max_part"]),
-        "objective": doc["objective"],
-    }
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+        params = BltParams(np.array(doc["theta"]), np.array(doc["omega"]))
+        d = doc["d"]
+        meta = {
+            "opt_n": int(doc["opt_n"]),
+            "opt_min_sep": int(doc["opt_min_sep"]),
+            "opt_max_part": int(doc["opt_max_part"]),
+            "objective": doc["objective"],
+        }
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if params.d != d:
+        raise ValueError(f"{path}: d = {d} but theta has length {params.d}")
     return params, meta

@@ -18,6 +18,7 @@ release, prints as null.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -99,9 +100,18 @@ def _make_schema(args):
         args.parser.error(f"--max-part: {exc}")
 
 
+def _read_params(parser, path):
+    """Parameters from a file; one that cannot be read or parsed exits with usage."""
+    try:
+        params, _ = load_params(path)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
+    return params
+
+
 def _load_mechanism(parser, path):
-    """Parameters from a file that ``validate()`` accepts; invalid ones exit with usage."""
-    params, _ = load_params(path)
+    """Parameters from a file that ``validate()`` accepts; any other exits with usage."""
+    params = _read_params(parser, path)
     try:
         return params.validate()
     except ValueError as exc:
@@ -201,7 +211,8 @@ def cmd_sweep(args) -> int:
     n, nm = args.n, args.noise_multiplier
     mechanisms = []
     for path in args.params or []:
-        params, _ = load_params(path)
+        # parameters that fail validate() get an error: status in each cell
+        params = _read_params(args.parser, path)
         name = os.path.splitext(os.path.basename(path))[0]
         mechanisms.append((name, blt_mechanism_loss_fn(params, n, nm)))
     if args.tree:
@@ -234,16 +245,12 @@ def cmd_noisegen(args) -> int:
         seed=args.seed,
         max_rounds=args.rounds,
     )
-    lines = ["round," + ",".join(f"z{j}" for j in range(args.dim))]
-    for t in range(args.rounds):
-        row, state = stream_mult_inverse(state)
-        lines.append(f"{t}," + ",".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # each row is written as it is made, so memory stays constant in --rounds
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("round," + ",".join(f"z{j}" for j in range(args.dim)) + "\n")
+        for t in range(args.rounds):
+            row, state = stream_mult_inverse(state)
+            fh.write(f"{t}," + ",".join(map(repr, row.tolist())) + "\n")
     return 0
 
 
@@ -262,16 +269,24 @@ def cmd_account(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    pop_doc = dict(doc["population"])
-    train_doc = dict(doc["training"])
+    try:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+        pop_doc = dict(doc["population"])
+        train_doc = dict(doc["training"])
+    except KeyError as exc:
+        args.parser.error(f"{args.config}: missing block {exc}")
+    except (OSError, TypeError, ValueError) as exc:
+        args.parser.error(f"{args.config}: {exc}")
     mechanism = None
     params_file = train_doc.pop("params_file", None)
     if params_file:
         mechanism = _load_mechanism(args.parser, params_file)
-    population = make_population(**pop_doc)
-    config = TrainConfig(mechanism=mechanism, **train_doc)
+    try:
+        population = make_population(**pop_doc)
+        config = TrainConfig(mechanism=mechanism, **train_doc)
+    except (TypeError, ValueError) as exc:
+        args.parser.error(f"{args.config}: {exc}")
     result = run_training(config, population)
     os.makedirs(args.outdir, exist_ok=True)
     write_metrics_csv(os.path.join(args.outdir, "metrics.csv"), result.metrics)

@@ -2,7 +2,8 @@
 
 These exist only to validate the package: a dense lower-triangular
 Toeplitz builder, streaming multiplication by C (the package only
-streams C^-1), the prefix-sum workload matrix, the O(n^2) loss of a
+streams C^-1), one round of C^-1 in the matrix-product form that the
+fused chunk pass replaced, the prefix-sum workload matrix, the O(n^2) loss of a
 Toeplitz strategy from its coefficients, the complex-step gradient of
 ``blt_loss`` in (theta, theta_hat), exhaustive participation-pattern
 enumeration with the sensitivity it implies, the one-client-at-a-time
@@ -52,6 +53,21 @@ def stream_mult(params, rows) -> np.ndarray:
         S *= params.theta[:, None]
         S += zhat[None, :]
     return out
+
+
+def stream_mult_inverse_gemv(params, S, z) -> np.ndarray:
+    """One round of C^-1 with ``omega @ S`` as one matrix-vector product.
+
+        Zhat_t = Z_t - omega @ S_{t-1};  S_t = diag(theta) S_{t-1} + Zhat_t
+
+    Updates the (d, m) buffers ``S`` in place and returns Zhat_t. The BLAS
+    product sums in its own order, so this agrees with the package's fixed
+    order accumulation to rounding, not bit for bit.
+    """
+    zhat = z - params.omega @ S
+    S *= params.theta[:, None]
+    S += zhat[None, :]
+    return zhat
 
 
 def prefix_sum_matrix(n: int) -> np.ndarray:

@@ -7,12 +7,14 @@ anchors.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrnoise.blt_core as blt_core
 from corrnoise.blt_core import (
     DEGENERATE_GAP,
     IDENTITY_MECHANISM,
@@ -38,7 +40,7 @@ OMEGA_B400 = np.array(
 )
 
 
-from oracles import lt_toeplitz, stream_mult
+from oracles import lt_toeplitz, stream_mult, stream_mult_inverse_gemv
 from strategies import blt_params_strategy, near_unit_params_strategy
 
 
@@ -324,6 +326,92 @@ class TestStreaming:
         state = make_noise_generator(params, m=2, noise_std=0.0)
         back = np.stack([stream_mult_inverse(state, Z[t])[0] for t in range(n)])
         np.testing.assert_allclose(back, X, atol=1e-9)
+
+
+STREAM_PARAMS = {
+    0: IDENTITY_MECHANISM,
+    1: BltParams(np.array([0.9]), np.array([0.3])),
+    4: BltParams(THETA_B400, OMEGA_B400),
+}
+
+
+def _philox_state(gen):
+    """The generator's state as text, so that its arrays compare whole."""
+    return repr(gen.bit_generator.state)
+
+
+class TestFusedRound:
+    """The chunked round: its bits, its Philox draws and its allocation."""
+
+    CHUNK = 16
+
+    def _stream(self, monkeypatch, chunk, d, m, supplied):
+        """Rows, final buffers and per-round Philox states of a four-round stream."""
+        monkeypatch.setattr(blt_core, "_CHUNK", chunk)
+        state = make_noise_generator(STREAM_PARAMS[d], m=m, noise_std=1.5, seed=9)
+        rows = np.random.default_rng(d * 1000 + m).normal(size=(4, m))
+        out, rngs = [], []
+        for t in range(4):
+            out.append(stream_mult_inverse(state, rows[t] if supplied else None)[0])
+            rngs.append(_philox_state(state.rng))
+        return np.stack(out), state.buffers, rngs
+
+    @pytest.mark.parametrize("supplied", [False, True], ids=["philox", "supplied"])
+    @pytest.mark.parametrize("d", [0, 1, 4])
+    @pytest.mark.parametrize(
+        "m", [1, 5, CHUNK, CHUNK + 1, 5 * CHUNK + 3],
+        ids=["m1", "below-chunk", "chunk", "chunk-plus-1", "odd-multi-chunk"],
+    )
+    def test_bits_independent_of_chunk_width(self, monkeypatch, m, d, supplied):
+        ref = self._stream(monkeypatch, m, d, m, supplied)  # one chunk
+        for chunk in (1, 3, self.CHUNK):
+            got = self._stream(monkeypatch, chunk, d, m, supplied)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+            assert got[2] == ref[2]
+
+    @pytest.mark.parametrize("noise_std", [1.5, 0.0])
+    @pytest.mark.parametrize("d", [0, 4])
+    def test_philox_state_follows_one_normal_draw_per_round(
+        self, monkeypatch, d, noise_std
+    ):
+        monkeypatch.setattr(blt_core, "_CHUNK", self.CHUNK)
+        m = 5 * self.CHUNK + 3
+        state = make_noise_generator(STREAM_PARAMS[d], m=m, noise_std=noise_std, seed=4)
+        twin = np.random.Generator(np.random.Philox(4))
+        for t in range(5):
+            row = stream_mult_inverse(state)[0]
+            draw = twin.normal(0.0, noise_std, size=m)
+            assert _philox_state(state.rng) == _philox_state(twin)
+            if t == 0:  # zero buffers: the first row is the draw, signed zeros too
+                assert row.tobytes() == draw.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 7, 20, 1000])
+    def test_within_rounding_of_matrix_product_form(self, monkeypatch, m):
+        monkeypatch.setattr(blt_core, "_CHUNK", self.CHUNK)
+        params = STREAM_PARAMS[4]
+        state = make_noise_generator(params, m=m, noise_std=1.0, seed=3)
+        twin = np.random.Generator(np.random.Philox(3))
+        S = np.zeros((params.d, m))
+        for _ in range(30):
+            row = stream_mult_inverse(state)[0]
+            expect = stream_mult_inverse_gemv(params, S, twin.normal(0.0, 1.0, size=m))
+            assert np.max(np.abs(row - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("supplied", [False, True], ids=["philox", "supplied"])
+    def test_round_allocates_one_row(self, supplied):
+        m = 1 << 18
+        state = make_noise_generator(STREAM_PARAMS[4], m=m, noise_std=1.0, seed=1)
+        row = np.random.default_rng(1).normal(size=m) if supplied else None
+        stream_mult_inverse(state, row)  # warm-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stream_mult_inverse(state, row)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * m
 
 
 class TestParamsIO:

@@ -14,9 +14,17 @@ import pytest
 import scipy.linalg
 from oracles import lt_toeplitz, toeplitz_mechanism_loss
 
+import corrnoise.cli
 import corrnoise.tree_baseline
 from corrnoise.accountant import eps_of_zcdp, zcdp_of
-from corrnoise.blt_core import BltParams, blt_coefs, load_params, save_params
+from corrnoise.blt_core import (
+    BltParams,
+    blt_coefs,
+    load_params,
+    make_noise_generator,
+    save_params,
+    stream_mult_inverse,
+)
 from corrnoise.cli import SWEEP_HEADER, main
 from corrnoise.loss_metrics import blt_mechanism_loss, dense_error
 from corrnoise.participation import ParticipationSchema, matrix_sensitivity_lower_bound
@@ -43,11 +51,32 @@ def weightless_file(tmp_path):
     return str(path)
 
 
-def assert_usage_names_file(exc, capsys, path):
+# parameter files that load_params cannot read, by what is wrong with them
+UNREADABLE_DOCS = {
+    "missing-key": ('{"d": 1, "theta": [0.5], "omega": [0.2]}', "missing key 'opt_n'"),
+    "d-mismatch": (
+        json.dumps({"d": 3, "theta": [0.5], "omega": [0.2], "opt_n": 64,
+                    "opt_min_sep": 16, "opt_max_part": 4, "objective": "max"}),
+        "d = 3 but theta has length 1",
+    ),
+    "malformed-json": ('{"d": 1, "theta": [0.5', "Expecting"),
+}
+
+
+@pytest.fixture(params=sorted(UNREADABLE_DOCS))
+def unreadable_file(request, tmp_path):
+    """(path, reason) of a parameter file that cannot be read."""
+    text, reason = UNREADABLE_DOCS[request.param]
+    path = tmp_path / f"{request.param}.json"
+    path.write_text(text)
+    return str(path), reason
+
+
+def assert_usage_names_file(exc, capsys, path, reason="strictly positive"):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "usage" in captured.err and path in captured.err
-    assert "strictly positive" in captured.err
+    assert reason in captured.err
     assert captured.out == ""
 
 
@@ -140,6 +169,12 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--n", "64", "--min-sep", "16", "--params", weightless_file])
         assert_usage_names_file(exc, capsys, weightless_file)
+
+    def test_unreadable_params_file_exits_with_usage(self, unreadable_file, capsys):
+        path, reason = unreadable_file
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--n", "64", "--min-sep", "16", "--params", path])
+        assert_usage_names_file(exc, capsys, path, reason)
 
     def test_tree_eval(self, capsys):
         code, out = run_cli(["eval", "--n", "64", "--min-sep", "16", "--tree"], capsys)
@@ -327,6 +362,15 @@ class TestSweep:
         for row in rows:
             assert row.endswith(",,,,,,error:theta must lie strictly inside (0, 1)")
 
+    def test_unreadable_params_file_exits_with_usage(
+        self, params_file, unreadable_file, capsys
+    ):
+        path, reason = unreadable_file
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "64", "--b-start", "16", "--b-stop", "16",
+                  "--params", params_file, path])
+        assert_usage_names_file(exc, capsys, path, reason)
+
     def test_tree_past_the_dense_guard_is_evaluated(self, capsys):
         # horizon 16384 > 8192, which the dense decode refused
         n = 20000
@@ -486,6 +530,40 @@ class TestNoisegen:
             main(["noisegen", "--params", weightless_file, "--rounds", "2"])
         assert_usage_names_file(exc, capsys, weightless_file)
 
+    def test_unreadable_params_file_exits_with_usage(self, unreadable_file, capsys):
+        path, reason = unreadable_file
+        with pytest.raises(SystemExit) as exc:
+            main(["noisegen", "--params", path, "--rounds", "2"])
+        assert_usage_names_file(exc, capsys, path, reason)
+
+    def test_rows_written_as_made_and_bytes_match_library(
+        self, params_file, tmp_path, monkeypatch, capsys
+    ):
+        state = make_noise_generator(MECH, m=3, noise_std=1.5, seed=11)
+        rows = [stream_mult_inverse(state)[0] for _ in range(4)]
+        expect = "round,z0,z1,z2\n" + "".join(
+            f"{t}," + ",".join(repr(float(v)) for v in row) + "\n"
+            for t, row in enumerate(rows)
+        )
+        written = []
+
+        def stream_and_count(state):
+            # every earlier row (and the header) is already on stdout
+            written.append(capsys.readouterr().out)
+            assert "".join(written).count("\n") == state.round + 1
+            return stream_mult_inverse(state)
+
+        argv = ["noisegen", "--params", params_file, "--rounds", "4", "--dim", "3",
+                "--noise-std", "1.5", "--seed", "11"]
+        out_path = tmp_path / "noise.csv"
+        assert main(argv + ["--out", str(out_path)]) == 0
+        assert out_path.read_text() == expect
+        monkeypatch.setattr(corrnoise.cli, "stream_mult_inverse", stream_and_count)
+        assert main(argv) == 0
+        written.append(capsys.readouterr().out)
+        assert len(written) == 5
+        assert "".join(written) == expect
+
 
 def simulate_config(**training):
     base = {
@@ -545,6 +623,46 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--config", str(cfg_path), "--outdir", str(tmp_path / "out")])
         assert_usage_names_file(exc, capsys, weightless_file)
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_params_file_exits_with_usage(
+        self, unreadable_file, tmp_path, capsys
+    ):
+        path, reason = unreadable_file
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(simulate_config(params_file=path)))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg_path), "--outdir", str(tmp_path / "out")])
+        assert_usage_names_file(exc, capsys, path, reason)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "training, reason",
+        [({"clip_norm": -1}, "clip_norm must be > 0"),
+         ({"learning_rate": 0.1}, "unexpected keyword argument 'learning_rate'")],
+        ids=["negative-clip-norm", "unknown-key"],
+    )
+    def test_bad_training_block_exits_with_usage(self, training, reason, tmp_path, capsys):
+        self.assert_config_exits_with_usage(
+            json.dumps(simulate_config(**training)), reason, tmp_path, capsys
+        )
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [('{"population": {"n_clients": 12', "Expecting"),
+         ('{"training": {}}', "missing block 'population'")],
+        ids=["malformed-json", "missing-block"],
+    )
+    def test_unreadable_config_exits_with_usage(self, text, reason, tmp_path, capsys):
+        self.assert_config_exits_with_usage(text, reason, tmp_path, capsys)
+
+    @staticmethod
+    def assert_config_exits_with_usage(text, reason, tmp_path, capsys):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg_path), "--outdir", str(tmp_path / "out")])
+        assert_usage_names_file(exc, capsys, str(cfg_path), reason)
         assert not (tmp_path / "out").exists()
 
 
