@@ -5,9 +5,14 @@ from the product-form pairing, sensitivity and decoder error from
 (theta, omega) through the n-independent kernels that
 ``blt_mechanism_loss`` also uses (so the fit and the evaluation share one
 loss formula), and a log barrier keeps omega positive. Infeasible points
-evaluate to +inf (never an exception) so line searches can step into
-them safely; the optimizer works in logit space so the (0, 1) boxes on
-the decays are structural.
+evaluate to +inf (never an exception).
+
+The fit searches chain coordinates x in R^2d: the running products of
+sigmoid(x), read alternately as theta and theta_hat, strictly interlace,
+theta_1 > theta_hat_1 > theta_2 > ... > theta_d > theta_hat_d > 0. That
+is exactly where every omega is positive (the interlacing of a rank-one
+downdate; Golub 1973), and there sum(omega) = sum(theta) - sum(theta_hat)
+< 1, so every probe is feasible up to rounding.
 
 Gradients are complex-step derivatives (imag part at h = 1e-100), which
 match central finite differences to ~1e-8 relative but have no
@@ -64,6 +69,8 @@ class OptimizerConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
@@ -85,6 +92,17 @@ def _sigmoid(x):
         ex = np.exp(x[~pos])
         out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _chain(X):
+    """(theta, theta_hat) at chain coordinates X, batched over leading axes.
+
+    z = cumprod(sigmoid(X)) falls strictly from 1 toward 0; theta takes
+    its even entries and theta_hat its odd ones, so the two interlace.
+    Analytic, so complex steps pass through.
+    """
+    z = np.cumprod(_sigmoid(X), axis=-1)
+    return z[..., 0::2], z[..., 1::2]
 
 
 def _loss_batch(theta, theta_hat, schema: ParticipationSchema, objective, barrier_lambda):
@@ -292,91 +310,56 @@ def _lbfgs(fg, x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-14):
 
 
 def _init_point(rng, d):
-    """Multi-scale random start in logit space.
+    """Multi-scale random start in chain coordinates.
 
-    Decays log-spaced toward 1 (theta_i near 1 - 2^-(i+1), jittered),
-    hat-decays a relative notch below their partners, nudged to stay
-    interlaced so the starting omega is strictly positive.
+    Decay i is a factor 1 - 2^-(d-i) u (u jittered around 1) below the
+    hat-decay before it, or below 1 for the first, so the decays spread
+    from near 1 downward; each hat-decay is a relative notch v below its
+    decay.
     """
     u = rng.uniform(0.5, 1.5, size=d)
-    theta = 1.0 - 2.0 ** -(np.arange(1, d + 1, dtype=float)) * u
-    theta = np.sort(theta)[::-1]
     v = rng.uniform(0.01, 0.2, size=d)
-    th = theta * (1.0 - v)
-    for i in range(d - 1):
-        if th[i] <= theta[i + 1]:
-            th[i] = 0.5 * (theta[i] + theta[i + 1])
-    return np.concatenate([np.log(theta / (1 - theta)), np.log(th / (1 - th))])
-
-
-def _hat_gap(theta, theta_hat):
-    """Conditioning proxy: the largest relative drop from theta to its pair."""
-    return float(np.max(1.0 - theta_hat / theta))
+    ratios = np.ravel(np.column_stack([1.0 - 2.0 ** -np.arange(d, 0, -1.0) * u, 1.0 - v]))
+    return np.log(ratios / (1.0 - ratios))
 
 
 def optimize_blt(config: OptimizerConfig) -> OptimizationResult:
-    """L-BFGS over (logit theta, logit theta_hat) with random restarts.
+    """L-BFGS over chain coordinates with random restarts.
 
-    Keeps the best barrier-free feasible loss across restarts (ties go to
-    the better-conditioned inverse pair). The extracted decays are sorted
-    into canonical order and validated strictly; restarts that end
-    infeasible or invalid are dropped, and if every restart drops the call
-    errors with diagnostics. The winner's loss is checked against the
-    independent O(n) coefficient path to 1e-9 relative before returning.
+    Keeps the best barrier-free loss across restarts (ties go to the
+    better-conditioned inverse pair). The line search accepts only finite
+    points, so every restart ends feasible, with its decays interlaced
+    in canonical order; they are still validated strictly. The winner's
+    loss is checked against the independent O(n) coefficient path to
+    1e-9 relative before returning.
     """
-    d = config.d
     schema = config.schema
     rng = np.random.default_rng(config.seed)
 
     def loss_batch(X, lam=BARRIER_LAMBDA):
-        return _loss_batch(
-            _sigmoid(X[:, :d]), _sigmoid(X[:, d:]), schema, config.objective, lam
-        )
-
-    def fg(x):
-        f0, g = _value_and_gradient(loss_batch, x)
-        if not np.isfinite(f0):
-            return np.inf, np.zeros_like(x)
-        return float(f0), g
+        return _loss_batch(*_chain(X), schema, config.objective, lam)
 
     best = None
     restart_losses = []
-    failures = []
-    for r in range(config.restarts):
-        x0 = _init_point(rng, d)
-        # line searches probe extreme points; infeasibility is signalled by
-        # inf losses, so intermediate overflow warnings carry no information
+    for _ in range(config.restarts):
+        x0 = _init_point(rng, config.d)
+        # line searches probe extreme points, where intermediate overflow
+        # warnings carry no information
         with np.errstate(over="ignore", invalid="ignore"):
-            x, _, iters, conv = _lbfgs(fg, x0)
-        loss = loss_batch(x[None], 0.0)[0]
-        if not np.isfinite(loss):
-            failures.append(f"restart {r}: infeasible terminal point")
-            restart_losses.append(np.inf)
-            continue
-        # the loss does not change when theta (with omega) or theta_hat is
-        # reordered, so the canonical descending order is a sort
-        theta = np.sort(_sigmoid(x[:d]))[::-1]
-        theta_hat = np.sort(_sigmoid(x[d:]))[::-1]
-        omega = calc_output_scale(theta, theta_hat)
-        try:
-            params = BltParams(theta, omega).validate()
-        except ValueError as exc:
-            failures.append(f"restart {r}: invalid extracted params ({exc})")
-            restart_losses.append(np.inf)
-            continue
-        restart_losses.append(float(loss))
-        gap = _hat_gap(theta, theta_hat)
-        cand = (float(loss), gap, params, theta_hat, iters, conv)
+            x, _, iters, conv = _lbfgs(lambda xk: _value_and_gradient(loss_batch, xk), x0)
+        loss = float(loss_batch(x[None], 0.0)[0])
+        restart_losses.append(loss)
+        theta, theta_hat = _chain(x)
+        params = BltParams(theta, calc_output_scale(theta, theta_hat)).validate()
+        # conditioning proxy for ties: the largest relative drop to a pair
+        gap = float(np.max(1.0 - theta_hat / theta))
+        cand = (loss, gap, params, theta_hat, iters, conv)
         if (
             best is None
             or cand[0] < best[0] - 1e-12 * max(1.0, abs(best[0]))
             or (abs(cand[0] - best[0]) <= 1e-12 * max(1.0, abs(best[0])) and gap < best[1])
         ):
             best = cand
-    if best is None:
-        raise RuntimeError(
-            "all restarts failed:\n  " + "\n  ".join(failures or ["(none attempted)"])
-        )
     loss, gap, params, theta_hat, iters, conv = best
 
     # independent check: the O(n) coefficient path, with the inverse from

@@ -178,7 +178,12 @@ def cmd_eval(args) -> int:
         params = _load_mechanism(args.parser, args.params)
         bundle = blt_mechanism_loss(params, schema, args.noise_multiplier)
     elif args.matrix:
-        C = load_strategy_matrix(args.matrix)
+        try:
+            C = load_strategy_matrix(args.matrix)
+        except (OSError, ValueError) as exc:
+            args.parser.error(str(exc))
+        if len(C) != args.n:
+            args.parser.error(f"{args.matrix}: a {len(C)} x {len(C)} matrix, not --n {args.n}")
         bundle = mechanism_loss(C, schema, args.noise_multiplier)
     else:
         bundle = eval_tree(args.n, schema, noise_multiplier=args.noise_multiplier)
@@ -287,6 +292,13 @@ def cmd_simulate(args) -> int:
         config = TrainConfig(mechanism=mechanism, **train_doc)
     except (TypeError, ValueError) as exc:
         args.parser.error(f"{args.config}: {exc}")
+    # each client sits out min_sep - 1 rounds after joining one: no round
+    # starves exactly when there are this many clients
+    needed = config.clients_per_round * min(config.rounds, config.min_sep)
+    if population.n_clients < needed:
+        args.parser.error(
+            f"{args.config}: the cohorts need {needed} clients, not {population.n_clients}"
+        )
     result = run_training(config, population)
     os.makedirs(args.outdir, exist_ok=True)
     write_metrics_csv(os.path.join(args.outdir, "metrics.csv"), result.metrics)

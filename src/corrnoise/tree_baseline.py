@@ -170,10 +170,13 @@ def eval_tree(
 
 def load_strategy_matrix(path) -> np.ndarray:
     """Load a square lower-triangular strategy matrix (.npy or CSV)."""
-    if str(path).endswith(".npy"):
-        C = np.asarray(np.load(path, allow_pickle=False), dtype=float)
-    else:
-        C = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        if str(path).endswith(".npy"):
+            C = np.asarray(np.load(path, allow_pickle=False), dtype=float)
+        else:
+            C = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (EOFError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"{path}: matrix is not square: {C.shape}")
     if not np.all(np.isfinite(C)):

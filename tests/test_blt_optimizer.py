@@ -8,16 +8,23 @@ the baselines it exists to beat.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import blt_loss_gradient, toeplitz_mechanism_loss
 
-from corrnoise.blt_core import BltParams, calc_output_scale, inverse_blt_params
+from corrnoise.blt_core import (
+    DEGENERATE_GAP,
+    BltParams,
+    calc_output_scale,
+    inverse_blt_params,
+)
 from corrnoise.blt_optimizer import (
     BARRIER_LAMBDA,
     COMPLEX_STEP,
     OBJECTIVES,
     OptimizerConfig,
+    _chain,
     _loss_batch,
-    _sigmoid,
     _value_and_gradient,
     blt_loss,
     optimize_blt,
@@ -112,31 +119,51 @@ class TestGradient:
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_batched_gradient_equals_per_coordinate_complex_step(self, objective):
-        # the fit's fg: one batch of x + i h e_j in logit space, against one
-        # complex blt_loss call per coordinate
+        # the fit's fg: one batch of x + i h e_j in chain coordinates,
+        # against one complex blt_loss call per coordinate
         schema = ParticipationSchema(2052, 342, 6)
         theta = np.array([0.99, 0.9, 0.5])
         theta_hat = np.array([0.97, 0.8, 0.3])
-        decays = np.concatenate([theta, theta_hat])
-        x = np.log(decays / (1 - decays))
+        z = np.ravel(np.column_stack([theta, theta_hat]))  # interlaced, descending
+        ratios = z / np.concatenate([[1.0], z[:-1]])
+        x = np.log(ratios / (1 - ratios))
         d = len(theta)
 
         def loss_batch(X):
-            return _loss_batch(
-                _sigmoid(X[:, :d]), _sigmoid(X[:, d:]), schema, objective, BARRIER_LAMBDA
-            )
+            return _loss_batch(*_chain(X), schema, objective, BARRIER_LAMBDA)
 
         f0, g = _value_and_gradient(loss_batch, x)
         per = np.empty(2 * d)
         for j in range(2 * d):
             xc = x.astype(complex)
             xc[j] += 1j * COMPLEX_STEP
-            val = blt_loss(_sigmoid(xc[:d]), _sigmoid(xc[d:]), schema, objective, BARRIER_LAMBDA)
+            val = blt_loss(*_chain(xc), schema, objective, BARRIER_LAMBDA)
             per[j] = val.imag / COMPLEX_STEP
         np.testing.assert_allclose(g, per, rtol=1e-12, atol=0)
         assert f0 == pytest.approx(
             blt_loss(theta, theta_hat, schema, objective, BARRIER_LAMBDA), rel=1e-14
         )
+
+
+class TestChain:
+    @given(
+        x=st.integers(1, 4).flatmap(
+            lambda d: st.lists(st.floats(-30.0, 30.0), min_size=2 * d, max_size=2 * d)
+        )
+    )
+    @settings(max_examples=200)
+    def test_every_point_clear_of_the_gap_is_feasible(self, x):
+        theta, theta_hat = _chain(np.array(x))
+        z = np.ravel(np.column_stack([theta, theta_hat]))
+        assert np.all(np.diff(z) <= 0) and np.all((z >= 0) & (z <= 1))
+        if np.min(-np.diff(np.concatenate([[1.0], z, [0.0]]))) < DEGENERATE_GAP:
+            return  # rounding: a ratio of 1, or decays closer than the gap
+        assert np.all(theta[:-1] > theta_hat[:-1]) and np.all(theta_hat[:-1] > theta[1:])
+        assert theta[-1] > theta_hat[-1] > 0
+        omega = calc_output_scale(theta, theta_hat)
+        assert np.all(omega > 0)
+        assert omega.sum() < 1.0
+        BltParams(theta, omega).validate()
 
 
 class TestOptimizeBlt:
@@ -145,6 +172,8 @@ class TestOptimizeBlt:
             OptimizerConfig(schema=SCHEMA, d=0)
         with pytest.raises(ValueError):
             OptimizerConfig(schema=SCHEMA, d=2, objective="median")
+        with pytest.raises(ValueError):
+            OptimizerConfig(schema=SCHEMA, d=2, restarts=0)
 
     def test_beats_tree_and_identity_baselines(self):
         res = optimize_blt(OptimizerConfig(schema=SCHEMA, d=2, restarts=3, seed=0))
@@ -181,8 +210,8 @@ class TestOptimizeBlt:
         assert a.restart_losses == b.restart_losses
 
     def test_four_buffer_toy_fit_with_one_restart(self):
-        # restarts ending with unsorted decays were once dropped as
-        # non-canonical, and this fit then raised "all restarts failed"
+        # a lone d=4 restart ends with interlaced decays in canonical order,
+        # so its loss is finite and its parameters validate
         res = optimize_blt(OptimizerConfig(schema=SCHEMA, d=4, restarts=1, seed=0))
         assert res.converged
         res.params.validate()

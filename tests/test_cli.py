@@ -235,6 +235,28 @@ class TestEval:
                           ("max_loss", sens * max_error), ("rms_loss", sens * rms_error)]:
             assert doc[key] == pytest.approx(want, rel=1e-12, abs=0), key
 
+    @pytest.mark.parametrize(
+        "name, text, reason",
+        [("nothere.npy", None, "No such file"),
+         ("ragged.csv", "1,0\n1\n", "number of columns changed")],
+        ids=["missing", "ragged-csv"],
+    )
+    def test_unreadable_matrix_exits_with_usage(self, name, text, reason, tmp_path, capsys):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--n", "2", "--matrix", str(path)])
+        assert_usage_names_file(exc, capsys, str(path), reason)
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_matrix_of_another_size_exits_with_usage(self, n, tmp_path, capsys):
+        path = tmp_path / "C.csv"
+        np.savetxt(path, np.tril(np.ones((8, 8))), delimiter=",")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--n", str(n), "--min-sep", "2", "--matrix", str(path)])
+        assert_usage_names_file(exc, capsys, str(path), f"8 x 8 matrix, not --n {n}")
+
 
 class TestSweep:
     def test_deterministic_bytes_and_header(self, params_file, tmp_path, capsys):
@@ -655,6 +677,26 @@ class TestSimulate:
     )
     def test_unreadable_config_exits_with_usage(self, text, reason, tmp_path, capsys):
         self.assert_config_exits_with_usage(text, reason, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "clients_per_round, min_sep, rounds", [(3, 4, 10), (3, 4, 2), (5, 1, 6)]
+    )
+    def test_cohort_bound(self, clients_per_round, min_sep, rounds, tmp_path, capsys):
+        # starvation is deterministic: every client that sat out the last
+        # min_sep - 1 rounds is eligible, so the bound trains and one less
+        # starves
+        training = dict(clients_per_round=clients_per_round, min_sep=min_sep, rounds=rounds)
+        bound = clients_per_round * min(rounds, min_sep)
+        config = simulate_config(**training)
+        config["population"]["n_clients"] = bound
+        doc, _ = self.run(config, tmp_path, capsys)
+        assert doc["rounds"] == rounds
+        config["population"]["n_clients"] = bound - 1
+        starved = tmp_path / "starved"
+        starved.mkdir()
+        self.assert_config_exits_with_usage(
+            json.dumps(config), f"need {bound} clients", starved, capsys
+        )
 
     @staticmethod
     def assert_config_exits_with_usage(text, reason, tmp_path, capsys):
