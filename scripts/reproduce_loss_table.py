@@ -34,7 +34,7 @@ def main():
     schema = ParticipationSchema(args.n, args.min_sep, args.max_part)
     rows = []
 
-    tree = eval_tree(args.n, schema)
+    tree = eval_tree(schema)
     rows.append(("tree (full decoder)", tree.max_loss, tree.rms_loss, 0.0))
 
     jobs = [(d, "max") for d in (1, 2, 3, 4)] + [(3, "rms")]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -264,11 +264,11 @@ class NoiseGeneratorState:
     The buffer matrix S is the only piece of state whose size depends on
     the problem: exactly d x m reals. ``round`` counts emissions; a state
     is single-owner and strictly sequential (round t depends on t-1).
-    Gaussian draws come from a counter-based Philox generator seeded by
-    ``rng_seed``. Every round is elementwise ufunc arithmetic in a fixed
-    order, with no BLAS call, so identical seeds give bitwise-identical
-    streams on every numpy build. A round allocates one m-length array,
-    the row it returns.
+    Gaussian draws come from ``rng``, a counter-based Philox generator
+    that ``make_noise_generator`` seeds. Every round is elementwise ufunc
+    arithmetic in a fixed order, with no BLAS call, so identical seeds
+    give bitwise-identical streams on every numpy build. A round
+    allocates one m-length array, the row it returns.
     ``buffers``, ``round`` and ``rng.bit_generator.state`` form a checkpoint:
     copied into a fresh ``make_noise_generator`` state for the same params
     and m, they continue the stream bit for bit.
@@ -278,13 +278,8 @@ class NoiseGeneratorState:
     buffers: np.ndarray
     round: int
     noise_std: float
-    rng_seed: int
     max_rounds: Optional[int]
-    rng: np.random.Generator = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.rng is None:
-            self.rng = np.random.Generator(np.random.Philox(self.rng_seed))
+    rng: np.random.Generator
 
 
 def make_noise_generator(
@@ -310,8 +305,8 @@ def make_noise_generator(
         buffers=np.zeros((params.d, m)),
         round=0,
         noise_std=float(noise_std),
-        rng_seed=int(seed),
         max_rounds=max_rounds,
+        rng=np.random.Generator(np.random.Philox(int(seed))),
     )
 
 

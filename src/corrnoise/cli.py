@@ -186,7 +186,7 @@ def cmd_eval(args) -> int:
             args.parser.error(f"{args.matrix}: a {len(C)} x {len(C)} matrix, not --n {args.n}")
         bundle = mechanism_loss(C, schema, args.noise_multiplier)
     else:
-        bundle = eval_tree(args.n, schema, noise_multiplier=args.noise_multiplier)
+        bundle = eval_tree(schema, noise_multiplier=args.noise_multiplier)
     _print_json(_loss_dict(bundle))
     return 0
 

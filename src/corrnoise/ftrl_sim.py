@@ -56,7 +56,7 @@ class StarvationError(RuntimeError):
 
 @dataclass
 class ClientPopulation:
-    """Synthetic per-client datasets plus participation bookkeeping.
+    """Synthetic per-client datasets, which training only reads.
 
     ``features`` is one (n_clients, m, dim) array and ``labels`` one
     (n_clients, m) array, so ``features[cohort]`` is a cohort's stacked
@@ -65,7 +65,6 @@ class ClientPopulation:
 
     features: np.ndarray
     labels: np.ndarray
-    last_round: np.ndarray
     task: str
     dim: int
     eval_features: np.ndarray
@@ -117,7 +116,6 @@ class ServerState:
     model: np.ndarray
     momentum_buf: np.ndarray
     noise_state: Optional[object]
-    round: int = 0
 
 
 @dataclass
@@ -171,7 +169,6 @@ def make_population(
     return ClientPopulation(
         features=features,
         labels=labels,
-        last_round=np.full(n_clients, -(10**9), dtype=np.int64),
         task=task,
         dim=dim,
         eval_features=eval_X,
@@ -180,7 +177,7 @@ def make_population(
 
 
 def select_cohort(
-    population: ClientPopulation,
+    last_round: np.ndarray,
     t: int,
     m_clients: int,
     b: int,
@@ -188,16 +185,16 @@ def select_cohort(
 ) -> np.ndarray:
     """Uniform cohort among clients rested for at least b rounds.
 
-    Updates the participation bookkeeping. Raises ``StarvationError``
-    when fewer than m_clients are eligible (the loop cannot continue
-    without breaking the min-separation promise).
+    ``last_round`` is the participation ledger, each client's latest
+    round (a far-negative sentinel before its first); it is only read
+    here. Raises ``StarvationError`` when fewer than m_clients are
+    eligible (the loop cannot continue without breaking the
+    min-separation promise).
     """
-    eligible = np.flatnonzero(t - population.last_round >= b)
+    eligible = np.flatnonzero(t - last_round >= b)
     if eligible.shape[0] < m_clients:
         raise StarvationError(t, eligible.shape[0], m_clients)
-    picked = np.sort(rng.choice(eligible, size=m_clients, replace=False))
-    population.last_round[picked] = t
-    return picked
+    return np.sort(rng.choice(eligible, size=m_clients, replace=False))
 
 
 def client_update(
@@ -240,21 +237,20 @@ def client_update(
     return delta
 
 
-def _server_opt(model, momentum_buf, delta_tilde, m_clients, server_lr, beta):
+def _server_opt(model, momentum_buf, delta_tilde, config):
     """Momentum step on the privatized mean delta; sees nothing else.
 
     Client deltas already point downhill (w_local - w_global), so the
     server adds the momentum-averaged delta.
     """
-    momentum_buf = beta * momentum_buf + delta_tilde / m_clients
-    model = model + server_lr * momentum_buf
+    momentum_buf = config.momentum * momentum_buf + delta_tilde / config.clients_per_round
+    model = model + config.server_lr * momentum_buf
     return model, momentum_buf
 
 
 def server_round(
     state: ServerState,
     delta_sum: np.ndarray,
-    m_clients: int,
     config: TrainConfig,
     noise_row=None,
 ) -> ServerState:
@@ -270,20 +266,8 @@ def server_round(
         delta_tilde = delta_sum + zhat
     else:
         delta_tilde = delta_sum
-    model, momentum_buf = _server_opt(
-        state.model,
-        state.momentum_buf,
-        delta_tilde,
-        m_clients,
-        config.server_lr,
-        config.momentum,
-    )
-    return ServerState(
-        model=model,
-        momentum_buf=momentum_buf,
-        noise_state=state.noise_state,
-        round=state.round + 1,
-    )
+    model, momentum_buf = _server_opt(state.model, state.momentum_buf, delta_tilde, config)
+    return ServerState(model=model, momentum_buf=momentum_buf, noise_state=state.noise_state)
 
 
 def eval_model(model, X, y, task):
@@ -298,37 +282,28 @@ def eval_model(model, X, y, task):
     return loss, acc
 
 
-def _configured_schema(config: TrainConfig) -> ParticipationSchema:
-    k = config.est_max_part
-    if k is None:
-        k = max_participations(config.rounds, config.min_sep)
-    return ParticipationSchema(config.rounds, config.min_sep, k)
-
-
-def configured_sensitivity(config: TrainConfig) -> float:
-    """Clip-normalized sensitivity of the configured mechanism and schema."""
-    c = blt_coefs(config.mechanism, config.rounds)
-    return toeplitz_sensitivity(c, _configured_schema(config))
-
-
 def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult:
     """The full training loop; returns logs and realized-schema accounting.
 
     rho_so_far in the metrics log re-accounts the rounds released so far
     against the participation actually observed (min gap and max count),
     mirroring deployment practice where min-sep is only known after the
-    fact. The min-separation audit is asserted on the final log.
+    fact; the last round's entry is the whole run's. The min-separation
+    audit is asserted on the final log. The population is only read: the
+    participation ledger lives here.
     """
     ss = np.random.SeedSequence(config.seed)
     ss_cohort, ss_noise = ss.spawn(2)
     cohort_rng = np.random.default_rng(ss_cohort)
 
-    population.last_round[:] = -(10**9)
     dim = population.dim
     # validated once by the configured sensitivity; the realized
     # sensitivities below read prefixes of it, which stay valid
     c_full = blt_coefs(config.mechanism, config.rounds)
-    sens = toeplitz_sensitivity(c_full, _configured_schema(config))
+    k_conf = config.est_max_part
+    if k_conf is None:
+        k_conf = max_participations(config.rounds, config.min_sep)
+    sens = toeplitz_sensitivity(c_full, ParticipationSchema(config.rounds, config.min_sep, k_conf))
     sigma_zeta = 0.0
     if config.noise_multiplier > 0:  # 0 * inf is NaN for an unclipped noiseless run
         sigma_zeta = config.noise_multiplier * sens * config.clip_norm
@@ -346,15 +321,16 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
         model=np.zeros(dim), momentum_buf=np.zeros(dim), noise_state=noise_state
     )
 
+    # the participation ledger: each client's latest round, far negative before its first
+    last_round = np.full(population.n_clients, -(10**9), dtype=np.int64)
     counts = np.zeros(population.n_clients, dtype=np.int64)
-    prev_round = np.full(population.n_clients, -1, dtype=np.int64)
     min_gap = math.inf
     k_real = 0
     metrics = []
     participation = []
     for t in range(config.rounds):
         cohort = select_cohort(
-            population, t, config.clients_per_round, config.min_sep, cohort_rng
+            last_round, t, config.clients_per_round, config.min_sep, cohort_rng
         )
         deltas = client_update(
             state.model,
@@ -368,15 +344,15 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
         )
         delta_sum = deltas.sum(axis=0)  # row by row, in cohort order
         participation.extend((t, cid) for cid in cohort.tolist())
-        returning = prev_round[cohort]
+        returning = last_round[cohort]
         returning = returning[returning >= 0]
         if returning.size:
             min_gap = min(min_gap, t - int(returning.max()))
-        prev_round[cohort] = t
+        last_round[cohort] = t
         counts[cohort] += 1  # cohort ids are unique
         k_real = max(k_real, int(counts[cohort].max()))
 
-        state = server_round(state, delta_sum, config.clients_per_round, config)
+        state = server_round(state, delta_sum, config)
 
         b_real = int(min_gap) if math.isfinite(min_gap) else t + 1
         sens_real = float(
@@ -394,21 +370,13 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
         )
 
     _audit_min_sep(participation, config.min_sep)
-    realized_k = k_real
-    realized_b = int(min_gap) if math.isfinite(min_gap) else config.rounds
-    sens_real = float(
-        _shifted_sum_norm(c_full, ParticipationSchema(config.rounds, realized_b, realized_k))
-    )
-    rho_realized = (
-        zcdp_of(sens_real * config.clip_norm, sigma_zeta) if sigma_zeta > 0 else math.inf
-    )
     return SimResult(
         metrics=metrics,
         participation=participation,
         final_model=state.model,
-        realized_b=realized_b,
-        realized_k=realized_k,
-        rho_realized=rho_realized,
+        realized_b=b_real,
+        realized_k=k_real,
+        rho_realized=rho,
         sens_configured=sens,
         sigma_zeta=sigma_zeta,
     )

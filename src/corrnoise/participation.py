@@ -111,14 +111,11 @@ def _blt_sensitivity(theta, omega, schema: ParticipationSchema):
     return np.sqrt(total)
 
 
-def toeplitz_sensitivity(
-    c, schema: ParticipationSchema, clip_norm: float = 1.0
-) -> float:
-    """Exact sensitivity of LtToep(c) in O(k n).
+def toeplitz_sensitivity(c, schema: ParticipationSchema) -> float:
+    """Exact sensitivity of LtToep(c) in O(k n), per unit clip norm.
 
     Builds cbar = sum_{i<k} shift(c, i*b) truncated to n and returns
-    clip_norm * ||cbar||_2. Valid for non-negative non-increasing c
-    (validated); the clip norm enters as a linear factor.
+    ||cbar||_2. Valid for non-negative non-increasing c (validated).
     """
     c = np.asarray(c, dtype=float)
     n = schema.n
@@ -126,13 +123,11 @@ def toeplitz_sensitivity(
         raise ValueError(f"need at least n={n} coefficients, got {c.shape[0]}")
     c = c[:n]
     _validate_toeplitz_column(c)
-    return clip_norm * float(_shifted_sum_norm(c, schema))
+    return float(_shifted_sum_norm(c, schema))
 
 
-def matrix_sensitivity_lower_bound(
-    C, schema: ParticipationSchema, clip_norm: float = 1.0
-) -> float:
-    """||C u(pi*)||_2: sensitivity lower bound for a dense strategy.
+def matrix_sensitivity_lower_bound(C, schema: ParticipationSchema) -> float:
+    """||C u(pi*)||_2: sensitivity lower bound for a dense strategy, per unit clip norm.
 
     C may have any row count; columns index rounds (binary-tree strategies
     are taller than n). The bound is exact when the front-loaded pattern
@@ -144,4 +139,4 @@ def matrix_sensitivity_lower_bound(
     idx = worst_case_pattern(schema)
     u = np.zeros(n)
     u[idx[idx < n]] = 1.0
-    return clip_norm * float(np.linalg.norm(C @ u))
+    return float(np.linalg.norm(C @ u))

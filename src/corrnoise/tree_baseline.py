@@ -133,12 +133,15 @@ def tree_loss_fn(n: int, noise_multiplier: float = 1.0):
 
     The errors do not depend on the schema: the first call takes them at
     the evaluation horizon, and every call then computes only the
-    sensitivity. Nothing runs until the first call.
+    sensitivity. Nothing runs until the first call; the schema's n must
+    equal ``n``.
     """
     evaluated = None  # (horizon, max_error, rms_error) after the first call
 
     def loss(schema: ParticipationSchema) -> MechanismLoss:
         nonlocal evaluated
+        if schema.n != n:
+            raise ValueError(f"schema has n = {schema.n}, evaluator has n = {n}")
         if evaluated is None:
             h = tree_eval_horizon(n)
             evaluated = (h, *_tree_errors(h))
@@ -149,10 +152,8 @@ def tree_loss_fn(n: int, noise_multiplier: float = 1.0):
     return loss
 
 
-def eval_tree(
-    n: int, schema: ParticipationSchema, noise_multiplier: float = 1.0
-) -> MechanismLoss:
-    """Loss bundle for full-decoded tree aggregation.
+def eval_tree(schema: ParticipationSchema, noise_multiplier: float = 1.0) -> MechanismLoss:
+    """Loss bundle for full-decoded tree aggregation over the schema's n rounds.
 
     When n is not a power of two the evaluation horizon drops to the
     largest complete tree below n (see ``tree_eval_horizon``); the
@@ -160,7 +161,7 @@ def eval_tree(
     Sensitivity is the front-loaded-pattern lower bound, flagged as such
     (empirically tight for trees at enumerable sizes, but not proven).
     """
-    return tree_loss_fn(n, noise_multiplier)(schema)
+    return tree_loss_fn(schema.n, noise_multiplier)(schema)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ class TestCriterion2SingleParticipationFit:
 
 class TestCriterion3TreeBaseline:
     def test_full_decoded_tree_reference_losses(self):
-        bundle = eval_tree(2052, REFERENCE_SCHEMA)
+        bundle = eval_tree(REFERENCE_SCHEMA)
         assert bundle.max_loss == pytest.approx(14.98, abs=0.15)
         assert bundle.rms_loss == pytest.approx(12.47, abs=0.13)
 

@@ -179,7 +179,7 @@ class TestOptimizeBlt:
         res = optimize_blt(OptimizerConfig(schema=SCHEMA, d=2, restarts=3, seed=0))
         assert res.converged
         res.params.validate()  # strict feasibility of the reported optimum
-        tree = eval_tree(SCHEMA.n, SCHEMA)
+        tree = eval_tree(SCHEMA)
         ident = np.zeros(SCHEMA.n)
         ident[0] = 1.0
         identity = toeplitz_mechanism_loss(ident, SCHEMA)

@@ -357,7 +357,7 @@ class TestSweep:
             row = line.split(",")
             schema = ParticipationSchema(n, int(row[2]), int(row[3]))
             if row[0] == "tree":
-                ref = eval_tree(n, schema, nm)
+                ref = eval_tree(schema, nm)
             else:
                 ref = blt_mechanism_loss(MECH, schema, nm)
             assert row[4:] == [
@@ -406,7 +406,7 @@ class TestSweep:
         assert len(rows) == 3
         for line in rows:
             row = line.split(",")
-            ref = eval_tree(n, ParticipationSchema(n, int(row[2]), int(row[3])))
+            ref = eval_tree(ParticipationSchema(n, int(row[2]), int(row[3])))
             assert row[4:] == [
                 repr(ref.sens), repr(ref.max_error), repr(ref.rms_error),
                 repr(ref.max_loss), repr(ref.rms_loss), ref.sens_method, "ok",

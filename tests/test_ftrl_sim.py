@@ -6,6 +6,7 @@ module; here the contract is trajectory-level (bitwise zero-noise
 equality, determinism, audits) plus per-operation closed forms.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -22,7 +23,6 @@ from corrnoise.ftrl_sim import (
     TrainConfig,
     _audit_min_sep,
     client_update,
-    configured_sensitivity,
     eval_model,
     make_population,
     run_training,
@@ -45,6 +45,11 @@ def small_population(task="linear", seed=1, n_clients=40):
         eval_samples=128,
         seed=seed,
     )
+
+
+def fresh_ledger(n_clients):
+    """The ledger ``run_training`` starts from: no client has participated."""
+    return np.full(n_clients, -(10**9), dtype=np.int64)
 
 
 def config(**kw):
@@ -97,34 +102,36 @@ class TestPopulation:
 
 class TestSelectCohort:
     def test_all_clients_eligible_at_start(self):
-        pop = small_population(n_clients=10)
+        ledger = fresh_ledger(10)
         rng = np.random.default_rng(0)
-        picked = select_cohort(pop, 0, 10, 1, rng)
+        picked = select_cohort(ledger, 0, 10, 1, rng)
         np.testing.assert_array_equal(picked, np.arange(10))
+        np.testing.assert_array_equal(ledger, fresh_ledger(10))  # only read
 
     def test_rest_period_enforced(self):
-        pop = small_population(n_clients=6)
+        ledger = fresh_ledger(6)
         rng = np.random.default_rng(0)
-        picked0 = select_cohort(pop, 0, 3, 2, rng)
-        picked1 = select_cohort(pop, 1, 3, 2, rng)
+        picked0 = select_cohort(ledger, 0, 3, 2, rng)
+        ledger[picked0] = 0
+        picked1 = select_cohort(ledger, 1, 3, 2, rng)
+        ledger[picked1] = 1
         assert set(picked0) & set(picked1) == set()
         # at t=2 the first cohort is rested again
-        picked2 = select_cohort(pop, 2, 3, 2, rng)
+        picked2 = select_cohort(ledger, 2, 3, 2, rng)
         assert set(picked2) == set(picked0)
 
     def test_starvation_pigeonhole(self):
         # 3 clients, cohort of 2, rest 2: round 1 has only 1 eligible
-        pop = small_population(n_clients=3)
+        ledger = fresh_ledger(3)
         rng = np.random.default_rng(0)
-        select_cohort(pop, 0, 2, 2, rng)
+        ledger[select_cohort(ledger, 0, 2, 2, rng)] = 0
         with pytest.raises(StarvationError) as exc:
-            select_cohort(pop, 1, 2, 2, rng)
+            select_cohort(ledger, 1, 2, 2, rng)
         assert exc.value.round_idx == 1
 
     def test_cohort_is_sorted(self):
-        pop = small_population()
         rng = np.random.default_rng(3)
-        picked = select_cohort(pop, 0, 8, 1, rng)
+        picked = select_cohort(fresh_ledger(40), 0, 8, 1, rng)
         assert np.all(np.diff(picked) > 0)
 
 
@@ -207,9 +214,9 @@ class TestStackedClientUpdate:
         seen = []
         orig = sim.server_round
 
-        def spy(state, delta_sum, m_clients, cfg, noise_row=None):
+        def spy(state, delta_sum, cfg, noise_row=None):
             seen.append((state.model.copy(), delta_sum.copy()))
-            return orig(state, delta_sum, m_clients, cfg, noise_row)
+            return orig(state, delta_sum, cfg, noise_row)
 
         monkeypatch.setattr(sim, "server_round", spy)
         r = run_training(cfg, pop)
@@ -240,11 +247,10 @@ class TestServerRound:
             model=np.array([1.0, 2.0]), momentum_buf=np.array([0.5, 0.0]), noise_state=None
         )
         cfg = config(clients_per_round=2, server_lr=0.1, momentum=0.5)
-        new = server_round(state, np.array([4.0, 8.0]), 2, cfg)
+        new = server_round(state, np.array([4.0, 8.0]), cfg)
         # P = 0.5*buf + delta/m = (0.25,0)+(2,4); y = y + 0.1*P
         np.testing.assert_allclose(new.momentum_buf, [2.25, 4.0])
         np.testing.assert_allclose(new.model, [1.225, 2.4])
-        assert new.round == 1
 
     def test_server_opt_sees_only_privatized_sum(self, monkeypatch):
         # canary: the optimizer input must equal delta_sum + decoded noise,
@@ -254,9 +260,9 @@ class TestServerRound:
         seen = {}
         orig = sim._server_opt
 
-        def spy(model, buf, delta_tilde, m, lr, beta):
+        def spy(model, buf, delta_tilde, cfg):
             seen["delta_tilde"] = delta_tilde.copy()
-            return orig(model, buf, delta_tilde, m, lr, beta)
+            return orig(model, buf, delta_tilde, cfg)
 
         monkeypatch.setattr(sim, "_server_opt", spy)
         noise_state = make_noise_generator(MECH, m=2, noise_std=1.0, seed=9)
@@ -265,7 +271,7 @@ class TestServerRound:
         )
         delta_sum = np.array([100.0, -50.0])
         canary = np.array([3.0, 4.0])
-        server_round(state, delta_sum, 2, config(), noise_row=canary)
+        server_round(state, delta_sum, config(), noise_row=canary)
         np.testing.assert_array_equal(seen["delta_tilde"], delta_sum + canary)
 
 
@@ -301,7 +307,8 @@ class TestTrainConfig:
 class TestConfiguredSensitivity:
     def test_independent_noise_is_sqrt_k(self):
         cfg = config(mechanism=None, rounds=12, min_sep=3)  # k = 4
-        assert configured_sensitivity(cfg) == pytest.approx(2.0, rel=1e-14)
+        sens = run_training(cfg, small_population()).sens_configured
+        assert sens == pytest.approx(2.0, rel=1e-14)
 
     def test_blt_matches_library_value(self):
         from corrnoise.blt_core import blt_coefs
@@ -309,7 +316,8 @@ class TestConfiguredSensitivity:
 
         cfg = config(mechanism=MECH, rounds=12, min_sep=3)
         expect = toeplitz_sensitivity(blt_coefs(MECH, 12), ParticipationSchema(12, 3, 4))
-        assert configured_sensitivity(cfg) == pytest.approx(expect, rel=1e-14)
+        sens = run_training(cfg, small_population()).sens_configured
+        assert sens == pytest.approx(expect, rel=1e-14)
 
 
 class TestRunTraining:
@@ -328,6 +336,18 @@ class TestRunTraining:
         np.testing.assert_array_equal(ra.final_model, rb.final_model)
         assert ra.metrics == rb.metrics
         assert ra.participation == rb.participation
+
+    def test_population_is_left_byte_equal(self):
+        # the participation ledger belongs to the run, not to the population
+        pop = small_population()
+        arrays = {
+            f.name: getattr(pop, f.name).tobytes()
+            for f in dataclasses.fields(pop)
+            if isinstance(getattr(pop, f.name), np.ndarray)
+        }
+        run_training(config(mechanism=MECH, noise_multiplier=0.4), pop)
+        for name, before in arrays.items():
+            assert getattr(pop, name).tobytes() == before, name
 
     def test_logs_have_expected_shape(self):
         pop = small_population()
@@ -365,7 +385,8 @@ class TestRunTraining:
         rho = [m["rho_so_far"] for m in r.metrics]
         assert all(np.isfinite(rho))
         assert all(b >= a - 1e-12 for a, b in zip(rho, rho[1:]))  # non-decreasing
-        assert r.rho_realized == pytest.approx(rho[-1])
+        # the last round's realized accounting is the whole run's
+        assert r.rho_realized == rho[-1]
 
     def test_zero_noise_reports_infinite_rho(self):
         pop = small_population()

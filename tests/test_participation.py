@@ -77,12 +77,6 @@ class TestToeplitzSensitivity:
         with pytest.raises(ValueError):
             toeplitz_sensitivity(np.ones(3), ParticipationSchema(4, 2, 2))
 
-    def test_clip_norm_scales_linearly(self):
-        c = np.array([1.0, 0.5, 0.2])
-        s1 = toeplitz_sensitivity(c, ParticipationSchema(3, 1, 3))
-        s2 = toeplitz_sensitivity(c, ParticipationSchema(3, 1, 3), clip_norm=2.5)
-        assert s2 == pytest.approx(2.5 * s1, rel=1e-15)
-
 
 class TestPatternEnumeration:
     def test_small_catalog(self):

@@ -1,6 +1,7 @@
 """Static checks on the package source, stdlib ``ast`` only.
 
-No unused module-level imports, no module-level private name and no
+No unused module-level imports, no module-level def, class or constant
+that nothing names again (unless ``corrnoise.__all__`` exports it), no
 function parameter that nothing reads, a public namespace whose every
 name resolves, the test-only oracles kept out of the package, and no
 scipy module on import: the package needs numpy alone.
@@ -125,7 +126,8 @@ def _reads(tree):
     return names
 
 
-def _module_level_private_names(tree):
+def _module_level_names(tree):
+    """(name, line) of every def, class and constant at module level, bar dunders."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -135,20 +137,21 @@ def _module_level_private_names(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not (name.startswith("__") and name.endswith("__")):
                 yield name, node.lineno
 
 
-def test_module_level_private_names_are_used():
+def test_module_level_names_are_named_again_or_exported():
+    # a private name nothing reads is dead, and so is a public def only tests call
     trees = {path.name: _parse(path) for path in MODULES}
-    read = set().union(*map(_reads, trees.values()))
-    unused = sorted(
+    named = set().union(*map(_reads, trees.values())) | set(corrnoise.__all__)
+    orphans = sorted(
         f"{file}: {name} (line {line})"
         for file, tree in trees.items()
-        for name, line in _module_level_private_names(tree)
-        if name not in read
+        for name, line in _module_level_names(tree)
+        if name not in named
     )
-    assert unused == [], f"private names nothing in src uses: {unused}"
+    assert orphans == [], f"module-level names nothing in src names again: {orphans}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -25,6 +25,7 @@ from corrnoise.tree_baseline import (
     full_decoder,
     load_strategy_matrix,
     tree_eval_horizon,
+    tree_loss_fn,
 )
 
 
@@ -129,7 +130,7 @@ class TestEvalTree:
     def test_reference_schema_regression(self):
         # deterministic construction: values pinned from this implementation,
         # consistent with the published comparison row
-        bundle = eval_tree(2052, ParticipationSchema(2052, 342, 6))
+        bundle = eval_tree(ParticipationSchema(2052, 342, 6))
         assert bundle.sens == pytest.approx(np.sqrt(118.0), rel=1e-12)
         assert bundle.max_error == pytest.approx(1.3791051582881841, rel=1e-9)
         assert bundle.rms_error == pytest.approx(1.1482432515934156, rel=1e-9)
@@ -139,19 +140,31 @@ class TestEvalTree:
 
     def test_single_participation_power_of_two(self):
         # at n=16, k=1 the worst column participates in 5 levels: sens sqrt(5)
-        bundle = eval_tree(16, ParticipationSchema(16, 16, 1))
+        bundle = eval_tree(ParticipationSchema(16, 16, 1))
         assert bundle.sens == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
     def test_noise_multiplier_passthrough(self):
         s = ParticipationSchema(64, 16, 4)
-        a = eval_tree(64, s)
-        b = eval_tree(64, s, noise_multiplier=3.0)
+        a = eval_tree(s)
+        b = eval_tree(s, noise_multiplier=3.0)
         assert b.max_loss == pytest.approx(3.0 * a.max_loss, rel=1e-14)
 
     def test_schema_on_bundle_is_the_requested_one(self):
         s = ParticipationSchema(100, 10, 10)
-        bundle = eval_tree(100, s)
+        bundle = eval_tree(s)
         assert bundle.schema == s  # horizon capping is internal
+
+    def test_evaluator_rejects_schema_of_another_horizon(self):
+        # evaluated at n = 64, a 128-round schema would read sens 6.63
+        # against 12.33 at its own n: an under-reported sensitivity
+        loss_fn = tree_loss_fn(64)
+        s = ParticipationSchema(64, 16, 4)
+        assert loss_fn(s) == eval_tree(s)
+        with pytest.raises(ValueError, match="schema has n = 128"):
+            loss_fn(ParticipationSchema(128, 16, 8))
+        assert eval_tree(ParticipationSchema(128, 16, 8)).sens == pytest.approx(
+            math.sqrt(152.0), rel=1e-12
+        )
 
 
 class TestMatrixContainer:
