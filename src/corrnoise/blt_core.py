@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -253,8 +255,11 @@ def blt_inverse_coefs(params: BltParams, n: int) -> np.ndarray:
 
 
 # columns per fused pass of ``stream_mult_inverse``: a d x _CHUNK slice of
-# the buffers (512 KB at d = 4) stays in L2 from the draw to the update
+# the buffers (512 KB at d = 4) stays in L2 through the update
 _CHUNK = 1 << 14
+# chunks per block of input that one call fills: the caller fills the first
+# block of a round, a helper thread the later ones ahead of the recurrence
+_BLOCK_CHUNKS = 4
 
 
 @dataclass
@@ -268,7 +273,9 @@ class NoiseGeneratorState:
     that ``make_noise_generator`` seeds. Every round is elementwise ufunc
     arithmetic in a fixed order, with no BLAS call, so identical seeds
     give bitwise-identical streams on every numpy build. A round
-    allocates one m-length array, the row it returns.
+    allocates one m-length array, the row it returns. A round wider than
+    one block fills its later blocks on one helper thread, joined before
+    the round returns; during a round nothing else may use ``rng``.
     ``buffers``, ``round`` and ``rng.bit_generator.state`` form a checkpoint:
     copied into a fresh ``make_noise_generator`` state for the same params
     and m, they continue the stream bit for bit.
@@ -300,6 +307,9 @@ def make_noise_generator(
         raise ValueError("m must be >= 1")
     if not 0.0 <= noise_std < math.inf:  # NaN fails too
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    # Philox takes any non-negative integer; 1.5 would silently become 1
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     return NoiseGeneratorState(
         params=params,
         buffers=np.zeros((params.d, m)),
@@ -308,6 +318,17 @@ def make_noise_generator(
         max_rounds=max_rounds,
         rng=np.random.Generator(np.random.Philox(int(seed))),
     )
+
+
+def _fill(zhat, lo, hi, state, z):
+    """Columns lo..hi of a round's input into ``zhat``: drawn in place, or copied from z."""
+    out = zhat[lo:hi]
+    if z is None:
+        state.rng.standard_normal(out=out)
+        out *= state.noise_std
+        out += 0.0  # normal(0, s) is 0 + s*z: a zero-noise row is +0.0, not -0.0
+    else:
+        out[...] = z[lo:hi]
 
 
 def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
@@ -320,17 +341,24 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
         Zhat_t = Z_t - omega_0 S_{t-1,0} - ... - omega_{d-1} S_{t-1,d-1}
         S_t    = diag(theta) S_{t-1} + outer(1_d, Zhat_t)
 
-    Zhat_t is row t of C^-1 Z. The round is one pass over column chunks of
-    ``_CHUNK``: each chunk's Gaussians are drawn into the output row, the
-    buffer rows are subtracted in the order above, and the chunk's buffers
-    are updated while they are still in cache. Elementwise arithmetic in
-    that fixed order makes the bits independent of the chunk width and of
-    the BLAS build, and chunked draws equal one ``normal(0, noise_std,
-    size=m)`` draw, so the Philox state after the round is the same too.
-    O(d*m) per round; the returned row is the only m-length allocation.
-    The state is mutated in place and returned for convenience. A supplied
-    row with the wrong shape, NaN or Inf is rejected before the state
-    changes.
+    Zhat_t is row t of C^-1 Z. The input is filled into the output row in
+    blocks of ``_BLOCK_CHUNKS`` chunks (Gaussians drawn in place, or a copy
+    of the supplied row), in column order. The caller fills the first
+    block; if there are more, one helper thread fills them while the
+    caller runs the recurrence chunk by chunk behind it, waiting only when
+    it catches up. Both stages release the GIL, so on two cores the round
+    costs about the draw alone. Per chunk of ``_CHUNK`` columns the buffer
+    rows are subtracted in the order above, and the chunk's buffers are
+    updated while they are still in cache. Elementwise arithmetic in that
+    fixed order makes the bits independent of the chunk and block widths
+    and of the BLAS build, and draws made in order equal one
+    ``normal(0, noise_std, size=m)`` draw, so the Philox state after the
+    round is the same too. The helper is joined before the round returns
+    or raises, and an error in it is raised here; the caller must not use
+    ``state.rng`` while a round runs. O(d*m) per round; the returned row
+    is the only m-length allocation. The state is mutated in place and
+    returned for convenience. A supplied row with the wrong shape, NaN or
+    Inf is rejected before the state changes.
     """
     if state.max_rounds is not None and state.round >= state.max_rounds:
         raise RuntimeError(
@@ -340,6 +368,7 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
         )
     S = state.buffers
     m = S.shape[1]
+    z = None
     if input_row is not None:
         z = np.asarray(input_row, dtype=float)
         if z.shape != (m,):
@@ -349,21 +378,41 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
     theta = state.params.theta[:, None]
     omega = state.params.omega.tolist()
     zhat = np.empty(m)
-    prod = np.empty(min(m, _CHUNK))
-    for lo in range(0, m, _CHUNK):
-        out, S_c = zhat[lo : lo + _CHUNK], S[:, lo : lo + _CHUNK]
-        tmp = prod[: out.shape[0]]
-        if input_row is None:
-            state.rng.standard_normal(out=out)
-            out *= state.noise_std
-            out += 0.0  # normal(0, s) is 0 + s*z: a zero-noise row is +0.0, not -0.0
-        else:
-            out[...] = z[lo : lo + _CHUNK]
-        for w, S_j in zip(omega, S_c):
-            np.multiply(S_j, w, out=tmp)
-            out -= tmp
-        S_c *= theta
-        S_c += out
+    block = _BLOCK_CHUNKS * _CHUNK
+    _fill(zhat, 0, block, state, z)
+    helper = None
+    if m > block:
+        filled = threading.Semaphore(0)  # one release per later block
+        failed = []
+
+        def fill_rest():
+            try:
+                for lo in range(block, m, block):
+                    _fill(zhat, lo, lo + block, state, z)
+                    filled.release()
+            except BaseException as exc:  # raised again by the caller
+                failed.append(exc)
+                filled.release()
+
+        helper = threading.Thread(target=fill_rest, name="corrnoise-noise-fill")
+        helper.start()
+    try:
+        prod = np.empty(min(m, _CHUNK))
+        for lo in range(0, m, _CHUNK):
+            if lo and not lo % block:
+                filled.acquire()
+                if failed:
+                    raise failed[0]
+            out, S_c = zhat[lo : lo + _CHUNK], S[:, lo : lo + _CHUNK]
+            tmp = prod[: out.shape[0]]
+            for w, S_j in zip(omega, S_c):
+                np.multiply(S_j, w, out=tmp)
+                out -= tmp
+            S_c *= theta
+            S_c += out
+    finally:
+        if helper is not None:
+            helper.join()
     state.round += 1
     return zhat, state
 

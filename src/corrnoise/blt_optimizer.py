@@ -31,6 +31,7 @@ bracket and the search bisects toward it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,8 @@ class OptimizerConfig:
             raise ValueError("d must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass

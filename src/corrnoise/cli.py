@@ -61,6 +61,14 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    """argparse type: an int >= 0, so a negative seed exits with usage."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text):
     """argparse type: a finite float > 0, so NaN and negative multipliers exit with usage."""
     value = float(text)
@@ -330,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buffers", type=_positive_int, default=3, help="decay buffers d")
     p.add_argument("--objective", choices=("max", "rms"), default="max")
     p.add_argument("--restarts", type=_positive_int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", type=str, default=None, help="write params JSON here")
     p.set_defaults(func=cmd_optimize)
 
@@ -361,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=_positive_int, required=True)
     p.add_argument("--dim", type=_positive_int, default=1)
     p.add_argument("--noise-std", type=_nonnegative_float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_noisegen, parser=p)
 

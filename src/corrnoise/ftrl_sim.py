@@ -21,6 +21,7 @@ participations actually observed), not just the configured estimate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,6 +99,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.est_max_part is not None and self.est_max_part < 1:
             raise ValueError("est_max_part must be >= 1 (or None for the worst case)")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         # written so that NaN fails too: a NaN sigma_zeta would train noiselessly
         if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")

@@ -7,6 +7,10 @@ anchors.
 """
 
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -266,27 +270,29 @@ class TestStreaming:
             stream_mult_inverse(a)
 
     @pytest.mark.parametrize("supplied", [False, True], ids=["philox", "supplied"])
-    def test_resume_from_checkpoint_is_bit_identical(self, supplied, rng):
+    def test_resume_from_checkpoint_is_bit_identical(self, monkeypatch, supplied, rng):
+        monkeypatch.setattr(blt_core, "_CHUNK", 16)  # blocks of 64 columns
         p = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
-        rows = list(rng.normal(size=(10, 3))) if supplied else [None] * 10
+        for m in (3, 229):  # one block, and several with the helper thread
+            rows = list(rng.normal(size=(10, m))) if supplied else [None] * 10
 
-        def fresh(seed):
-            return make_noise_generator(p, m=3, noise_std=1.5, seed=seed, max_rounds=10)
+            def fresh(seed):
+                return make_noise_generator(p, m=m, noise_std=1.5, seed=seed, max_rounds=10)
 
-        whole = fresh(42)
-        expect = np.stack([stream_mult_inverse(whole, rows[t])[0] for t in range(10)])
-        first = fresh(42)
-        head = [stream_mult_inverse(first, rows[t])[0] for t in range(5)]
-        checkpoint = (first.buffers.copy(), first.round, first.rng.bit_generator.state)
-        # a different seed shows the restored Philox state, not the seed, drives it
-        resumed = fresh(7)
-        resumed.buffers[...] = checkpoint[0]
-        resumed.round = checkpoint[1]
-        resumed.rng.bit_generator.state = checkpoint[2]
-        tail = [stream_mult_inverse(resumed, rows[t])[0] for t in range(5, 10)]
-        np.testing.assert_array_equal(np.stack(head + tail), expect)
-        with pytest.raises(RuntimeError):  # the restored round keeps the horizon
-            stream_mult_inverse(resumed)
+            whole = fresh(42)
+            expect = np.stack([stream_mult_inverse(whole, rows[t])[0] for t in range(10)])
+            first = fresh(42)
+            head = [stream_mult_inverse(first, rows[t])[0] for t in range(5)]
+            checkpoint = (first.buffers.copy(), first.round, first.rng.bit_generator.state)
+            # a different seed shows the restored Philox state, not the seed, drives it
+            resumed = fresh(7)
+            resumed.buffers[...] = checkpoint[0]
+            resumed.round = checkpoint[1]
+            resumed.rng.bit_generator.state = checkpoint[2]
+            tail = [stream_mult_inverse(resumed, rows[t])[0] for t in range(5, 10)]
+            np.testing.assert_array_equal(np.stack(head + tail), expect)
+            with pytest.raises(RuntimeError):  # the restored round keeps the horizon
+                stream_mult_inverse(resumed)
 
     def test_identity_stream_passes_rows_through(self, rng):
         state = make_noise_generator(IDENTITY_MECHANISM, m=3, noise_std=1.0)
@@ -299,6 +305,12 @@ class TestStreaming:
     def test_bad_noise_std_rejected(self, bad):
         with pytest.raises(ValueError, match="noise_std"):
             make_noise_generator(IDENTITY_MECHANISM, m=2, noise_std=bad)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_bad_seed_rejected(self, bad):
+        # numpy rejects -1 with its own error, and Philox(int(1.5)) was seed 1
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            make_noise_generator(IDENTITY_MECHANISM, m=2, noise_std=1.0, seed=bad)
 
     def test_input_row_shape_check(self):
         p = BltParams(np.array([0.7]), np.array([0.3]))
@@ -340,10 +352,40 @@ def _philox_state(gen):
     return repr(gen.bit_generator.state)
 
 
+class _FailingRng:
+    """Passes draws on to ``rng`` until draw number ``fail_at``, which raises."""
+
+    def __init__(self, rng, fail_at):
+        self.rng, self.fail_at, self.calls, self.failed_on = rng, fail_at, 0, None
+
+    def standard_normal(self, out):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            self.failed_on = threading.current_thread()
+            raise RuntimeError("draw failed")
+        return self.rng.standard_normal(out=out)
+
+
+class _CountingThread(threading.Thread):
+    """``threading.Thread`` that counts its starts and joins."""
+
+    starts = joins = 0
+
+    def start(self):
+        type(self).starts += 1
+        super().start()
+
+    def join(self, timeout=None):
+        type(self).joins += 1
+        super().join(timeout)
+
+
 class TestFusedRound:
-    """The chunked round: its bits, its Philox draws and its allocation."""
+    """The chunked round: its bits, its Philox draws, its helper thread and its allocation."""
 
     CHUNK = 16
+    BLOCK = blt_core._BLOCK_CHUNKS * CHUNK
+    MULTI_BLOCK = 3 * BLOCK + 37
 
     def _stream(self, monkeypatch, chunk, d, m, supplied):
         """Rows, final buffers and per-round Philox states of a four-round stream."""
@@ -359,8 +401,10 @@ class TestFusedRound:
     @pytest.mark.parametrize("supplied", [False, True], ids=["philox", "supplied"])
     @pytest.mark.parametrize("d", [0, 1, 4])
     @pytest.mark.parametrize(
-        "m", [1, 5, CHUNK, CHUNK + 1, 5 * CHUNK + 3],
-        ids=["m1", "below-chunk", "chunk", "chunk-plus-1", "odd-multi-chunk"],
+        "m",
+        [1, 5, CHUNK, CHUNK + 1, 5 * CHUNK + 3, BLOCK, BLOCK + 1, MULTI_BLOCK],
+        ids=["m1", "below-chunk", "chunk", "chunk-plus-1", "odd-multi-chunk",
+             "block", "block-plus-1", "odd-multi-block"],
     )
     def test_bits_independent_of_chunk_width(self, monkeypatch, m, d, supplied):
         ref = self._stream(monkeypatch, m, d, m, supplied)  # one chunk
@@ -370,21 +414,36 @@ class TestFusedRound:
             assert got[1].tobytes() == ref[1].tobytes()
             assert got[2] == ref[2]
 
+    @pytest.mark.parametrize("supplied", [False, True], ids=["philox", "supplied"])
+    def test_bits_hold_under_fast_thread_switching(self, monkeypatch, supplied):
+        # a recurrence that ran ahead of its helper would read unfilled columns
+        ref = self._stream(monkeypatch, self.MULTI_BLOCK, 4, self.MULTI_BLOCK, supplied)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):  # blocks of 4 columns: 58 per round
+                got = self._stream(monkeypatch, 1, 4, self.MULTI_BLOCK, supplied)
+                assert got[0].tobytes() == ref[0].tobytes()
+                assert got[1].tobytes() == ref[1].tobytes()
+                assert got[2] == ref[2]
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("noise_std", [1.5, 0.0])
     @pytest.mark.parametrize("d", [0, 4])
     def test_philox_state_follows_one_normal_draw_per_round(
         self, monkeypatch, d, noise_std
     ):
         monkeypatch.setattr(blt_core, "_CHUNK", self.CHUNK)
-        m = 5 * self.CHUNK + 3
-        state = make_noise_generator(STREAM_PARAMS[d], m=m, noise_std=noise_std, seed=4)
-        twin = np.random.Generator(np.random.Philox(4))
-        for t in range(5):
-            row = stream_mult_inverse(state)[0]
-            draw = twin.normal(0.0, noise_std, size=m)
-            assert _philox_state(state.rng) == _philox_state(twin)
-            if t == 0:  # zero buffers: the first row is the draw, signed zeros too
-                assert row.tobytes() == draw.tobytes()
+        for m in (5 * self.CHUNK + 3, self.BLOCK + 1, self.MULTI_BLOCK):
+            state = make_noise_generator(STREAM_PARAMS[d], m=m, noise_std=noise_std, seed=4)
+            twin = np.random.Generator(np.random.Philox(4))
+            for t in range(5):
+                row = stream_mult_inverse(state)[0]
+                draw = twin.normal(0.0, noise_std, size=m)
+                assert _philox_state(state.rng) == _philox_state(twin)
+                if t == 0:  # zero buffers: the first row is the draw, signed zeros too
+                    assert row.tobytes() == draw.tobytes()
 
     @pytest.mark.parametrize("m", [1, 7, 20, 1000])
     def test_within_rounding_of_matrix_product_form(self, monkeypatch, m):
@@ -397,6 +456,61 @@ class TestFusedRound:
             row = stream_mult_inverse(state)[0]
             expect = stream_mult_inverse_gemv(params, S, twin.normal(0.0, 1.0, size=m))
             assert np.max(np.abs(row - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """Count the threads started and joined from here on."""
+        monkeypatch.setattr(blt_core, "_CHUNK", self.CHUNK)
+        monkeypatch.setattr(threading, "Thread", _CountingThread)
+        monkeypatch.setattr(_CountingThread, "starts", 0)
+        monkeypatch.setattr(_CountingThread, "joins", 0)
+        return _CountingThread
+
+    @pytest.mark.parametrize("fail_at", [2, 4], ids=["second-block", "last-block"])
+    def test_helper_error_is_raised_and_its_thread_joined(self, threads, fail_at):
+        state = make_noise_generator(
+            STREAM_PARAMS[4], m=self.MULTI_BLOCK, noise_std=1.0, seed=2
+        )
+        state.rng = failing = _FailingRng(state.rng, fail_at)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            stream_mult_inverse(state)
+        assert failing.failed_on is not threading.main_thread()
+        assert (threads.starts, threads.joins) == (1, 1)
+        assert threading.active_count() == before
+        assert state.round == 0
+
+    def test_only_rounds_past_one_block_start_a_thread(self, threads):
+        before = threading.active_count()
+        for m in (1, 20, self.BLOCK):
+            state = make_noise_generator(STREAM_PARAMS[4], m=m, noise_std=1.0, seed=2)
+            stream_mult_inverse(state)
+            stream_mult_inverse(state, np.ones(m))
+        assert threads.starts == 0
+        state = make_noise_generator(STREAM_PARAMS[4], m=self.BLOCK + 1, noise_std=1.0)
+        stream_mult_inverse(state)
+        stream_mult_inverse(state, np.ones(self.BLOCK + 1))
+        assert (threads.starts, threads.joins) == (2, 2)  # one helper per round
+        assert threading.active_count() == before
+
+    def test_import_starts_no_thread(self):
+        # a fresh interpreter that counts every thread started from here on
+        code = (
+            "import threading\n"
+            "starts = []\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda self: (starts.append(self), start(self))\n"
+            "import corrnoise\n"
+            "print(len(starts), threading.active_count())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(blt_core.__file__))},
+        )
+        assert proc.stdout.split() == ["0", "1"]
 
     @pytest.mark.parametrize("supplied", [False, True], ids=["philox", "supplied"])
     def test_round_allocates_one_row(self, supplied):

@@ -174,6 +174,8 @@ class TestOptimizeBlt:
             OptimizerConfig(schema=SCHEMA, d=2, objective="median")
         with pytest.raises(ValueError):
             OptimizerConfig(schema=SCHEMA, d=2, restarts=0)
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerConfig(schema=SCHEMA, d=2, seed=-1)
 
     def test_beats_tree_and_identity_baselines(self):
         res = optimize_blt(OptimizerConfig(schema=SCHEMA, d=2, restarts=3, seed=0))

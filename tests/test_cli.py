@@ -142,6 +142,14 @@ class TestOptimize:
         assert exc.value.code != 0
         assert "usage" in capsys.readouterr().err
 
+    def test_negative_seed_exits_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--n", "64", "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage" in captured.err and "--seed" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--buffers", "--restarts"])
     def test_zero_count_exits_with_usage(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -535,8 +543,9 @@ class TestNoisegen:
     @pytest.mark.parametrize(
         "flag, value",
         [("--noise-std", "nan"), ("--noise-std", "inf"), ("--noise-std", "-1"),
-         ("--dim", "0"), ("--rounds", "0"), ("--rounds", "-3")],
-        ids=["std-nan", "std-inf", "std-negative", "dim-0", "rounds-0", "rounds-negative"],
+         ("--dim", "0"), ("--rounds", "0"), ("--rounds", "-3"), ("--seed", "-1")],
+        ids=["std-nan", "std-inf", "std-negative", "dim-0", "rounds-0", "rounds-negative",
+             "seed-negative"],
     )
     def test_bad_arguments_exit_with_usage(self, flag, value, params_file, capsys):
         argv = {"--rounds": "2", "--dim": "2", "--noise-std": "1.0", flag: value}
@@ -661,8 +670,9 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "training, reason",
         [({"clip_norm": -1}, "clip_norm must be > 0"),
+         ({"seed": -1}, "seed must be an integer >= 0"),
          ({"learning_rate": 0.1}, "unexpected keyword argument 'learning_rate'")],
-        ids=["negative-clip-norm", "unknown-key"],
+        ids=["negative-clip-norm", "negative-seed", "unknown-key"],
     )
     def test_bad_training_block_exits_with_usage(self, training, reason, tmp_path, capsys):
         self.assert_config_exits_with_usage(

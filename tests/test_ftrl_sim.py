@@ -287,6 +287,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=name):
             config(**{name: 0})
 
+    # unchecked, numpy rejects -1 mid-run and would truncate 1.5 to 1
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected_at_construction(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            config(seed=seed)
+
     # unchecked, a NaN sigma_zeta fails "> 0" and the run trains with no noise
     @pytest.mark.parametrize("name", ["noise_multiplier", "clip_norm"])
     def test_nan_rejected_at_construction(self, name):
