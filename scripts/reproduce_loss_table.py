@@ -20,6 +20,7 @@ from corrnoise import (
     eval_tree,
     optimize_blt,
 )
+from corrnoise.cli import _nonnegative_int
 
 
 def main():
@@ -28,7 +29,7 @@ def main():
     ap.add_argument("--min-sep", type=int, default=342)
     ap.add_argument("--max-part", type=int, default=6)
     ap.add_argument("--restarts", type=int, default=8)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_nonnegative_int, default=0)
     args = ap.parse_args()
 
     schema = ParticipationSchema(args.n, args.min_sep, args.max_part)

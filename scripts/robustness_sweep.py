@@ -22,6 +22,7 @@ from corrnoise import (
     optimize_blt,
     toeplitz_sensitivity,
 )
+from corrnoise.cli import _nonnegative_int
 
 
 def main():
@@ -33,7 +34,7 @@ def main():
     ap.add_argument("--b-stop", type=int, default=1000)
     ap.add_argument("--b-step", type=int, default=10)
     ap.add_argument("--buffers", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_nonnegative_int, default=0)
     args = ap.parse_args()
 
     res = optimize_blt(

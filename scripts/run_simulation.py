@@ -20,6 +20,7 @@ from corrnoise import (
     optimize_blt,
     run_training,
 )
+from corrnoise.cli import _nonnegative_int
 from corrnoise.ftrl_sim import write_metrics_csv, write_participation_csv
 
 
@@ -33,7 +34,7 @@ def main():
     ap.add_argument("--task", choices=("linear", "logistic"), default="linear")
     ap.add_argument("--noise", type=float, default=0.3)
     ap.add_argument("--buffers", type=int, default=2)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_nonnegative_int, default=0)
     ap.add_argument("--outdir", type=str, default=None)
     args = ap.parse_args()
 

@@ -7,13 +7,14 @@ Subpackages by function:
 - ``participation``: min-separation participation schemas and sensitivity
   (fast Toeplitz path, dense lower bound).
 - ``loss_metrics``: MaxError/RmsError and MaxLoss/RmsLoss functionals:
-  the n-independent BLT path and a dense path for strategy matrices.
+  the n-independent BLT path (errors in closed form from the decays and
+  inverse decays) and a dense path for strategy matrices.
 - ``tree_baseline``: binary-tree aggregation baseline with full
   pseudoinverse decoding, evaluated in closed form from the Haar basis
   (the dense tree and decoder remain as reference); loading external
   strategy matrices (.npy or CSV).
 - ``blt_optimizer``: differentiable loss and L-BFGS driver that fits BLT
-  parameters to a schema and objective.
+  parameters to a schema and objective, all restarts in lockstep.
 - ``accountant``: Gaussian-mechanism zCDP and zCDP -> (epsilon, delta).
 - ``ftrl_sim``: desk-scale DP federated-averaging simulator.
 - ``cli``: batch entry points (optimize, eval, sweep, noisegen, account,
@@ -21,8 +22,9 @@ Subpackages by function:
 
 The package needs numpy alone. The dense, O(n^2) and brute-force
 oracles the tests check these against (``lt_toeplitz``, ``stream_mult``,
-the Toeplitz-coefficient loss, the ``blt_loss`` gradient, pattern
-enumeration) live in ``tests/oracles.py``, not in the package.
+the Toeplitz-coefficient loss, the BLT errors by doubling, the
+``blt_loss`` gradient, pattern enumeration) live in ``tests/oracles.py``,
+not in the package.
 """
 
 from corrnoise.blt_core import (

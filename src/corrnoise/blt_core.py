@@ -119,16 +119,13 @@ def blt_coefs(params: BltParams, n: int) -> np.ndarray:
     return _geometric_coefs(params.theta, params.omega, n).astype(float)
 
 
-def _check_distinct(decays, what):
+def _too_close(decays):
+    """Per row of the last axis: are two entries closer than DEGENERATE_GAP?"""
     if np.shape(decays)[-1] <= 1:
-        return
+        return np.zeros(np.shape(decays)[:-1], dtype=bool)
     # control-flow check only; fine to look at real parts of complex inputs
     vals = np.sort(np.real(np.asarray(decays)), axis=-1)
-    if np.min(np.diff(vals, axis=-1)) < DEGENERATE_GAP:
-        raise DegenerateParamsError(
-            f"{what} entries closer than {DEGENERATE_GAP}; "
-            "the pairing divides by their differences"
-        )
+    return np.min(np.diff(vals, axis=-1), axis=-1) < DEGENERATE_GAP
 
 
 def calc_output_scale(theta, theta_hat) -> np.ndarray:
@@ -154,7 +151,11 @@ def calc_output_scale(theta, theta_hat) -> np.ndarray:
     theta_hat = np.atleast_1d(np.asarray(theta_hat))
     if theta.shape != theta_hat.shape:
         raise ValueError("theta and theta_hat must have equal length")
-    _check_distinct(theta, "theta")
+    if np.any(_too_close(theta)):
+        raise DegenerateParamsError(
+            f"theta entries closer than {DEGENERATE_GAP}; "
+            "the pairing divides by their differences"
+        )
     num = np.prod(theta[..., :, None] - theta_hat[..., None, :], axis=-1)
     gaps = theta[..., :, None] - theta[..., None, :]
     den = np.prod(np.where(np.eye(theta.shape[-1], dtype=bool), 1.0, gaps), axis=-1)

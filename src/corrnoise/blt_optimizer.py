@@ -1,11 +1,11 @@
 """Fit BLT parameters to a participation schema and loss objective.
 
 The loss treats (theta, theta_hat) as the free variables: omega follows
-from the product-form pairing, sensitivity and decoder error from
-(theta, omega) through the n-independent kernels that
-``blt_mechanism_loss`` also uses (so the fit and the evaluation share one
-loss formula), and a log barrier keeps omega positive. Infeasible points
-evaluate to +inf (never an exception).
+from the product-form pairing, the sensitivity from (theta, omega) and
+the decoder error in closed form from (theta, theta_hat), through the
+n-independent kernels that ``blt_mechanism_loss`` also uses (so the fit
+and the evaluation share one loss formula), and a log barrier keeps
+omega positive. Infeasible points evaluate to +inf (never an exception).
 
 The fit searches chain coordinates x in R^2d: the running products of
 sigmoid(x), read alternately as theta and theta_hat, strictly interlace,
@@ -26,7 +26,10 @@ The quasi-Newton driver is a hand-rolled two-loop L-BFGS with a strong
 Wolfe line search that understands +inf returns: off-the-shelf L-BFGS-B
 implementations treat a non-finite trial value as convergence failure at
 the first iteration, while here the smallest infeasible step caps the
-bracket and the search bisects toward it.
+bracket and the search bisects toward it. Both are generators that yield
+the point to evaluate, so all restarts run in lockstep: every step
+stacks the 2d complex-step rows of each unfinished restart into one loss
+call, and feasibility is decided per restart.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from corrnoise.blt_core import (
     BltParams,
-    DegenerateParamsError,
+    _too_close,
     blt_coefs,
     blt_inverse_coefs,
     calc_output_scale,
@@ -109,46 +112,50 @@ def _chain(X):
 
 
 def _loss_batch(theta, theta_hat, schema: ParticipationSchema, objective, barrier_lambda):
-    """``blt_loss`` at the rows of (B, d) theta and theta_hat, as a (B,) array.
+    """``blt_loss`` at the rows of (..., B, d) theta and theta_hat, as a (..., B) array.
 
-    The rows are meant to be complex-step perturbations of one real point,
-    which share their real parts, so feasibility is decided for the batch
-    as a whole: if any row is infeasible, every row is +inf.
+    The B rows of a group are meant to be complex-step perturbations of
+    one real point, which share their real parts, so feasibility is
+    decided per group: a group with any infeasible row is +inf in every
+    row, and every other group gets the values it would get alone. A
+    (B, d) input is one group.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    infeasible = np.full(theta.shape[0], np.inf)
+    groups, d = np.shape(theta)[:-1], np.shape(theta)[-1]
+    # (G, B, d): groups, rows
+    theta, theta_hat = (np.reshape(v, (-1, *np.shape(theta)[-2:])) for v in (theta, theta_hat))
+    out = np.full(theta.shape[:2], np.inf, dtype=np.result_type(theta, theta_hat, float))
     rth, rthh = np.real(theta), np.real(theta_hat)
-    if np.any(rth <= 0) or np.any(rth >= 1) or np.any(rthh <= 0) or np.any(rthh >= 1):
-        return infeasible
+    inside = (rth > 0) & (rth < 1) & (rthh > 0) & (rthh < 1)
     # near-coincident decays make the pairing blow up: infeasible
-    try:
-        omega = calc_output_scale(theta, theta_hat)
-    except DegenerateParamsError:
-        return infeasible
-    if not np.all(np.real(omega) > 0):
-        return infeasible
-    with np.errstate(over="ignore", invalid="ignore"):
-        max_error, rms_error = _blt_errors(theta, omega, schema.n)
-        loss = (max_error if objective == "max" else rms_error) * _blt_sensitivity(
-            theta, omega, schema
-        )
-    if not np.all(np.isfinite(np.real(loss))):
-        return infeasible
-    if barrier_lambda != 0.0:
-        pen = (
-            -np.sum(np.log(theta), axis=-1)
-            - np.sum(np.log1p(-theta), axis=-1)
-            - np.sum(np.log(omega), axis=-1)
-        )
-        loss = loss + barrier_lambda * pen
-    return loss
+    ok = np.all(inside & ~_too_close(theta)[..., None], axis=(1, 2))
+    if not np.any(ok):
+        return out.reshape(groups)
+    theta, theta_hat = theta[ok], theta_hat[ok]
+    omega = calc_output_scale(theta, theta_hat)
+    th, thh, om = (v.reshape(-1, d) for v in (theta, theta_hat, omega))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        max_error, rms_error = _blt_errors(th, thh, schema.n)
+        sens = _blt_sensitivity(th, om, schema)
+        loss = ((max_error if objective == "max" else rms_error) * sens).reshape(theta.shape[:2])
+        if barrier_lambda != 0.0:
+            pen = (
+                -np.sum(np.log(theta), axis=-1)
+                - np.sum(np.log1p(-theta), axis=-1)
+                - np.sum(np.log(omega), axis=-1)
+            )
+            loss = loss + barrier_lambda * pen
+    feasible = np.all(np.real(omega) > 0, axis=(1, 2)) & np.all(np.isfinite(np.real(loss)), axis=1)
+    out[np.flatnonzero(ok)[feasible]] = loss[feasible]
+    return out.reshape(groups)
 
 
 def _value_and_gradient(loss_batch, x):
-    """loss(x) and its complex-step gradient from one batch of x + i h e_j."""
-    values = loss_batch(x + 1j * COMPLEX_STEP * np.eye(len(x)))
-    return np.real(values[0]), np.imag(values) / COMPLEX_STEP
+    """loss and complex-step gradient at the points x (..., 2d), from one
+    batch of the groups x + i h e_j."""
+    values = loss_batch(x[..., None, :] + 1j * COMPLEX_STEP * np.eye(x.shape[-1]))
+    return np.real(values[..., 0]), np.imag(values) / COMPLEX_STEP
 
 
 def blt_loss(
@@ -181,26 +188,22 @@ def blt_loss(
 # ---------------------------------------------------------------------------
 
 
-def _wolfe_search(fg, x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
+def _wolfe_search(x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
     """Strong Wolfe line search; non-finite trial values cap the step range.
 
-    Falls back to the best Armijo-satisfying point when the curvature
-    condition cannot be met within the evaluation budget. Returns
-    (alpha, f, g, n_evals) with alpha None on total failure.
+    A generator: yields each trial point and receives its (f, g). Falls
+    back to the best Armijo-satisfying point when the curvature condition
+    cannot be met within the evaluation budget. Returns (alpha, f, g) with
+    alpha None on total failure.
     """
     d0 = g0 @ p
     if d0 >= 0:
-        return None, f0, g0, 0
+        return None, f0, g0
     alpha_prev, f_prev = 0.0, f0
     alpha = 1.0
     nev = 0
     cap = None  # smallest step known to leave the domain
     best = None  # best (a, f, g) satisfying Armijo
-
-    def phi(a):
-        nonlocal nev
-        nev += 1
-        return fg(x + a * p)
 
     def armijo(a, fv):
         return fv <= f0 + c1 * a * d0
@@ -208,7 +211,8 @@ def _wolfe_search(fg, x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
     lo = hi = None
     flo = None
     while nev < max_evals:
-        fv, gv = phi(alpha)
+        nev += 1
+        fv, gv = yield x + alpha * p
         if not np.isfinite(fv):
             cap = alpha
             alpha = 0.5 * (alpha_prev + alpha)
@@ -223,7 +227,7 @@ def _wolfe_search(fg, x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
             hi = alpha
             break
         if abs(dv) <= -c2 * d0:
-            return alpha, fv, gv, nev
+            return alpha, fv, gv
         if dv >= 0:
             lo, flo = alpha, fv
             hi = alpha_prev
@@ -233,7 +237,8 @@ def _wolfe_search(fg, x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
     if lo is not None:
         while nev < max_evals:
             a = 0.5 * (lo + hi)
-            fv, gv = phi(a)
+            nev += 1
+            fv, gv = yield x + a * p
             if not np.isfinite(fv):
                 hi = a
                 continue
@@ -244,29 +249,32 @@ def _wolfe_search(fg, x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
                 hi = a
             else:
                 if abs(dv) <= -c2 * d0:
-                    return a, fv, gv, nev
+                    return a, fv, gv
                 if dv * (hi - lo) >= 0:
                     hi = lo
                 lo, flo = a, fv
             if abs(hi - lo) <= 1e-14 * max(1.0, abs(lo)):
                 break
     if best is not None:
-        return best[0], best[1], best[2], nev
-    return None, f0, g0, nev
+        return best
+    return None, f0, g0
 
 
-def _lbfgs(fg, x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-14):
+def _lbfgs(x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-13):
     """Two-loop L-BFGS with the +inf-aware Wolfe search above.
 
+    A generator: yields each point to evaluate and receives its (f, g).
     Returns (x, f, iterations, converged). Curvature pairs failing
     y's > 0 (up to scale) are dropped; a non-descent direction resets
-    the memory to steepest descent.
+    the memory to steepest descent. ftol is a few hundred times the
+    rounding of f: in a flat valley a tighter stop is met only when a
+    step happens to gain next to nothing.
     """
     x = np.asarray(x0, dtype=float)
-    f, g = fg(x)
+    f, g = yield x
     if not np.isfinite(f):
         return x, f, 0, False
-    S, Y = [], []
+    S, Y, rhos = [], [], []
     converged = False
     it = 0
     for it in range(1, maxiter + 1):
@@ -275,7 +283,6 @@ def _lbfgs(fg, x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-14):
             break
         q = g.copy()
         alphas = []
-        rhos = [1.0 / (y @ s) for s, y in zip(S, Y)]
         for i in range(len(S) - 1, -1, -1):
             a = rhos[i] * (S[i] @ q)
             alphas.append(a)
@@ -291,8 +298,8 @@ def _lbfgs(fg, x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-14):
         p = -r
         if p @ g >= 0:
             p = -g
-            S, Y = [], []
-        alpha, fn, gnew, _ = _wolfe_search(fg, x, f, g, p)
+            S, Y, rhos = [], [], []
+        alpha, fn, gnew = yield from _wolfe_search(x, f, g, p)
         if alpha is None:
             break
         s = alpha * p
@@ -300,9 +307,11 @@ def _lbfgs(fg, x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-14):
         if y @ s > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             S.append(s)
             Y.append(y)
+            rhos.append(1.0 / (y @ s))
             if len(S) > m:
                 S.pop(0)
                 Y.pop(0)
+                rhos.pop(0)
         x = x + s
         if abs(f - fn) <= ftol * max(1.0, abs(f)):
             f, g = fn, gnew
@@ -310,6 +319,29 @@ def _lbfgs(fg, x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-14):
             break
         f, g = fn, gnew
     return x, f, it, converged
+
+
+def _lockstep(loss_batch, starts):
+    """Run one ``_lbfgs`` per start point, all restarts in lockstep.
+
+    Each step stacks the point every unfinished restart waits on and
+    evaluates them all with one ``_value_and_gradient`` call. A restart
+    sees exactly the values it would see alone, since ``_loss_batch``
+    decides feasibility per group. Returns each restart's
+    (x, f, iterations, converged), in start order.
+    """
+    runs = [_lbfgs(x0) for x0 in starts]
+    waiting = {i: next(run) for i, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while waiting:
+        f, g = _value_and_gradient(loss_batch, np.stack(list(waiting.values())))
+        for i, fi, gi in zip(list(waiting), f, g):
+            try:
+                waiting[i] = runs[i].send((fi, gi))
+            except StopIteration as done:
+                results[i] = done.value
+                del waiting[i]
+    return results
 
 
 def _init_point(rng, d):
@@ -342,16 +374,15 @@ def optimize_blt(config: OptimizerConfig) -> OptimizationResult:
     def loss_batch(X, lam=BARRIER_LAMBDA):
         return _loss_batch(*_chain(X), schema, config.objective, lam)
 
+    starts = [_init_point(rng, config.d) for _ in range(config.restarts)]
+    # line searches probe extreme points, where intermediate overflow
+    # warnings carry no information
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = _lockstep(loss_batch, starts)
+    xs = np.stack([x for x, *_ in runs])
+    restart_losses = [float(v) for v in loss_batch(xs[:, None, :], 0.0)[:, 0]]
     best = None
-    restart_losses = []
-    for _ in range(config.restarts):
-        x0 = _init_point(rng, config.d)
-        # line searches probe extreme points, where intermediate overflow
-        # warnings carry no information
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, _, iters, conv = _lbfgs(lambda xk: _value_and_gradient(loss_batch, xk), x0)
-        loss = float(loss_batch(x[None], 0.0)[0])
-        restart_losses.append(loss)
+    for (x, _, iters, conv), loss in zip(runs, restart_losses):
         theta, theta_hat = _chain(x)
         params = BltParams(theta, calc_output_scale(theta, theta_hat)).validate()
         # conditioning proxy for ties: the largest relative drop to a pair

@@ -6,9 +6,11 @@ proportional to the t-th row norm of B. MaxError is the worst row norm,
 RmsError the quadratic mean; multiplying by the sensitivity of C gives
 MaxLoss and RmsLoss, the mechanism-quality objectives.
 
-BLT strategies are evaluated by kernels in (theta, omega) whose cost
-does not depend on n (errors by doubling, sensitivity by the pulse
-recursion of ``participation``), shared with ``blt_optimizer.blt_loss``.
+BLT strategies are evaluated by kernels whose cost does not depend on
+n, shared with ``blt_optimizer.blt_loss``: the errors in closed form
+from the decays and inverse decays (partial fractions of the prefix
+sums' generating function), the sensitivity by the pulse recursion of
+``participation``.
 ``toeplitz_error`` takes the errors of any Toeplitz strategy from its
 inverse coefficients in O(n), and ``mechanism_loss`` evaluates an
 arbitrary dense strategy. They agree to float precision and are
@@ -17,11 +19,12 @@ cross-tested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from corrnoise.blt_core import BltParams
+from corrnoise.blt_core import BltParams, inverse_blt_params
 from corrnoise.participation import (
     ParticipationSchema,
     _blt_sensitivity,
@@ -69,72 +72,76 @@ def toeplitz_error(c_inv) -> tuple[float, float]:
     return float(max_error), float(rms_error)
 
 
-def _matrix_power(F, n):
-    """F^n for a (B, k, k) stack, by binary powering over the bits of n."""
-    Fn = np.broadcast_to(np.eye(F.shape[-1], dtype=F.dtype), F.shape)
-    for bit in bin(n)[2:]:
-        Fn = Fn @ Fn
-        if bit == "1":
-            Fn = F @ Fn
-    return Fn
+# 1/k! for k = 10, ..., 2: Horner coefficients of the phi_2 series
+_PHI2_SERIES = tuple(1.0 / math.factorial(k) for k in range(10, 1, -1))
 
 
-def _blt_errors(theta, omega, n):
-    """(MaxError, RmsError) of BLT(theta, omega) over n rounds, O(d^3 log n).
+def _phi2(z, expm1_z):
+    """(e^z - 1 - z) / z^2 from z and expm1(z), analytic; where |Re z| < 0.1,
+    where the quotient cancels, a 9-term series (truncation below 3e-17)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (expm1_z - z) / (z * z)
+    small = np.abs(np.real(z)) < 0.1
+    if np.any(small):
+        zs = z[small]
+        series = np.zeros_like(zs)
+        for coef in _PHI2_SERIES:
+            series = series * zs + coef
+        out[small] = series
+    return out
 
-    theta and omega are (B, d); returns two (B,) arrays. Unvalidated and
-    complex-safe (transposes, never conjugates). With A = diag(theta) -
-    1 omega^T, the prefix sums b_i of C^-1 are the last entry of
-    x_i = F^i x_0, x_0 = 1, F = [[A, 0], [-omega^T, 1]]: the recurrence
-    ``stream_mult_inverse`` runs, with a running sum appended. So
-    MaxError^2 = sum_{i<n} b_i^2 and n RmsError^2 = sum_{i<n} (n - i) b_i^2
-    are quadratic forms in P_n = sum_{i<n} y_i y_i^T and
-    Q_n = sum_{i<n} (n - i) y_i y_i^T for any coordinates y_i = T x_i.
-    Both double over the bits of n (Smith 1968): P_2m = P_m + G^m P_m G^mT,
-    Q_2m = Q_m + m P_m + G^m Q_m G^mT, and per set bit P <- Y + G P G^T,
-    then Q <- Q + P, with G = T F T^-1 and Y = y_0 y_0^T.
 
-    In the plain coordinates (T = I) the prefix sums of a good strategy
-    settle near 0, so every doubling cancels O(1) entries to a small
-    tail and the rounding error grows like n eps. The coordinates
-    y_i = (s_i, b_{n+i}) avoid that: with w = F^n[d, :d], b_{n+i} =
-    b_i + w . s_i is the small tail itself, G = [[A, 0], [-omega^T A^n, 1]],
-    and b_i = b_{n+i} - w . s_i is recovered once, at the end.
-    No inverse decays are needed.
+def _blt_errors(theta, theta_hat, n):
+    """(MaxError, RmsError) over n rounds of the BLT with decays theta and
+    inverse decays theta_hat, in closed form, O(d^2).
+
+    theta and theta_hat are (B, d); returns two (B,) arrays. Unvalidated
+    and complex-safe. By partial fractions of the prefix sums' generating
+    function p(x) / ((1 - x) q(x)), p = prod(1 - theta_l x) and
+    q = prod(1 - theta_hat_l x) (Dvijotham et al. 2024, arXiv 2404.16706),
+
+        b_i = sum_a c_a r_a^i,   c_a = prod_l (r_a - theta_l) / prod_{b!=a} (r_a - r_b)
+
+    over the poles r = (1, theta_hat): plain differences of decays, each
+    |c_a| <= 1 under interlacing. So MaxError^2 = sum_{i<n} b_i^2 and
+    n RmsError^2 = sum_{i<n} (n - i) b_i^2 are quadratic forms in
+    S(x) = sum_{i<n} x^i and T(x) = sum_{i<n} (n - i) x^i at x = r_a r_b.
+    For two positive poles, L = log r_a + log r_b keeps a product near 1
+    apart from 1: S = E / e and T = (L^2 (n^2 phi_2(nL) - n phi_2(L)) + e E)
+    / e^2 with e = expm1(L), E = expm1(nL), which do not cancel as L -> 0.
+    A pole at or below 0 (saved parameters may have one, and
+    ``inverse_blt_params`` keeps 0 exactly) takes S = (1 - x^n) / (1 - x)
+    and T = (n(1 - x) - x(1 - x^n)) / (1 - x)^2, well conditioned there.
+    The identity (d = 0) gives sqrt(n) and sqrt((n+1)/2).
     """
-    theta = np.asarray(theta)
-    omega = np.asarray(omega)
+    theta, theta_hat = np.asarray(theta), np.asarray(theta_hat)
     batch, d = theta.shape
-    dt = np.result_type(theta, omega, float)
-    F = np.zeros((batch, d + 1, d + 1), dtype=dt)
-    F[:, :, :d] = -omega[:, None, :]
-    F[:, np.arange(d), np.arange(d)] += theta
-    F[:, d, d] = 1.0
-    Fn = _matrix_power(F, n)
-    G = F.copy()
-    G[:, d, :d] = -(omega[:, None, :] @ Fn[:, :d, :d])[:, 0]
-    y0 = np.ones((batch, d + 1), dtype=dt)
-    y0[:, d] = np.sum(Fn[:, d], axis=-1)  # b_n
-    Y = y0[:, :, None] * y0[:, None, :]
-    GT = G.swapaxes(-1, -2)
-    P = Q = np.zeros(G.shape, dtype=dt)
-    Gm = np.broadcast_to(np.eye(d + 1, dtype=dt), G.shape)  # G^m
-    m = 0
-    for bit in bin(n)[2:]:
-        if m:
-            # one stacked product moves P and Q together
-            moved = Gm[:, None] @ np.stack([P, Q], axis=1) @ Gm.swapaxes(-1, -2)[:, None]
-            P, Q = P + moved[:, 0], Q + m * P + moved[:, 1]
-            Gm = Gm @ Gm
-            m *= 2
-        if bit == "1":
-            P = Y + G @ P @ GT
-            Q = Q + P
-            Gm = G @ Gm
-            m += 1
-    v = np.concatenate([-Fn[:, d, :d], np.ones((batch, 1), dtype=dt)], axis=1)
-    sums = np.einsum("bi,bkij,bj->kb", v, np.stack([P, Q], axis=1), v)
-    return np.sqrt(sums[0]), np.sqrt(sums[1] / n)
+    r = np.concatenate([np.ones((batch, 1), dtype=theta_hat.dtype), theta_hat], axis=1)
+    num = np.prod(r[:, :, None] - theta[:, None, :], axis=-1)
+    gaps = np.where(np.eye(d + 1, dtype=bool), 1.0, r[:, :, None] - r[:, None, :])
+    c = num / np.prod(gaps, axis=-1)
+    # each pair of poles (a, b) once, without (0, 0): x = 1 there, where
+    # S = n and T = n(n+1)/2
+    a, b = (i[1:] for i in np.triu_indices(d + 1))
+    weight = np.where(a == b, 1.0, 2.0) * c[:, a] * c[:, b]
+    positive = np.real(r) > 0
+    log_r = np.log(np.where(positive, r, 1.0))
+    L = log_r[:, a] + log_r[:, b]
+    both = positive[:, a] & positive[:, b]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        nL = n * L
+        e, E = np.expm1(L), np.expm1(nL)
+        S = E / e
+        T = (L * L * (n * n * _phi2(nL, E) - n * _phi2(L, e)) + e * E) / (e * e)
+        if not np.all(both):
+            x = r[:, a] * r[:, b]
+            xn = x**n
+            S = np.where(both, S, (1.0 - xn) / (1.0 - x))
+            T = np.where(both, T, (n * (1.0 - x) - x * (1.0 - xn)) / (1.0 - x) ** 2)
+    beta2 = c[:, 0] * c[:, 0]
+    max2 = beta2 * n + np.sum(weight * S, axis=-1)
+    nrms2 = beta2 * (n * (n + 1) / 2) + np.sum(weight * T, axis=-1)
+    return np.sqrt(max2), np.sqrt(nrms2 / n)
 
 
 def dense_error(B) -> tuple[float, float]:
@@ -191,12 +198,14 @@ def blt_mechanism_loss_fn(params: BltParams, n: int, noise_multiplier: float = 1
     """``schema -> MechanismLoss`` for a BLT strategy over n rounds.
 
     Errors and sensitivity come from the same n-independent kernels as
-    ``blt_optimizer.blt_loss``: the errors by doubling in O(d^3 log n),
-    once, since they do not depend on the schema; the sensitivity by the
-    pulse recursion in O(k d^2) on every call. The first call validates
-    ``params`` as ``blt_coefs`` does; valid parameters give a non-negative,
-    non-increasing column, on which this sensitivity is exact. A failed
-    validation is not kept, so each later call raises the same way.
+    ``blt_optimizer.blt_loss``: the errors in closed form in O(d^2) from
+    the decays and the inverse decays of ``inverse_blt_params``, once,
+    since they do not depend on the schema; the sensitivity by the pulse
+    recursion in O(k d^2) on every call. The first call validates
+    ``params`` as ``blt_coefs`` does (in ``inverse_blt_params``); valid
+    parameters give a non-negative, non-increasing column, on which this
+    sensitivity is exact. A failed validation is not kept, so each later
+    call raises the same way.
     Nothing runs until the first call; the schema's n must equal ``n``.
     """
     theta, omega = params.theta[None], params.omega[None]
@@ -207,8 +216,8 @@ def blt_mechanism_loss_fn(params: BltParams, n: int, noise_multiplier: float = 1
         if schema.n != n:
             raise ValueError(f"schema has n = {schema.n}, evaluator has n = {n}")
         if errors is None:
-            params.validate()
-            errors = tuple(float(e[0]) for e in _blt_errors(theta, omega, n))
+            theta_hat = inverse_blt_params(params).theta_hat[None]
+            errors = tuple(float(e[0]) for e in _blt_errors(theta, theta_hat, n))
         sens = float(_blt_sensitivity(theta, omega, schema)[0])
         max_error, rms_error = errors
         return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "toeplitz")
@@ -223,6 +232,7 @@ def blt_mechanism_loss(
 
     Agrees with the O(n^2) path through ``blt_coefs``,
     ``toeplitz_sensitivity`` and ``toeplitz_error`` to float precision,
-    but costs O(d^3 log n + k d^2), so it stays cheap at large n.
+    but costs O(d^3 + k d^2), the d^3 for the eigenproblem of the inverse
+    decays, so it stays cheap at large n.
     """
     return blt_mechanism_loss_fn(params, schema.n, noise_multiplier)(schema)

@@ -4,7 +4,8 @@ These exist only to validate the package: a dense lower-triangular
 Toeplitz builder, streaming multiplication by C (the package only
 streams C^-1), one round of C^-1 in the matrix-product form that the
 fused chunk pass replaced, the prefix-sum workload matrix, the O(n^2) loss of a
-Toeplitz strategy from its coefficients, the complex-step gradient of
+Toeplitz strategy from its coefficients, the BLT errors by state-space
+doubling in O(d^3 log n), the complex-step gradient of
 ``blt_loss`` in (theta, theta_hat), exhaustive participation-pattern
 enumeration with the sensitivity it implies, the one-client-at-a-time
 simulator steps that the stacked cohort batch replaces, and a numerical
@@ -116,6 +117,74 @@ def blt_loss_gradient(
     if not np.isfinite(f0):
         raise ValueError("gradient requested at an infeasible point (loss = +inf)")
     return g[:d], g[d:]
+
+
+def matrix_power(F, n):
+    """F^n for a (B, k, k) stack, by binary powering over the bits of n."""
+    Fn = np.broadcast_to(np.eye(F.shape[-1], dtype=F.dtype), F.shape)
+    for bit in bin(n)[2:]:
+        Fn = Fn @ Fn
+        if bit == "1":
+            Fn = F @ Fn
+    return Fn
+
+
+def blt_errors_doubling(theta, omega, n):
+    """(MaxError, RmsError) of BLT(theta, omega) over n rounds, O(d^3 log n).
+
+    A second reference for the closed-form ``loss_metrics._blt_errors``,
+    from (theta, omega) alone. theta and omega are (B, d); returns two
+    (B,) arrays. Complex-safe (transposes, never conjugates). With
+    A = diag(theta) - 1 omega^T, the prefix sums b_i of C^-1 are the last
+    entry of x_i = F^i x_0, x_0 = 1, F = [[A, 0], [-omega^T, 1]]: the
+    recurrence ``stream_mult_inverse`` runs, with a running sum appended.
+    So MaxError^2 = sum_{i<n} b_i^2 and n RmsError^2 = sum_{i<n} (n - i) b_i^2
+    are quadratic forms in P_n = sum_{i<n} y_i y_i^T and
+    Q_n = sum_{i<n} (n - i) y_i y_i^T for any coordinates y_i = T x_i.
+    Both double over the bits of n (Smith 1968): P_2m = P_m + G^m P_m G^mT,
+    Q_2m = Q_m + m P_m + G^m Q_m G^mT, and per set bit P <- Y + G P G^T,
+    then Q <- Q + P, with G = T F T^-1 and Y = y_0 y_0^T.
+
+    In the plain coordinates (T = I) the prefix sums of a good strategy
+    settle near 0, so every doubling cancels O(1) entries to a small
+    tail and the rounding error grows like n eps. The coordinates
+    y_i = (s_i, b_{n+i}) avoid that: with w = F^n[d, :d], b_{n+i} =
+    b_i + w . s_i is the small tail itself, G = [[A, 0], [-omega^T A^n, 1]],
+    and b_i = b_{n+i} - w . s_i is recovered once, at the end.
+    """
+    theta = np.asarray(theta)
+    omega = np.asarray(omega)
+    batch, d = theta.shape
+    dt = np.result_type(theta, omega, float)
+    F = np.zeros((batch, d + 1, d + 1), dtype=dt)
+    F[:, :, :d] = -omega[:, None, :]
+    F[:, np.arange(d), np.arange(d)] += theta
+    F[:, d, d] = 1.0
+    Fn = matrix_power(F, n)
+    G = F.copy()
+    G[:, d, :d] = -(omega[:, None, :] @ Fn[:, :d, :d])[:, 0]
+    y0 = np.ones((batch, d + 1), dtype=dt)
+    y0[:, d] = np.sum(Fn[:, d], axis=-1)  # b_n
+    Y = y0[:, :, None] * y0[:, None, :]
+    GT = G.swapaxes(-1, -2)
+    P = Q = np.zeros(G.shape, dtype=dt)
+    Gm = np.broadcast_to(np.eye(d + 1, dtype=dt), G.shape)  # G^m
+    m = 0
+    for bit in bin(n)[2:]:
+        if m:
+            # one stacked product moves P and Q together
+            moved = Gm[:, None] @ np.stack([P, Q], axis=1) @ Gm.swapaxes(-1, -2)[:, None]
+            P, Q = P + moved[:, 0], Q + m * P + moved[:, 1]
+            Gm = Gm @ Gm
+            m *= 2
+        if bit == "1":
+            P = Y + G @ P @ GT
+            Q = Q + P
+            Gm = G @ Gm
+            m += 1
+    v = np.concatenate([-Fn[:, d, :d], np.ones((batch, 1), dtype=dt)], axis=1)
+    sums = np.einsum("bi,bkij,bj->kb", v, np.stack([P, Q], axis=1), v)
+    return np.sqrt(sums[0]), np.sqrt(sums[1] / n)
 
 
 ENUMERATION_GUARD = 24

@@ -18,12 +18,15 @@ from corrnoise.blt_core import (
     calc_output_scale,
     inverse_blt_params,
 )
+from corrnoise import blt_optimizer
 from corrnoise.blt_optimizer import (
     BARRIER_LAMBDA,
     COMPLEX_STEP,
     OBJECTIVES,
     OptimizerConfig,
     _chain,
+    _init_point,
+    _lbfgs,
     _loss_batch,
     _value_and_gradient,
     blt_loss,
@@ -224,3 +227,88 @@ class TestOptimizeBlt:
         r2 = optimize_blt(OptimizerConfig(schema=SCHEMA, d=2, restarts=3, seed=0))
         r3 = optimize_blt(OptimizerConfig(schema=SCHEMA, d=3, restarts=3, seed=0))
         assert r3.loss <= r2.loss * (1 + 1e-3)
+
+
+def _drive_alone(loss_batch, x0):
+    """One restart's ``_lbfgs`` generator, evaluated one point at a time."""
+    run = _lbfgs(x0)
+    point = next(run)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            try:
+                point = run.send(_value_and_gradient(loss_batch, point))
+            except StopIteration as done:
+                return done.value
+
+
+class TestLockstep:
+    def test_infeasible_group_leaves_the_others_bit_identical(self):
+        # four restarts' complex-step groups; the third has a degenerate theta pair
+        rng = np.random.default_rng(3)
+        x = np.stack([_init_point(rng, 3) for _ in range(4)])
+        theta, theta_hat = _chain(x[:, None, :] + 1j * COMPLEX_STEP * np.eye(6))
+        theta[2, :, 1] = theta[2, :, 0] - DEGENERATE_GAP / 2
+        stacked = _loss_batch(theta, theta_hat, SCHEMA, "max", BARRIER_LAMBDA)
+        assert stacked.shape == (4, 6)
+        assert np.all(stacked[2] == np.inf)
+        for r in (0, 1, 3):
+            solo = _loss_batch(theta[r], theta_hat[r], SCHEMA, "max", BARRIER_LAMBDA)
+            assert np.all(np.isfinite(solo))
+            np.testing.assert_array_equal(stacked[r], solo)
+
+    def test_each_restart_matches_its_generator_alone(self, monkeypatch):
+        # at this schema one d=3 restart probes the degeneracy wall (+inf
+        # values) while the others run beside it
+        recorded = []
+        lockstep = blt_optimizer._lockstep
+
+        def recording(loss_batch, starts):
+            runs = lockstep(loss_batch, starts)
+            recorded.append((loss_batch, starts, runs))
+            return runs
+
+        monkeypatch.setattr(blt_optimizer, "_lockstep", recording)
+        res = optimize_blt(OptimizerConfig(schema=SCHEMA, d=3, restarts=8, seed=0))
+        [(loss_batch, starts, runs)] = recorded
+        rng = np.random.default_rng(0)
+        for x0 in starts:  # drawn in restart order from the seed
+            np.testing.assert_array_equal(x0, _init_point(rng, 3))
+        for x0, (x, f, iterations, converged) in zip(starts, runs):
+            x_alone, f_alone, iterations_alone, converged_alone = _drive_alone(loss_batch, x0)
+            np.testing.assert_array_equal(x, x_alone)
+            assert f == f_alone
+            assert (iterations, converged) == (iterations_alone, converged_alone)
+        assert res.restart_losses == [float(loss_batch(x[None], 0.0)[0]) for x, *_ in runs]
+
+    def test_reference_fit_stacked_call_budget(self, monkeypatch):
+        # measured: 85 stacked loss calls, the longest restart's 84
+        # evaluations and one barrier-free evaluation of all 8 end points
+        calls = []
+        loss_batch = blt_optimizer._loss_batch
+        monkeypatch.setattr(
+            blt_optimizer, "_loss_batch", lambda *a: calls.append(1) or loss_batch(*a)
+        )
+        res = optimize_blt(
+            OptimizerConfig(schema=ParticipationSchema(2052, 342, 6), d=3, restarts=8, seed=0)
+        )
+        assert res.converged
+        assert len(calls) <= 1.25 * 85
+
+    def test_single_restart_goes_through_the_lockstep_driver(self, monkeypatch):
+        starts_seen, shapes = [], []
+        lockstep, loss_batch = blt_optimizer._lockstep, blt_optimizer._loss_batch
+
+        def recording(lb, starts):
+            starts_seen.append(len(starts))
+            return lockstep(lb, starts)
+
+        monkeypatch.setattr(blt_optimizer, "_lockstep", recording)
+        monkeypatch.setattr(
+            blt_optimizer,
+            "_loss_batch",
+            lambda theta, *a: shapes.append(np.shape(theta)) or loss_batch(theta, *a),
+        )
+        optimize_blt(OptimizerConfig(schema=SCHEMA, d=2, restarts=1, seed=0))
+        assert starts_seen == [1]
+        # every call carries the restart group axis
+        assert shapes and all(len(s) == 3 and s[0] == 1 for s in shapes)

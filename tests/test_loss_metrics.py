@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import lt_toeplitz, prefix_sum_matrix, toeplitz_mechanism_loss
+from oracles import (
+    blt_errors_doubling,
+    lt_toeplitz,
+    prefix_sum_matrix,
+    toeplitz_mechanism_loss,
+)
 from strategies import near_unit_params_strategy
 
 from corrnoise.blt_core import (
@@ -16,6 +21,7 @@ from corrnoise.blt_core import (
     BltParams,
     blt_coefs,
     blt_inverse_coefs,
+    inverse_blt_params,
     toeplitz_inverse_coefs,
 )
 from corrnoise.loss_metrics import (
@@ -84,20 +90,83 @@ def _batch(p):
     return p.theta[None], p.omega[None]
 
 
+def _closed_form_errors(p, n):
+    """The evaluator's errors: closed form in the decays and inverse decays."""
+    theta_hat = inverse_blt_params(p).theta_hat
+    return [e[0] for e in _blt_errors(p.theta[None], theta_hat[None], n)]
+
+
+# production four-buffer mechanism (perfbench's b400); its largest decay
+# is 7.9e-12 below 1
+B400 = BltParams(
+    [0.9999999999921251, 0.9944453083640997, 0.8985923474607591, 0.4912001418098778],
+    [0.0070314825502323835, 0.10613806907600574, 0.1898159060327625, 0.1966594748073734],
+)
+# inverse decays 0.5 +- 5e-11: a clustered pair around the decay 0.5
+CLUSTERED = BltParams([0.9, 0.5], [0.4000000000000001, 6.25000103425468e-21])
+# the closed form's special poles: theta_hat = -0.4, theta_hat = 0 exactly,
+# theta_hat_1 = 1 - 1e-11, and the identity (no poles but 1)
+NEGATIVE_POLE = BltParams([0.5], [0.9])
+ZERO_POLE = BltParams([0.5], [0.5])
+NEAR_UNIT_POLE = BltParams([1 - 5e-12, 0.5], [6.000000496452225e-12, 0.09999999999899999])
+
+
+def error_examples(nmax):
+    """The special poles, the identity, the clustered pair and b400, n <= nmax."""
+
+    def add(test):
+        for p, n in (
+            (NEGATIVE_POLE, 1000),
+            (ZERO_POLE, 1000),
+            (NEAR_UNIT_POLE, 7),
+            (NEAR_UNIT_POLE, nmax),
+            (IDENTITY_MECHANISM, 64),
+            (CLUSTERED, 2052),
+            (B400, nmax),
+        ):
+            test = example(p=p, n=n)(test)
+        return test
+
+    return add
+
+
 class TestBltKernels:
     """The n-independent kernels against the O(n) and O(n^2) coefficient paths."""
 
+    def test_special_poles(self):
+        assert inverse_blt_params(NEGATIVE_POLE).theta_hat[0] == pytest.approx(-0.4, rel=1e-14)
+        assert inverse_blt_params(ZERO_POLE).theta_hat[0] == 0.0
+        assert 1 - inverse_blt_params(NEAR_UNIT_POLE).theta_hat[0] == pytest.approx(1e-11, rel=1e-6)
+        gap = -np.diff(inverse_blt_params(CLUSTERED).theta_hat)[0]
+        assert gap == pytest.approx(1e-10, rel=1e-5)
+
+    def test_identity_closed_forms(self):
+        for n in (1, 2, 7, 64, 10**6):
+            max_e, rms_e = _closed_form_errors(IDENTITY_MECHANISM, n)
+            assert max_e == pytest.approx(np.sqrt(n), rel=1e-14)
+            assert rms_e == pytest.approx(np.sqrt((n + 1) / 2), rel=1e-14)
+
     @settings(max_examples=60)
     @given(p=near_unit_params_strategy(), n=st.integers(1, 10**6))
+    @error_examples(10**6)
     def test_errors_match_inverse_coefficients(self, p, n):
-        fast = [e[0] for e in _blt_errors(*_batch(p), n)]
+        fast = _closed_form_errors(p, n)
         slow = toeplitz_error(blt_inverse_coefs(p, n))
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=0)
 
     @settings(max_examples=60)
+    @given(p=near_unit_params_strategy(), n=st.integers(1, 10**6))
+    @error_examples(10**6)
+    def test_errors_match_doubling(self, p, n):
+        fast = _closed_form_errors(p, n)
+        slow = [e[0] for e in blt_errors_doubling(*_batch(p), n)]
+        np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=0)
+
+    @settings(max_examples=60)
     @given(p=near_unit_params_strategy(), n=st.integers(1, 4096))
+    @error_examples(4096)
     def test_errors_match_quadratic_recurrence(self, p, n):
-        fast = [e[0] for e in _blt_errors(*_batch(p), n)]
+        fast = _closed_form_errors(p, n)
         slow = toeplitz_error(toeplitz_inverse_coefs(blt_coefs(p, n)))
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=0)
 

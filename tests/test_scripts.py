@@ -47,3 +47,13 @@ def test_script_runs_at_toy_size(script, args, header):
     assert proc.returncode == 0, proc.stderr
     lines = [" ".join(line.split()) for line in proc.stdout.splitlines()]
     assert any(line.startswith(header) for line in lines), proc.stdout
+
+
+@pytest.mark.parametrize(
+    "script", ["reproduce_loss_table.py", "robustness_sweep.py", "run_simulation.py"]
+)
+def test_negative_seed_is_a_usage_error(script):
+    proc = _run(script, "--seed", "-1")
+    assert proc.returncode == 2, proc.stderr
+    assert "must be >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -25,6 +25,9 @@ ORACLES = (
     "stream_mult",
     "prefix_sum_matrix",
     "toeplitz_mechanism_loss",
+    "blt_errors_doubling",
+    "matrix_power",
+    "_matrix_power",
     "blt_loss_gradient",
     "enumerate_patterns",
     "count_patterns",
