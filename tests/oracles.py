@@ -8,8 +8,9 @@ Toeplitz strategy from its coefficients, the BLT errors by state-space
 doubling in O(d^3 log n), the complex-step gradient of
 ``blt_loss`` in (theta, theta_hat), exhaustive participation-pattern
 enumeration with the sensitivity it implies, the one-client-at-a-time
-simulator steps that the stacked cohort batch replaces, and a numerical
-minimization of the refined epsilon bound.
+simulator steps that the stacked cohort batch replaces, the simulator's
+metrics recomputed one round at a time, and a numerical minimization of
+the refined epsilon bound.
 """
 
 import math
@@ -18,10 +19,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from corrnoise.accountant import zcdp_of
 from corrnoise.blt_core import toeplitz_inverse_coefs
 from corrnoise.blt_optimizer import _loss_batch, _sigmoid, _value_and_gradient
+from corrnoise.ftrl_sim import eval_model
 from corrnoise.loss_metrics import MechanismLoss, _bundle, toeplitz_error
-from corrnoise.participation import ParticipationSchema, toeplitz_sensitivity
+from corrnoise.participation import (
+    ParticipationSchema,
+    _shifted_sum_norm,
+    toeplitz_sensitivity,
+)
 
 
 def lt_toeplitz(c: np.ndarray) -> np.ndarray:
@@ -333,6 +340,34 @@ def population_per_client(
         features.append(X)
         labels.append(y)
     return features, labels
+
+
+def metrics_per_round(models, participation, c, clip_norm, sigma_zeta, population):
+    """Each round's metrics row from its own model and log prefix, round by round.
+
+    ``models[t]`` is the model after round t and ``participation`` the
+    run's (round, client) log. Round t is evaluated alone and accounted
+    as zcdp_of(||sum_{i<k} shift(c[:t+1], i*b)|| * clip_norm, sigma_zeta)
+    with b the smallest gap between a client's consecutive rounds up to
+    t (t + 1 while no client has returned) and k the most rounds any
+    client joined up to t.
+    """
+    rounds_of = {}
+    for t, cid in participation:
+        rounds_of.setdefault(cid, []).append(t)
+    rows = []
+    for t, model in enumerate(models):
+        seen = [[r for r in rs if r <= t] for rs in rounds_of.values()]
+        gaps = [b - a for rs in seen for a, b in zip(rs, rs[1:])]
+        b = min(gaps, default=t + 1)
+        k = max(len(rs) for rs in seen)
+        sens = float(_shifted_sum_norm(c[: t + 1], ParticipationSchema(t + 1, b, k)))
+        loss, acc = eval_model(
+            model, population.eval_features, population.eval_labels, population.task
+        )
+        rho = zcdp_of(sens * clip_norm, sigma_zeta)
+        rows.append({"round": t, "eval_loss": loss, "eval_acc": acc, "rho_so_far": rho})
+    return rows
 
 
 def refined_eps_minimize_scalar(rho, delta):

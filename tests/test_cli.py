@@ -671,8 +671,15 @@ class TestSimulate:
         "training, reason",
         [({"clip_norm": -1}, "clip_norm must be > 0"),
          ({"seed": -1}, "seed must be an integer >= 0"),
-         ({"learning_rate": 0.1}, "unexpected keyword argument 'learning_rate'")],
-        ids=["negative-clip-norm", "negative-seed", "unknown-key"],
+         ({"learning_rate": 0.1}, "unexpected keyword argument 'learning_rate'"),
+         ({"rounds": 10.5}, "rounds must be an integer >= 1"),
+         ({"clients_per_round": 2.0}, "clients_per_round must be an integer >= 1"),
+         ({"local_epochs": 1.5}, "local_epochs must be an integer >= 1"),
+         ({"est_max_part": 2.5}, "est_max_part must be an integer >= 1"),
+         ({"batch_size": 2.5}, "batch_size must be an integer >= 1")],
+        ids=["negative-clip-norm", "negative-seed", "unknown-key", "fractional-rounds",
+             "float-cohort", "fractional-epochs", "fractional-est-max-part",
+             "fractional-batch-size"],
     )
     def test_bad_training_block_exits_with_usage(self, training, reason, tmp_path, capsys):
         self.assert_config_exits_with_usage(

@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import client_update_single, population_per_client
+from oracles import client_update_single, metrics_per_round, population_per_client
 
 import corrnoise.ftrl_sim as sim
-from corrnoise.blt_core import IDENTITY_MECHANISM, BltParams, blt_inverse_coefs
+from corrnoise.blt_core import IDENTITY_MECHANISM, BltParams, blt_coefs, blt_inverse_coefs
 from corrnoise.ftrl_sim import (
     ClientPopulation,
     ServerState,
@@ -208,6 +208,17 @@ class TestStackedClientUpdate:
         assert deltas.shape == (5, 8)
         np.testing.assert_array_equal(deltas, np.zeros((5, 8)))
 
+    def test_zero_rows_left_as_they_are_at_zero_clip_norm(self):
+        # a zero row's scale is 0/0 there; the other rows are scaled to 0
+        pop = small_population()
+        with np.errstate(all="raise"):
+            deltas = client_update(
+                np.zeros(8), pop.features[:3], pop.labels[:3], 0.1, 0.0, local_epochs=0
+            )
+            moved = client_update(np.zeros(8), pop.features[:3], pop.labels[:3], 0.1, 0.0)
+        np.testing.assert_array_equal(deltas, np.zeros((3, 8)))
+        np.testing.assert_array_equal(moved, np.zeros((3, 8)))
+
     def test_each_round_sums_its_cohort_in_order(self, monkeypatch):
         pop = small_population()
         cfg = config(mechanism=MECH, noise_multiplier=0.4, batch_size=7)
@@ -286,6 +297,20 @@ class TestTrainConfig:
     def test_zero_rejected_at_construction(self, name):
         with pytest.raises(ValueError, match=name):
             config(**{name: 0})
+
+    # unchecked, each of these fails mid-run with a TypeError
+    @pytest.mark.parametrize(
+        "name, value",
+        [("rounds", 10.5), ("clients_per_round", 2.0), ("min_sep", 3.0),
+         ("local_epochs", 1.5), ("batch_size", 2.5), ("est_max_part", 2.5)],
+    )
+    def test_non_integral_count_rejected_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            config(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = config(rounds=np.int64(12), est_max_part=np.int32(4))
+        assert cfg.rounds == 12 and cfg.est_max_part == 4
 
     # unchecked, numpy rejects -1 mid-run and would truncate 1.5 to 1
     @pytest.mark.parametrize("seed", [-1, 1.5])
@@ -426,6 +451,66 @@ class TestRunTraining:
             run_training(config(clients_per_round=2, min_sep=2), pop)
 
 
+class TestMetricsAfterTheLoop:
+    """Every round's eval and rho equal their one-round recomputation."""
+
+    @pytest.mark.parametrize(
+        "task, n_clients, overrides",
+        [
+            ("linear", 40, dict(mechanism=MECH, noise_multiplier=0.5)),
+            ("logistic", 40, dict(mechanism=MECH, noise_multiplier=0.5, rounds=80)),
+            # realized (b, k) changes several times
+            ("linear", 16, dict(mechanism=MECH, noise_multiplier=0.5, rounds=30)),
+            ("logistic", 16, dict(mechanism=MECH, noise_multiplier=0.0, rounds=30)),
+        ],
+        ids=["linear", "logistic", "changing-schema", "zero-noise"],
+    )
+    def test_rows_equal_per_round_oracle(self, task, n_clients, overrides, monkeypatch):
+        pop = small_population(task=task, n_clients=n_clients)
+        cfg = config(**overrides)
+        models = []
+        orig = sim.server_round
+
+        def spy(state, delta_sum, cfg, noise_row=None):
+            new = orig(state, delta_sum, cfg, noise_row)
+            models.append(new.model.copy())
+            return new
+
+        monkeypatch.setattr(sim, "server_round", spy)
+        r = run_training(cfg, pop)
+        want = metrics_per_round(
+            models, r.participation, blt_coefs(cfg.mechanism, cfg.rounds),
+            cfg.clip_norm, r.sigma_zeta, pop,
+        )
+        assert len(r.metrics) == len(want) == cfg.rounds
+        for got_row, want_row in zip(r.metrics, want):
+            assert got_row.keys() == want_row.keys()
+            assert got_row["round"] == want_row["round"]
+            for key in ("eval_loss", "eval_acc", "rho_so_far"):
+                np.testing.assert_allclose(got_row[key], want_row[key], rtol=1e-12, atol=0)
+        assert r.rho_realized == r.metrics[-1]["rho_so_far"]
+        if cfg.noise_multiplier == 0:
+            assert all(row["rho_so_far"] == math.inf for row in r.metrics)
+        else:
+            assert all(math.isfinite(row["rho_so_far"]) for row in r.metrics)
+
+    def test_changing_schema_run_realizes_several_pairs(self):
+        # the run of ``test_rows_equal_per_round_oracle[changing-schema]``
+        r = run_training(
+            config(mechanism=MECH, noise_multiplier=0.5, rounds=30),
+            small_population(n_clients=16),
+        )
+        rho = [row["rho_so_far"] for row in r.metrics]
+        rounds_of, pairs = {}, set()
+        for t in range(30):
+            for _, cid in [p for p in r.participation if p[0] == t]:
+                rounds_of.setdefault(cid, []).append(t)
+            gaps = [b - a for ts in rounds_of.values() for a, b in zip(ts, ts[1:])]
+            pairs.add((min(gaps, default=None), max(map(len, rounds_of.values()))))
+        assert len(pairs) >= 4
+        assert all(b >= a for a, b in zip(rho, rho[1:]))
+
+
 class TestAudit:
     def test_audit_rejects_violation(self):
         with pytest.raises(AssertionError):
@@ -449,6 +534,22 @@ class TestEvalAndCsv:
         loss, acc = eval_model(np.array([10.0]), X, y, "logistic")
         assert acc == 1.0
         assert loss < 1e-8
+
+    @pytest.mark.parametrize("task", ["linear", "logistic"])
+    def test_stacked_models_equal_one_model_calls(self, task):
+        pop = small_population(task=task)
+        models = np.random.default_rng(4).normal(0.0, 0.7, (9, 8))
+        args = (pop.eval_features, pop.eval_labels, task)
+        loss, acc = eval_model(models, *args)
+        assert loss.shape == acc.shape == (9,)
+        for row, model in enumerate(models):
+            one_loss, one_acc = eval_model(model, *args)
+            assert type(one_loss) is float and type(one_acc) is float
+            assert loss[row] == pytest.approx(one_loss, rel=1e-13, abs=0)
+            if task == "linear":
+                assert math.isnan(acc[row]) and math.isnan(one_acc)
+            else:
+                assert acc[row] == pytest.approx(one_acc, rel=1e-13, abs=0)
 
     def test_csv_writers(self, tmp_path):
         metrics = [

@@ -33,6 +33,7 @@ ORACLES = (
     "count_patterns",
     "exact_sensitivity_bruteforce",
     "refined_eps_minimize_scalar",
+    "metrics_per_round",
 )
 
 
