@@ -41,6 +41,7 @@ from corrnoise.blt_core import (
 from corrnoise.blt_optimizer import _sigmoid
 from corrnoise.participation import (
     ParticipationSchema,
+    _shifted_sum,
     max_participations,
     toeplitz_sensitivity,
 )
@@ -84,6 +85,13 @@ class ClientPopulation:
         return len(self.features)
 
 
+def _require_counts(**counts):
+    """Raise ValueError unless every value is an integer >= 1."""
+    for name, value in counts.items():
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     rounds: int
@@ -104,12 +112,13 @@ class TrainConfig:
         counts = ("rounds", "clients_per_round", "min_sep", "local_epochs", "batch_size")
         if self.est_max_part is not None:  # None is the worst case
             counts += ("est_max_part",)
-        for name in counts:
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        _require_counts(**{name: getattr(self, name) for name in counts})
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        # a NaN or Inf step poisons the model without a sign
+        for name in ("client_lr", "server_lr", "momentum"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # written so that NaN fails too: a NaN sigma_zeta would train noiselessly
         if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
@@ -159,6 +168,15 @@ def make_population(
     """
     if task not in ("linear", "logistic"):
         raise ValueError("task must be 'linear' or 'logistic'")
+    # zero eval samples give a NaN eval loss, zero samples per client train on nothing
+    _require_counts(
+        n_clients=n_clients,
+        dim=dim,
+        samples_per_client=samples_per_client,
+        eval_samples=eval_samples,
+    )
+    if not 0.0 <= heterogeneity < math.inf:
+        raise ValueError(f"heterogeneity must be finite and >= 0, got {heterogeneity}")
     rng = np.random.default_rng(seed)
     w_star = rng.normal(0.0, 1.0, dim) / math.sqrt(dim)
 
@@ -318,9 +336,7 @@ def _realized_sensitivities(c, b_log, k_log):
     n = c.shape[0]
     sens = np.empty(n)
     for b, k in set(zip(b_log.tolist(), k_log.tolist())):
-        cbar = np.zeros(n)
-        for i in range(k):
-            cbar[i * b :] += c[: n - i * b]
+        cbar = _shifted_sum(c, b, k)
         rows = (b_log == b) & (k_log == k)
         sens[rows] = np.sqrt(np.cumsum(cbar * cbar)[rows])
     return sens

@@ -21,8 +21,8 @@ class ParticipationSchema:
     """Rounds n, min-separation b, max participations k.
 
     Requires (k-1)*b < n, equivalently k <= ceil(n/b), so that the
-    worst-case pattern fits. ``worst_case(n, b)`` constructs the schema
-    with the canonical (largest feasible) k = ceil(n/b).
+    worst-case pattern fits; ``max_participations(n, b)`` is the largest
+    such k.
     """
 
     n: int
@@ -37,10 +37,6 @@ class ParticipationSchema:
                 f"pattern does not fit: (k-1)*b = {(self.k - 1) * self.b} "
                 f">= n = {self.n}; max feasible k is {max_participations(self.n, self.b)}"
             )
-
-    @classmethod
-    def worst_case(cls, n: int, b: int) -> "ParticipationSchema":
-        return cls(n, b, max_participations(n, b))
 
 
 def max_participations(n: int, b: int) -> int:
@@ -65,18 +61,18 @@ def _validate_toeplitz_column(c):
         )
 
 
-def _shifted_sum_norm(c, schema: ParticipationSchema):
-    """Unvalidated ||sum_{i<k} shift(c, i*b)||_2; no abs, so complex-safe."""
-    n = schema.n
+def _shifted_sum(c, b, k):
+    """Unvalidated cbar = sum_{i<k} shift(c, i*b), truncated to n = len(c)."""
+    n = c.shape[0]
     cbar = np.zeros(n, dtype=c.dtype)
-    for i in range(schema.k):
-        s = i * schema.b
+    for i in range(k):
+        s = i * b
         cbar[s:] += c[: n - s]
-    return np.sqrt(np.sum(cbar * cbar))
+    return cbar
 
 
 def _blt_sensitivity(theta, omega, schema: ParticipationSchema):
-    """``_shifted_sum_norm`` of the BLT(theta, omega) column in O(k d^2).
+    """||_shifted_sum|| of the BLT(theta, omega) column in O(k d^2).
 
     theta and omega are (B, d); returns (B,). Unvalidated and complex-safe.
     C u for the front-loaded pattern runs the recurrence
@@ -123,7 +119,8 @@ def toeplitz_sensitivity(c, schema: ParticipationSchema) -> float:
         raise ValueError(f"need at least n={n} coefficients, got {c.shape[0]}")
     c = c[:n]
     _validate_toeplitz_column(c)
-    return float(_shifted_sum_norm(c, schema))
+    cbar = _shifted_sum(c, schema.b, schema.k)
+    return float(np.sqrt(np.sum(cbar * cbar)))
 
 
 def matrix_sensitivity_lower_bound(C, schema: ParticipationSchema) -> float:

@@ -24,11 +24,7 @@ from corrnoise.blt_core import toeplitz_inverse_coefs
 from corrnoise.blt_optimizer import _loss_batch, _sigmoid, _value_and_gradient
 from corrnoise.ftrl_sim import eval_model
 from corrnoise.loss_metrics import MechanismLoss, _bundle, toeplitz_error
-from corrnoise.participation import (
-    ParticipationSchema,
-    _shifted_sum_norm,
-    toeplitz_sensitivity,
-)
+from corrnoise.participation import ParticipationSchema, toeplitz_sensitivity
 
 
 def lt_toeplitz(c: np.ndarray) -> np.ndarray:
@@ -361,7 +357,7 @@ def metrics_per_round(models, participation, c, clip_norm, sigma_zeta, populatio
         gaps = [b - a for rs in seen for a, b in zip(rs, rs[1:])]
         b = min(gaps, default=t + 1)
         k = max(len(rs) for rs in seen)
-        sens = float(_shifted_sum_norm(c[: t + 1], ParticipationSchema(t + 1, b, k)))
+        sens = toeplitz_sensitivity(c[: t + 1], ParticipationSchema(t + 1, b, k))
         loss, acc = eval_model(
             model, population.eval_features, population.eval_labels, population.task
         )

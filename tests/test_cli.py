@@ -6,8 +6,11 @@ one subprocess test confirms the installed entry point matches.
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,11 @@ from corrnoise.blt_core import (
 )
 from corrnoise.cli import SWEEP_HEADER, main
 from corrnoise.loss_metrics import blt_mechanism_loss, dense_error
-from corrnoise.participation import ParticipationSchema, matrix_sensitivity_lower_bound
+from corrnoise.participation import (
+    ParticipationSchema,
+    matrix_sensitivity_lower_bound,
+    max_participations,
+)
 from corrnoise.tree_baseline import eval_tree
 
 MECH = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
@@ -234,7 +241,7 @@ class TestEval:
         )
         assert code == 0
         doc = strict_loads(out)
-        schema = ParticipationSchema.worst_case(n, b)
+        schema = ParticipationSchema(n, b, max_participations(n, b))
         Cinv = scipy.linalg.solve_triangular(C, np.eye(n), lower=True)
         max_error, rms_error = dense_error(np.cumsum(Cinv, axis=0))
         sens = matrix_sensitivity_lower_bound(C, schema)
@@ -676,14 +683,35 @@ class TestSimulate:
          ({"clients_per_round": 2.0}, "clients_per_round must be an integer >= 1"),
          ({"local_epochs": 1.5}, "local_epochs must be an integer >= 1"),
          ({"est_max_part": 2.5}, "est_max_part must be an integer >= 1"),
-         ({"batch_size": 2.5}, "batch_size must be an integer >= 1")],
+         ({"batch_size": 2.5}, "batch_size must be an integer >= 1"),
+         ({"server_lr": math.nan}, "server_lr must be finite"),
+         ({"server_lr": math.inf}, "server_lr must be finite"),
+         ({"momentum": math.nan}, "momentum must be finite"),
+         ({"client_lr": math.nan}, "client_lr must be finite")],
         ids=["negative-clip-norm", "negative-seed", "unknown-key", "fractional-rounds",
              "float-cohort", "fractional-epochs", "fractional-est-max-part",
-             "fractional-batch-size"],
+             "fractional-batch-size", "nan-server-lr", "inf-server-lr", "nan-momentum",
+             "nan-client-lr"],
     )
     def test_bad_training_block_exits_with_usage(self, training, reason, tmp_path, capsys):
         self.assert_config_exits_with_usage(
             json.dumps(simulate_config(**training)), reason, tmp_path, capsys
+        )
+
+    @pytest.mark.parametrize(
+        "name, value, reason",
+        [("n_clients", 0, "an integer >= 1"), ("dim", 2.0, "an integer >= 1"),
+         ("samples_per_client", 0, "an integer >= 1"), ("eval_samples", 0, "an integer >= 1"),
+         ("heterogeneity", math.nan, "finite and >= 0"),
+         ("heterogeneity", -0.5, "finite and >= 0")],
+        ids=["no-clients", "float-dim", "no-client-samples", "no-eval-samples",
+             "nan-heterogeneity", "negative-heterogeneity"],
+    )
+    def test_bad_population_block_exits_with_usage(self, name, value, reason, tmp_path, capsys):
+        config = simulate_config()
+        config["population"][name] = value
+        self.assert_config_exits_with_usage(
+            json.dumps(config), f"{name} must be {reason}", tmp_path, capsys
         )
 
     @pytest.mark.parametrize(
@@ -733,3 +761,16 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "optimize" in proc.stdout
+
+
+def test_readme_commands_parse():
+    # every corrnoise command in the README's fenced blocks must parse, so that a
+    # renamed or retyped flag cannot leave a documented recipe broken
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = "".join(re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S))
+    lines = [line.strip() for line in blocks.replace("\\\n", " ").splitlines()]
+    commands = [line.replace("$n", "2000") for line in lines if line.startswith("corrnoise ")]
+    subcommands = {shlex.split(cmd)[1] for cmd in commands}
+    assert subcommands == {"optimize", "eval", "sweep", "noisegen", "account", "simulate"}
+    for cmd in commands:  # argparse exits, printing the bad flag, on any it rejects
+        corrnoise.cli.build_parser().parse_args(shlex.split(cmd)[1:])

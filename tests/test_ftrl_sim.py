@@ -318,8 +318,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             config(seed=seed)
 
-    # unchecked, a NaN sigma_zeta fails "> 0" and the run trains with no noise
-    @pytest.mark.parametrize("name", ["noise_multiplier", "clip_norm"])
+    # unchecked, a NaN sigma_zeta trains with no noise and a NaN step gives a NaN model
+    @pytest.mark.parametrize(
+        "name", ["noise_multiplier", "clip_norm", "client_lr", "server_lr", "momentum"]
+    )
     def test_nan_rejected_at_construction(self, name):
         with pytest.raises(ValueError, match=name):
             config(**{name: math.nan})

@@ -41,7 +41,7 @@ class TestSchema:
         assert max_participations(2052, 342) == 6
         assert max_participations(2000, 1000) == 2
         assert max_participations(7, 2) == 4
-        s = ParticipationSchema.worst_case(2052, 342)
+        s = ParticipationSchema(2052, 342, max_participations(2052, 342))
         assert (s.n, s.b, s.k) == (2052, 342, 6)
 
     def test_worst_case_pattern(self):
