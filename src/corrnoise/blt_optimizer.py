@@ -22,20 +22,23 @@ on the differentiated path is complex-analytic: sums of squares instead
 of absolute values, transposes instead of conjugates, and a sigmoid
 branched on the real part.
 
-The quasi-Newton driver is a hand-rolled two-loop L-BFGS with a strong
-Wolfe line search that understands +inf returns: off-the-shelf L-BFGS-B
+The quasi-Newton driver is a hand-rolled L-BFGS with a strong Wolfe
+line search that understands +inf returns: off-the-shelf L-BFGS-B
 implementations treat a non-finite trial value as convergence failure at
 the first iteration, while here the smallest infeasible step caps the
 bracket and the search bisects toward it. Both are generators that yield
-the point to evaluate, so all restarts run in lockstep: every step
-stacks the 2d complex-step rows of each unfinished restart into one loss
-call, and feasibility is decided per restart.
+the point to evaluate, or a request for a search direction, so all
+restarts run in lockstep: a step stacks the 2d complex-step rows of each
+unfinished restart into one loss call (feasibility is decided per
+restart), or answers all direction requests with one stacked two-loop.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from corrnoise.blt_core import (
     blt_inverse_coefs,
     calc_output_scale,
 )
-from corrnoise.loss_metrics import _blt_errors, toeplitz_error
+from corrnoise.loss_metrics import _blt_errors, _residues, toeplitz_error
 from corrnoise.participation import (
     ParticipationSchema,
     _blt_sensitivity,
@@ -129,11 +132,11 @@ def _loss_batch(theta, theta_hat, schema: ParticipationSchema, objective, barrie
     rth, rthh = np.real(theta), np.real(theta_hat)
     inside = (rth > 0) & (rth < 1) & (rthh > 0) & (rthh < 1)
     # near-coincident decays make the pairing blow up: infeasible
-    ok = np.all(inside & ~_too_close(theta)[..., None], axis=(1, 2))
-    if not np.any(ok):
+    ok = (inside & ~_too_close(theta)[..., None]).all(axis=(1, 2))
+    if not ok.any():
         return out.reshape(groups)
     theta, theta_hat = theta[ok], theta_hat[ok]
-    omega = calc_output_scale(theta, theta_hat)
+    omega = _residues(theta, theta_hat)
     th, thh, om = (v.reshape(-1, d) for v in (theta, theta_hat, omega))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         max_error, rms_error = _blt_errors(th, thh, schema.n)
@@ -141,20 +144,28 @@ def _loss_batch(theta, theta_hat, schema: ParticipationSchema, objective, barrie
         loss = ((max_error if objective == "max" else rms_error) * sens).reshape(theta.shape[:2])
         if barrier_lambda != 0.0:
             pen = (
-                -np.sum(np.log(theta), axis=-1)
-                - np.sum(np.log1p(-theta), axis=-1)
-                - np.sum(np.log(omega), axis=-1)
+                -np.log(theta).sum(axis=-1)
+                - np.log1p(-theta).sum(axis=-1)
+                - np.log(omega).sum(axis=-1)
             )
             loss = loss + barrier_lambda * pen
-    feasible = np.all(np.real(omega) > 0, axis=(1, 2)) & np.all(np.isfinite(np.real(loss)), axis=1)
+    feasible = (np.real(omega) > 0).all(axis=(1, 2)) & np.isfinite(np.real(loss)).all(axis=1)
     out[np.flatnonzero(ok)[feasible]] = loss[feasible]
     return out.reshape(groups)
+
+
+@lru_cache(maxsize=None)
+def _complex_steps(size):
+    """i h e_j in row j: the read-only (size, size) complex-step offsets."""
+    steps = 1j * COMPLEX_STEP * np.eye(size)
+    steps.flags.writeable = False
+    return steps
 
 
 def _value_and_gradient(loss_batch, x):
     """loss and complex-step gradient at the points x (..., 2d), from one
     batch of the groups x + i h e_j."""
-    values = loss_batch(x[..., None, :] + 1j * COMPLEX_STEP * np.eye(x.shape[-1]))
+    values = loss_batch(x[..., None, :] + _complex_steps(x.shape[-1]))
     return np.real(values[..., 0]), np.imag(values) / COMPLEX_STEP
 
 
@@ -196,7 +207,7 @@ def _wolfe_search(x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
     cannot be met within the evaluation budget. Returns (alpha, f, g) with
     alpha None on total failure.
     """
-    d0 = g0 @ p
+    d0 = float(g0 @ p)
     if d0 >= 0:
         return None, f0, g0
     alpha_prev, f_prev = 0.0, f0
@@ -213,13 +224,13 @@ def _wolfe_search(x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
     while nev < max_evals:
         nev += 1
         fv, gv = yield x + alpha * p
-        if not np.isfinite(fv):
+        if not math.isfinite(fv):
             cap = alpha
             alpha = 0.5 * (alpha_prev + alpha)
             if alpha - alpha_prev < 1e-16:
                 break
             continue
-        dv = gv @ p
+        dv = float(gv @ p)
         if armijo(alpha, fv) and (best is None or fv < best[1]):
             best = (alpha, fv, gv)
         if not armijo(alpha, fv) or (fv >= f_prev and alpha_prev > 0):
@@ -239,10 +250,10 @@ def _wolfe_search(x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
             a = 0.5 * (lo + hi)
             nev += 1
             fv, gv = yield x + a * p
-            if not np.isfinite(fv):
+            if not math.isfinite(fv):
                 hi = a
                 continue
-            dv = gv @ p
+            dv = float(gv @ p)
             if armijo(a, fv) and (best is None or fv < best[1]):
                 best = (a, fv, gv)
             if not armijo(a, fv) or fv >= flo:
@@ -261,57 +272,39 @@ def _wolfe_search(x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
 
 
 def _lbfgs(x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-13):
-    """Two-loop L-BFGS with the +inf-aware Wolfe search above.
+    """L-BFGS with the +inf-aware Wolfe search above.
 
-    A generator: yields each point to evaluate and receives its (f, g).
-    Returns (x, f, iterations, converged). Curvature pairs failing
-    y's > 0 (up to scale) are dropped; a non-descent direction resets
-    the memory to steepest descent. ftol is a few hundred times the
-    rounding of f: in a flat valley a tighter stop is met only when a
-    step happens to gain next to nothing.
+    A generator: yields each point to evaluate and receives (f, g); yields
+    (g, S, Y, rho), its gradient and last m curvature pairs (right-aligned,
+    empty slots zero), and receives H g. Returns (x, f, iterations,
+    converged). Pairs failing y's > 0 (up to scale) are dropped; a
+    non-descent direction resets the memory to steepest descent. ftol is
+    a few hundred times the rounding of f: in a flat valley a tighter
+    stop is met only when a step happens to gain next to nothing.
     """
     x = np.asarray(x0, dtype=float)
     f, g = yield x
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         return x, f, 0, False
-    S, Y, rhos = [], [], []
+    S, Y, rho = np.zeros((m, x.size)), np.zeros((m, x.size)), np.zeros(m)
     converged = False
     it = 0
     for it in range(1, maxiter + 1):
-        if np.linalg.norm(g, np.inf) <= gtol:
+        if np.abs(g).max() <= gtol:
             converged = True
             break
-        q = g.copy()
-        alphas = []
-        for i in range(len(S) - 1, -1, -1):
-            a = rhos[i] * (S[i] @ q)
-            alphas.append(a)
-            q -= a * Y[i]
-        if S:
-            gamma = (S[-1] @ Y[-1]) / (Y[-1] @ Y[-1])
-        else:
-            gamma = 1.0 / max(1.0, np.linalg.norm(g))
-        r = gamma * q
-        for i, a in zip(range(len(S)), reversed(alphas)):
-            b = rhos[i] * (Y[i] @ r)
-            r += S[i] * (a - b)
-        p = -r
+        p = -(yield g, S, Y, rho)
         if p @ g >= 0:
             p = -g
-            S, Y, rhos = [], [], []
+            S[:], Y[:], rho[:] = 0.0, 0.0, 0.0
         alpha, fn, gnew = yield from _wolfe_search(x, f, g, p)
         if alpha is None:
             break
         s = alpha * p
         y = gnew - g
-        if y @ s > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            S.append(s)
-            Y.append(y)
-            rhos.append(1.0 / (y @ s))
-            if len(S) > m:
-                S.pop(0)
-                Y.pop(0)
-                rhos.pop(0)
+        if y @ s > 1e-12 * math.sqrt(s @ s) * math.sqrt(y @ y):
+            S[:-1], Y[:-1], rho[:-1] = S[1:], Y[1:], rho[1:]
+            S[-1], Y[-1], rho[-1] = s, y, 1.0 / (y @ s)
         x = x + s
         if abs(f - fn) <= ftol * max(1.0, abs(f)):
             f, g = fn, gnew
@@ -321,23 +314,51 @@ def _lbfgs(x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-13):
     return x, f, it, converged
 
 
+def _two_loop(G, S, Y, rho):
+    """H g for every row of the (R, n) gradients G, by the L-BFGS two-loop
+    recursion over (R, m, n) curvature pairs S, Y and (R, m) weights rho,
+    right-aligned as ``_lbfgs`` keeps them (zero slots leave a row as is;
+    an empty history scales g by 1 / max(1, ||g||)). The dot products are
+    stacked ``matmul``s, which round as the 1-D ``s @ q`` does, so each row
+    is bit-identical to the per-restart recursion over lists.
+    """
+    m = S.shape[1]
+    q = G[:, :, None].copy()
+    alphas = [None] * m
+    for j in range(m - 1, -1, -1):
+        alphas[j] = rho[:, j, None, None] * (S[:, j, None] @ q)
+        q -= alphas[j] * Y[:, j, :, None]
+    empty = rho[:, -1, None, None] == 0
+    yy = np.where(empty, 1.0, Y[:, -1, None] @ Y[:, -1, :, None])
+    steepest = 1.0 / np.maximum(1.0, np.sqrt(G[:, None] @ G[:, :, None]))
+    r = np.where(empty, steepest, (S[:, -1, None] @ Y[:, -1, :, None]) / yy) * q
+    for j in range(m):
+        beta = rho[:, j, None, None] * (Y[:, j, None] @ r)
+        r += S[:, j, :, None] * (alphas[j] - beta)
+    return r[:, :, 0]
+
+
 def _lockstep(loss_batch, starts):
     """Run one ``_lbfgs`` per start point, all restarts in lockstep.
 
-    Each step stacks the point every unfinished restart waits on and
-    evaluates them all with one ``_value_and_gradient`` call. A restart
-    sees exactly the values it would see alone, since ``_loss_batch``
-    decides feasibility per group. Returns each restart's
-    (x, f, iterations, converged), in start order.
+    Each step answers all open direction requests with one ``_two_loop``,
+    or else evaluates every waiting point with one ``_value_and_gradient``
+    call; a restart sees exactly what it would see alone. Returns each
+    restart's (x, f, iterations, converged), in start order.
     """
     runs = [_lbfgs(x0) for x0 in starts]
     waiting = {i: next(run) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     while waiting:
-        f, g = _value_and_gradient(loss_batch, np.stack(list(waiting.values())))
-        for i, fi, gi in zip(list(waiting), f, g):
+        asking = [i for i, request in waiting.items() if isinstance(request, tuple)]
+        if asking:
+            replies = zip(asking, _two_loop(*map(np.array, zip(*map(waiting.get, asking)))))
+        else:
+            f, g = _value_and_gradient(loss_batch, np.array(list(waiting.values())))
+            replies = zip(list(waiting), zip(f.tolist(), g))
+        for i, reply in list(replies):
             try:
-                waiting[i] = runs[i].send((fi, gi))
+                waiting[i] = runs[i].send(reply)
             except StopIteration as done:
                 results[i] = done.value
                 del waiting[i]

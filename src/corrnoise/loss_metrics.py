@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,17 +79,36 @@ _PHI2_SERIES = tuple(1.0 / math.factorial(k) for k in range(10, 1, -1))
 
 def _phi2(z, expm1_z):
     """(e^z - 1 - z) / z^2 from z and expm1(z), analytic; where |Re z| < 0.1,
-    where the quotient cancels, a 9-term series (truncation below 3e-17)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (expm1_z - z) / (z * z)
+    where the quotient cancels, a 9-term series (truncation below 3e-17);
+    the caller silences the quotient's warnings at z = 0."""
+    out = (expm1_z - z) / (z * z)
     small = np.abs(np.real(z)) < 0.1
-    if np.any(small):
+    if small.any():
         zs = z[small]
         series = np.zeros_like(zs)
         for coef in _PHI2_SERIES:
             series = series * zs + coef
         out[small] = series
     return out
+
+
+@lru_cache(maxsize=None)
+def _pole_tables(size):
+    """Read-only tables for ``size`` poles: the diagonal mask, and the pairs
+    a <= b but (0, 0) as index arrays with weights 1 on the diagonal, 2 off."""
+    a, b = (i[1:] for i in np.triu_indices(size))
+    tables = np.eye(size, dtype=bool), a, b, np.where(a == b, 1.0, 2.0)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _residues(poles, zeros):
+    """prod_l (p_a - z_l) / prod_{b != a} (p_a - p_b) along the last axis:
+    ``calc_output_scale`` without the degeneracy check its callers made."""
+    num = (poles[..., :, None] - zeros[..., None, :]).prod(axis=-1)
+    gaps = poles[..., :, None] - poles[..., None, :]
+    return num / np.where(_pole_tables(poles.shape[-1])[0], 1.0, gaps).prod(axis=-1)
 
 
 def _blt_errors(theta, theta_hat, n):
@@ -116,31 +136,32 @@ def _blt_errors(theta, theta_hat, n):
     """
     theta, theta_hat = np.asarray(theta), np.asarray(theta_hat)
     batch, d = theta.shape
+    _, a, b, pair_weight = _pole_tables(d + 1)
     r = np.concatenate([np.ones((batch, 1), dtype=theta_hat.dtype), theta_hat], axis=1)
-    num = np.prod(r[:, :, None] - theta[:, None, :], axis=-1)
-    gaps = np.where(np.eye(d + 1, dtype=bool), 1.0, r[:, :, None] - r[:, None, :])
-    c = num / np.prod(gaps, axis=-1)
+    c = _residues(r, theta)
     # each pair of poles (a, b) once, without (0, 0): x = 1 there, where
     # S = n and T = n(n+1)/2
-    a, b = (i[1:] for i in np.triu_indices(d + 1))
-    weight = np.where(a == b, 1.0, 2.0) * c[:, a] * c[:, b]
+    weight = pair_weight * c[:, a] * c[:, b]
     positive = np.real(r) > 0
     log_r = np.log(np.where(positive, r, 1.0))
     L = log_r[:, a] + log_r[:, b]
-    both = positive[:, a] & positive[:, b]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        nL = n * L
-        e, E = np.expm1(L), np.expm1(nL)
+        # L and nL through expm1 and phi_2 as one stack; np.stack keeps L's
+        # pair-major layout, which sets the rounding of the pair sums below
+        z = np.stack((L, n * L))
+        e, E = expm1_z = np.expm1(z)
+        phi2_L, phi2_nL = _phi2(z, expm1_z)
         S = E / e
-        T = (L * L * (n * n * _phi2(nL, E) - n * _phi2(L, e)) + e * E) / (e * e)
-        if not np.all(both):
+        T = (L * L * (n * n * phi2_nL - n * phi2_L) + e * E) / (e * e)
+        if not positive.all():
+            both = positive[:, a] & positive[:, b]
             x = r[:, a] * r[:, b]
             xn = x**n
             S = np.where(both, S, (1.0 - xn) / (1.0 - x))
             T = np.where(both, T, (n * (1.0 - x) - x * (1.0 - xn)) / (1.0 - x) ** 2)
     beta2 = c[:, 0] * c[:, 0]
-    max2 = beta2 * n + np.sum(weight * S, axis=-1)
-    nrms2 = beta2 * (n * (n + 1) / 2) + np.sum(weight * T, axis=-1)
+    max2 = beta2 * n + (weight * S).sum(axis=-1)
+    nrms2 = beta2 * (n * (n + 1) / 2) + (weight * T).sum(axis=-1)
     return np.sqrt(max2), np.sqrt(nrms2 / n)
 
 

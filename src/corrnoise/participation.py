@@ -87,19 +87,17 @@ def _blt_sensitivity(theta, omega, schema: ParticipationSchema):
     n, b, k = schema.n, schema.b, schema.k
     log_theta = np.log(theta)
     log_pair = log_theta[:, :, None] + log_theta[:, None, :]
-
-    def segment(length):
-        """(G, theta^(L-1)) for a segment of L rounds."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            g = np.expm1((length - 1) * log_pair) / np.expm1(log_pair)
-        return np.where(log_pair == 0, length - 1, g), np.exp((length - 1) * log_theta)
-
-    inner = segment(b)
+    # L - 1 for the inner segments and for the last one, stacked
+    steps = np.array([b - 1, n - (k - 1) * b - 1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        grams = np.expm1(steps[:, None, None, None] * log_pair) / np.expm1(log_pair)
+    grams = np.where(log_pair == 0, steps[:, None, None, None], grams)
+    inner, last = zip(grams, np.exp(steps[:, None, None] * log_theta))
     s = np.zeros_like(log_theta)
     total = 0.0
     for i in range(k):
-        g, decay = inner if i < k - 1 else segment(n - i * b)
-        head = 1.0 + np.sum(omega * s, axis=-1)
+        g, decay = inner if i < k - 1 else last
+        head = 1.0 + (omega * s).sum(axis=-1)
         v = theta * s + 1.0
         wv = omega * v
         total = total + head * head + np.einsum("bj,bjl,bl->b", wv, g, wv)

@@ -6,7 +6,9 @@ streams C^-1), one round of C^-1 in the matrix-product form that the
 fused chunk pass replaced, the prefix-sum workload matrix, the O(n^2) loss of a
 Toeplitz strategy from its coefficients, the BLT errors by state-space
 doubling in O(d^3 log n), the complex-step gradient of
-``blt_loss`` in (theta, theta_hat), exhaustive participation-pattern
+``blt_loss`` in (theta, theta_hat), the L-BFGS two-loop recursion of one
+restart over lists, which the fit's stacked ``_two_loop`` replaced,
+exhaustive participation-pattern
 enumeration with the sensitivity it implies, the one-client-at-a-time
 simulator steps that the stacked cohort batch replaces, the simulator's
 metrics recomputed one round at a time, and a numerical minimization of
@@ -120,6 +122,30 @@ def blt_loss_gradient(
     if not np.isfinite(f0):
         raise ValueError("gradient requested at an infeasible point (loss = +inf)")
     return g[:d], g[d:]
+
+
+def two_loop_direction(g, S, Y, rhos):
+    """H g for one restart by the L-BFGS two-loop recursion over lists.
+
+    S, Y and rhos hold its curvature pairs and 1 / (y's), oldest first;
+    an empty history scales g by 1 / max(1, ||g||). The per-restart form
+    that ``blt_optimizer._two_loop`` stacks across restarts.
+    """
+    q = g.copy()
+    alphas = []
+    for i in range(len(S) - 1, -1, -1):
+        a = rhos[i] * (S[i] @ q)
+        alphas.append(a)
+        q -= a * Y[i]
+    if S:
+        gamma = (S[-1] @ Y[-1]) / (Y[-1] @ Y[-1])
+    else:
+        gamma = 1.0 / max(1.0, np.linalg.norm(g))
+    r = gamma * q
+    for i, a in zip(range(len(S)), reversed(alphas)):
+        b = rhos[i] * (Y[i] @ r)
+        r += S[i] * (a - b)
+    return r
 
 
 def matrix_power(F, n):

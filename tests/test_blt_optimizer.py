@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import blt_loss_gradient, toeplitz_mechanism_loss
+from oracles import blt_loss_gradient, toeplitz_mechanism_loss, two_loop_direction
 
 from corrnoise.blt_core import (
     DEGENERATE_GAP,
@@ -28,6 +28,7 @@ from corrnoise.blt_optimizer import (
     _init_point,
     _lbfgs,
     _loss_batch,
+    _two_loop,
     _value_and_gradient,
     blt_loss,
     optimize_blt,
@@ -229,16 +230,63 @@ class TestOptimizeBlt:
         assert r3.loss <= r2.loss * (1 + 1e-3)
 
 
+def _alone(request):
+    """A direction request answered by a ``_two_loop`` batch of one."""
+    return _two_loop(*(a[None] for a in request))[0]
+
+
+def _drive(run, evaluate, direct=_alone):
+    """Drive one ``_lbfgs`` generator to its end, answering its points with
+    ``evaluate`` and its direction requests with ``direct``."""
+    request = next(run)
+    while True:
+        answer = direct(request) if isinstance(request, tuple) else evaluate(request)
+        try:
+            request = run.send(answer)
+        except StopIteration as done:
+            return done.value
+
+
 def _drive_alone(loss_batch, x0):
-    """One restart's ``_lbfgs`` generator, evaluated one point at a time."""
-    run = _lbfgs(x0)
-    point = next(run)
+    """One restart's ``_lbfgs`` generator, on its own, through the protocol
+    of ``_lockstep``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            try:
-                point = run.send(_value_and_gradient(loss_batch, point))
-            except StopIteration as done:
-                return done.value
+        return _drive(_lbfgs(x0), lambda point: _value_and_gradient(loss_batch, point))
+
+
+def _rosenbrock(x):
+    f = np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return f, g
+
+
+class TestTwoLoop:
+    def test_stacked_rows_match_the_list_recursion_bit_for_bit(self):
+        # direction requests as _lbfgs raises them on a 6-d Rosenbrock
+        # valley: histories of every length 0..m = 10
+        requests = []
+
+        def direct(request):
+            requests.append(tuple(np.copy(a) for a in request))
+            # an ascent direction for the 14th: _lbfgs resets its memory
+            return -request[0] if len(requests) == 14 else _alone(request)
+
+        _drive(_lbfgs(np.array([-1.2, 1.0, -0.5, 0.8, 1.5, -0.3])), _rosenbrock, direct)
+        history = [int(np.count_nonzero(rho)) for _, _, _, rho in requests]
+        assert history[:14] == [*range(11), 10, 10, 10]
+        # one pair after the reset, the stale slots cleared
+        _, S, Y, rho = requests[14]
+        assert history[14] == 1 and not S[:-1].any() and not Y[:-1].any()
+        batch = requests[:11] + [requests[14]]
+        # an empty history with ||g|| < 1: gamma = 1, not 1 / ||g||
+        batch.append((np.full(6, 0.1), *(np.zeros_like(a) for a in requests[0][1:])))
+        stacked = _two_loop(*map(np.stack, zip(*batch)))
+        for (g, S, Y, rho), row in zip(batch, stacked):
+            live = rho != 0
+            expected = two_loop_direction(g, list(S[live]), list(Y[live]), list(rho[live]))
+            assert row.tobytes() == expected.tobytes()
 
 
 class TestLockstep:

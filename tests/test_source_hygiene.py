@@ -34,6 +34,7 @@ ORACLES = (
     "exact_sensitivity_bruteforce",
     "refined_eps_minimize_scalar",
     "metrics_per_round",
+    "two_loop_direction",
 )
 
 
