@@ -1,6 +1,6 @@
 """Correlated-noise toolkit for differentially private prefix-sum release.
 
-Subpackages by function:
+Modules by function:
 
 - ``blt_core``: buffered linear Toeplitz (BLT) strategy matrices, the
   inverse pairing, and O(d*m)-memory streaming multiplication by C^-1.

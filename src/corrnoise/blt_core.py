@@ -156,10 +156,17 @@ def calc_output_scale(theta, theta_hat) -> np.ndarray:
             f"theta entries closer than {DEGENERATE_GAP}; "
             "the pairing divides by their differences"
         )
-    num = np.prod(theta[..., :, None] - theta_hat[..., None, :], axis=-1)
-    gaps = theta[..., :, None] - theta[..., None, :]
-    den = np.prod(np.where(np.eye(theta.shape[-1], dtype=bool), 1.0, gaps), axis=-1)
-    return num / den
+    return _residues(theta, theta_hat)
+
+
+def _residues(poles, zeros):
+    """prod_l (p_a - z_l) / prod_{b != a} (p_a - p_b) along the last axis:
+    the product-form pairing, without the degeneracy check (the caller's)."""
+    num = (poles[..., :, None] - zeros[..., None, :]).prod(axis=-1)
+    gaps = poles[..., :, None] - poles[..., None, :]
+    # the (fresh, contiguous) gaps viewed flat: every (d + 1)-th entry is diagonal
+    gaps.reshape(*gaps.shape[:-2], -1)[..., :: poles.shape[-1] + 1] = 1.0
+    return num / gaps.prod(axis=-1)
 
 
 class InversePair(NamedTuple):

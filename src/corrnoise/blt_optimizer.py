@@ -44,12 +44,13 @@ import numpy as np
 
 from corrnoise.blt_core import (
     BltParams,
+    _residues,
     _too_close,
     blt_coefs,
     blt_inverse_coefs,
     calc_output_scale,
 )
-from corrnoise.loss_metrics import _blt_errors, _residues, toeplitz_error
+from corrnoise.loss_metrics import _blt_errors, toeplitz_error
 from corrnoise.participation import (
     ParticipationSchema,
     _blt_sensitivity,
@@ -61,6 +62,11 @@ OBJECTIVES = ("max", "rms")
 BARRIER_LAMBDA = 1e-7
 # complex-step size: h^2 vanishes against any loss value
 COMPLEX_STEP = 1e-100
+# L-BFGS: iteration cap, memory (curvature pairs kept), and the stops on
+# the inf-norm of the gradient and on the relative decrease of the loss
+MAXITER, MEMORY, GTOL, FTOL = 500, 10, 1e-9, 1e-13
+# strong Wolfe line search: sufficient decrease, curvature, evaluation budget
+WOLFE_C1, WOLFE_C2, WOLFE_MAX_EVALS = 1e-4, 0.9, 40
 
 
 @dataclass
@@ -85,7 +91,6 @@ class OptimizerConfig:
 @dataclass
 class OptimizationResult:
     params: BltParams
-    theta_hat: np.ndarray
     loss: float  # barrier-free, on the requested objective
     converged: bool
     iterations: int
@@ -199,7 +204,7 @@ def blt_loss(
 # ---------------------------------------------------------------------------
 
 
-def _wolfe_search(x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
+def _wolfe_search(x, f0, g0, p):
     """Strong Wolfe line search; non-finite trial values cap the step range.
 
     A generator: yields each trial point and receives its (f, g). Falls
@@ -217,11 +222,11 @@ def _wolfe_search(x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
     best = None  # best (a, f, g) satisfying Armijo
 
     def armijo(a, fv):
-        return fv <= f0 + c1 * a * d0
+        return fv <= f0 + WOLFE_C1 * a * d0
 
     lo = hi = None
     flo = None
-    while nev < max_evals:
+    while nev < WOLFE_MAX_EVALS:
         nev += 1
         fv, gv = yield x + alpha * p
         if not math.isfinite(fv):
@@ -237,7 +242,7 @@ def _wolfe_search(x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
             lo, flo = alpha_prev, f_prev
             hi = alpha
             break
-        if abs(dv) <= -c2 * d0:
+        if abs(dv) <= -WOLFE_C2 * d0:
             return alpha, fv, gv
         if dv >= 0:
             lo, flo = alpha, fv
@@ -246,7 +251,7 @@ def _wolfe_search(x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
         alpha_prev, f_prev = alpha, fv
         alpha = 2.0 * alpha if cap is None else 0.5 * (alpha + cap)
     if lo is not None:
-        while nev < max_evals:
+        while nev < WOLFE_MAX_EVALS:
             a = 0.5 * (lo + hi)
             nev += 1
             fv, gv = yield x + a * p
@@ -259,7 +264,7 @@ def _wolfe_search(x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
             if not armijo(a, fv) or fv >= flo:
                 hi = a
             else:
-                if abs(dv) <= -c2 * d0:
+                if abs(dv) <= -WOLFE_C2 * d0:
                     return a, fv, gv
                 if dv * (hi - lo) >= 0:
                     hi = lo
@@ -271,14 +276,14 @@ def _wolfe_search(x, f0, g0, p, c1=1e-4, c2=0.9, max_evals=40):
     return None, f0, g0
 
 
-def _lbfgs(x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-13):
+def _lbfgs(x0):
     """L-BFGS with the +inf-aware Wolfe search above.
 
     A generator: yields each point to evaluate and receives (f, g); yields
-    (g, S, Y, rho), its gradient and last m curvature pairs (right-aligned,
-    empty slots zero), and receives H g. Returns (x, f, iterations,
-    converged). Pairs failing y's > 0 (up to scale) are dropped; a
-    non-descent direction resets the memory to steepest descent. ftol is
+    (g, S, Y, rho), its gradient and last MEMORY curvature pairs
+    (right-aligned, empty slots zero), and receives H g. Returns (x, f,
+    iterations, converged). Pairs failing y's > 0 (up to scale) are dropped; a
+    non-descent direction resets the memory to steepest descent. FTOL is
     a few hundred times the rounding of f: in a flat valley a tighter
     stop is met only when a step happens to gain next to nothing.
     """
@@ -286,11 +291,11 @@ def _lbfgs(x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-13):
     f, g = yield x
     if not math.isfinite(f):
         return x, f, 0, False
-    S, Y, rho = np.zeros((m, x.size)), np.zeros((m, x.size)), np.zeros(m)
+    S, Y, rho = np.zeros((MEMORY, x.size)), np.zeros((MEMORY, x.size)), np.zeros(MEMORY)
     converged = False
     it = 0
-    for it in range(1, maxiter + 1):
-        if np.abs(g).max() <= gtol:
+    for it in range(1, MAXITER + 1):
+        if np.abs(g).max() <= GTOL:
             converged = True
             break
         p = -(yield g, S, Y, rho)
@@ -306,7 +311,7 @@ def _lbfgs(x0, maxiter=500, m=10, gtol=1e-9, ftol=1e-13):
             S[:-1], Y[:-1], rho[:-1] = S[1:], Y[1:], rho[1:]
             S[-1], Y[-1], rho[-1] = s, y, 1.0 / (y @ s)
         x = x + s
-        if abs(f - fn) <= ftol * max(1.0, abs(f)):
+        if abs(f - fn) <= FTOL * max(1.0, abs(f)):
             f, g = fn, gnew
             converged = True
             break
@@ -408,14 +413,14 @@ def optimize_blt(config: OptimizerConfig) -> OptimizationResult:
         params = BltParams(theta, calc_output_scale(theta, theta_hat)).validate()
         # conditioning proxy for ties: the largest relative drop to a pair
         gap = float(np.max(1.0 - theta_hat / theta))
-        cand = (loss, gap, params, theta_hat, iters, conv)
+        cand = (loss, gap, params, iters, conv)
         if (
             best is None
             or cand[0] < best[0] - 1e-12 * max(1.0, abs(best[0]))
             or (abs(cand[0] - best[0]) <= 1e-12 * max(1.0, abs(best[0])) and gap < best[1])
         ):
             best = cand
-    loss, gap, params, theta_hat, iters, conv = best
+    loss, gap, params, iters, conv = best
 
     # independent check: the O(n) coefficient path, with the inverse from
     # the eigenproblem of ``inverse_blt_params``, must reproduce the loss
@@ -431,7 +436,6 @@ def optimize_blt(config: OptimizerConfig) -> OptimizationResult:
         )
     return OptimizationResult(
         params=params,
-        theta_hat=theta_hat,
         loss=float(loss),
         converged=bool(conv),
         iterations=int(iters),

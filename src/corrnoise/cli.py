@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import math
 import os
@@ -126,7 +127,8 @@ def _load_mechanism(parser, path):
         parser.error(f"{path}: {exc}")
 
 
-def _loss_dict(bundle):
+def _loss_dict(bundle, noise_multiplier=1.0):
+    """The bundle's fields, its per-unit losses scaled by the noise multiplier."""
     return {
         "n": bundle.schema.n,
         "b": bundle.schema.b,
@@ -134,19 +136,19 @@ def _loss_dict(bundle):
         "sens": bundle.sens,
         "max_error": bundle.max_error,
         "rms_error": bundle.rms_error,
-        "max_loss": bundle.max_loss,
-        "rms_loss": bundle.rms_loss,
+        "max_loss": noise_multiplier * bundle.max_error * bundle.sens,
+        "rms_loss": noise_multiplier * bundle.rms_error * bundle.sens,
         "sens_method": bundle.sens_method,
     }
 
 
-def _print_json(doc, stream=None):
+def _print_json(doc):
     """Strict JSON: a non-finite float prints as null (unbounded), never as Infinity."""
     doc = {
         key: None if isinstance(val, float) and not math.isfinite(val) else val
         for key, val in doc.items()
     }
-    (stream or sys.stdout).write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_optimize(args) -> int:
@@ -184,7 +186,7 @@ def cmd_eval(args) -> int:
     schema = _make_schema(args)
     if args.params:
         params = _load_mechanism(args.parser, args.params)
-        bundle = blt_mechanism_loss(params, schema, args.noise_multiplier)
+        bundle = blt_mechanism_loss(params, schema)
     elif args.matrix:
         try:
             C = load_strategy_matrix(args.matrix)
@@ -192,28 +194,21 @@ def cmd_eval(args) -> int:
             args.parser.error(str(exc))
         if len(C) != args.n:
             args.parser.error(f"{args.matrix}: a {len(C)} x {len(C)} matrix, not --n {args.n}")
-        bundle = mechanism_loss(C, schema, args.noise_multiplier)
+        bundle = mechanism_loss(C, schema)
     else:
-        bundle = eval_tree(schema, noise_multiplier=args.noise_multiplier)
-    _print_json(_loss_dict(bundle))
+        bundle = eval_tree(schema)
+    _print_json(_loss_dict(bundle, args.noise_multiplier))
     return 0
 
 
-def _sweep_line(name, loss_fn, n, b, k_opt):
-    """One CSV row of the sweep; ``loss_fn`` maps a schema to its MechanismLoss."""
-    k = k_opt if k_opt is not None else max_participations(n, b)
-    head = f"{name},{n},{b},{k},"
+def _sweep_cell(loss_fn, n, b, k):
+    """A sweep cell's MechanismLoss from ``loss_fn``, or its status if it has none."""
     if (k - 1) * b >= n:
-        return head + ",,,,,,infeasible"
-    schema = ParticipationSchema(n=n, b=b, k=k)
+        return "infeasible"
     try:
-        bundle = loss_fn(schema)
+        return loss_fn(ParticipationSchema(n=n, b=b, k=k))
     except Exception as exc:  # surface per-cell failures in the table
-        return head + f",,,,,,error:{exc}"
-    return head + (
-        f"{bundle.sens!r},{bundle.max_error!r},{bundle.rms_error!r},"
-        f"{bundle.max_loss!r},{bundle.rms_loss!r},{bundle.sens_method},ok"
-    )
+        return f"error:{exc}"
 
 
 def cmd_sweep(args) -> int:
@@ -221,31 +216,34 @@ def cmd_sweep(args) -> int:
         args.parser.error(f"--b-stop {args.b_stop} is below --b-start {args.b_start}")
     # one evaluator per mechanism: its b-independent errors are computed
     # once, on the first feasible cell, and only the sensitivity per b
-    n, nm = args.n, args.noise_multiplier
+    n = args.n
     mechanisms = []
     for path in args.params or []:
         # parameters that fail validate() get an error: status in each cell
         params = _read_params(args.parser, path)
         name = os.path.splitext(os.path.basename(path))[0]
-        mechanisms.append((name, blt_mechanism_loss_fn(params, n, nm)))
+        mechanisms.append((name, blt_mechanism_loss_fn(params, n)))
     if args.tree:
-        mechanisms.append(("tree", tree_loss_fn(n, nm)))
+        mechanisms.append(("tree", tree_loss_fn(n)))
     if args.identity:
-        mechanisms.append(("identity", blt_mechanism_loss_fn(IDENTITY_MECHANISM, n, nm)))
+        mechanisms.append(("identity", blt_mechanism_loss_fn(IDENTITY_MECHANISM, n)))
     if not mechanisms:
         print("no mechanisms given (use --params / --tree / --identity)", file=sys.stderr)
         return 1
 
-    lines = [SWEEP_HEADER]
+    rows = []
     for name, loss_fn in mechanisms:
         for b in range(args.b_start, args.b_stop + 1, args.b_step):
-            lines.append(_sweep_line(name, loss_fn, n, b, args.max_part))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            k = args.max_part or max_participations(n, b)
+            cell = _sweep_cell(loss_fn, n, b, k)
+            if isinstance(cell, str):
+                rows.append([name, n, b, k, *[""] * 6, cell])
+            else:  # the row's n, b, k, ... sens_method in SWEEP_HEADER's order
+                rows.append([name, *_loss_dict(cell, args.noise_multiplier).values(), "ok"])
+    # csv quotes a field with a comma, such as an error message
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(SWEEP_HEADER + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return 0
 
 

@@ -4,7 +4,8 @@ For a strategy C factoring the prefix-sum workload A = B C (B = A C^-1),
 the released noise in the t-th prefix estimate has standard deviation
 proportional to the t-th row norm of B. MaxError is the worst row norm,
 RmsError the quadratic mean; multiplying by the sensitivity of C gives
-MaxLoss and RmsLoss, the mechanism-quality objectives.
+MaxLoss and RmsLoss at unit noise multiplier, the mechanism-quality
+objectives.
 
 BLT strategies are evaluated by kernels whose cost does not depend on
 n, shared with ``blt_optimizer.blt_loss``: the errors in closed form
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from corrnoise.blt_core import BltParams, inverse_blt_params
+from corrnoise.blt_core import BltParams, _residues, inverse_blt_params
 from corrnoise.participation import (
     ParticipationSchema,
     _blt_sensitivity,
@@ -37,9 +38,9 @@ from corrnoise.participation import (
 class MechanismLoss:
     """Sensitivity and error/loss bundle for one mechanism at one schema.
 
-    max_loss = max_error * sens and rms_loss = rms_error * sens, both
-    scaled by the noise multiplier (default 1; losses are clip-norm
-    normalized). sens_method records whether sens is exact for the
+    max_loss = max_error * sens and rms_loss = rms_error * sens, at unit
+    noise multiplier (losses are clip-norm normalized; a noise multiplier
+    scales both). sens_method records whether sens is exact for the
     mechanism class ("toeplitz") or only the front-loaded-pattern lower
     bound ("lower_bound").
     """
@@ -48,9 +49,15 @@ class MechanismLoss:
     sens: float
     max_error: float
     rms_error: float
-    max_loss: float
-    rms_loss: float
     sens_method: str
+
+    @property
+    def max_loss(self) -> float:
+        return self.max_error * self.sens
+
+    @property
+    def rms_loss(self) -> float:
+        return self.rms_error * self.sens
 
 
 def toeplitz_error(c_inv) -> tuple[float, float]:
@@ -94,21 +101,13 @@ def _phi2(z, expm1_z):
 
 @lru_cache(maxsize=None)
 def _pole_tables(size):
-    """Read-only tables for ``size`` poles: the diagonal mask, and the pairs
-    a <= b but (0, 0) as index arrays with weights 1 on the diagonal, 2 off."""
+    """Read-only tables for ``size`` poles: the pairs a <= b but (0, 0) as
+    index arrays, with weights 1 on the diagonal and 2 off it."""
     a, b = (i[1:] for i in np.triu_indices(size))
-    tables = np.eye(size, dtype=bool), a, b, np.where(a == b, 1.0, 2.0)
+    tables = a, b, np.where(a == b, 1.0, 2.0)
     for table in tables:
         table.flags.writeable = False
     return tables
-
-
-def _residues(poles, zeros):
-    """prod_l (p_a - z_l) / prod_{b != a} (p_a - p_b) along the last axis:
-    ``calc_output_scale`` without the degeneracy check its callers made."""
-    num = (poles[..., :, None] - zeros[..., None, :]).prod(axis=-1)
-    gaps = poles[..., :, None] - poles[..., None, :]
-    return num / np.where(_pole_tables(poles.shape[-1])[0], 1.0, gaps).prod(axis=-1)
 
 
 def _blt_errors(theta, theta_hat, n):
@@ -136,7 +135,7 @@ def _blt_errors(theta, theta_hat, n):
     """
     theta, theta_hat = np.asarray(theta), np.asarray(theta_hat)
     batch, d = theta.shape
-    _, a, b, pair_weight = _pole_tables(d + 1)
+    a, b, pair_weight = _pole_tables(d + 1)
     r = np.concatenate([np.ones((batch, 1), dtype=theta_hat.dtype), theta_hat], axis=1)
     c = _residues(r, theta)
     # each pair of poles (a, b) once, without (0, 0): x = 1 there, where
@@ -177,21 +176,7 @@ def dense_error(B) -> tuple[float, float]:
     return float(row_norms.max()), float(np.sqrt((row_norms**2).mean()))
 
 
-def _bundle(schema, sens, max_error, rms_error, noise_multiplier, method):
-    return MechanismLoss(
-        schema=schema,
-        sens=sens,
-        max_error=max_error,
-        rms_error=rms_error,
-        max_loss=noise_multiplier * max_error * sens,
-        rms_loss=noise_multiplier * rms_error * sens,
-        sens_method=method,
-    )
-
-
-def mechanism_loss(
-    strategy, schema: ParticipationSchema, noise_multiplier: float = 1.0
-) -> MechanismLoss:
+def mechanism_loss(strategy, schema: ParticipationSchema) -> MechanismLoss:
     """Loss bundle for a strategy given as a dense matrix C.
 
     C must be square lower-triangular with nonzero diagonal; it is
@@ -212,10 +197,10 @@ def mechanism_loss(
     sens = matrix_sensitivity_lower_bound(C, schema)
     B = np.cumsum(np.linalg.inv(C), axis=0)  # A @ C^-1 for the prefix-sum workload
     max_error, rms_error = dense_error(B)
-    return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "lower_bound")
+    return MechanismLoss(schema, sens, max_error, rms_error, "lower_bound")
 
 
-def blt_mechanism_loss_fn(params: BltParams, n: int, noise_multiplier: float = 1.0):
+def blt_mechanism_loss_fn(params: BltParams, n: int):
     """``schema -> MechanismLoss`` for a BLT strategy over n rounds.
 
     Errors and sensitivity come from the same n-independent kernels as
@@ -241,14 +226,12 @@ def blt_mechanism_loss_fn(params: BltParams, n: int, noise_multiplier: float = 1
             errors = tuple(float(e[0]) for e in _blt_errors(theta, theta_hat, n))
         sens = float(_blt_sensitivity(theta, omega, schema)[0])
         max_error, rms_error = errors
-        return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "toeplitz")
+        return MechanismLoss(schema, sens, max_error, rms_error, "toeplitz")
 
     return loss
 
 
-def blt_mechanism_loss(
-    params: BltParams, schema: ParticipationSchema, noise_multiplier: float = 1.0
-) -> MechanismLoss:
+def blt_mechanism_loss(params: BltParams, schema: ParticipationSchema) -> MechanismLoss:
     """Loss bundle for a BLT strategy through the n-independent kernels.
 
     Agrees with the O(n^2) path through ``blt_coefs``,
@@ -256,4 +239,4 @@ def blt_mechanism_loss(
     but costs O(d^3 + k d^2), the d^3 for the eigenproblem of the inverse
     decays, so it stays cheap at large n.
     """
-    return blt_mechanism_loss_fn(params, schema.n, noise_multiplier)(schema)
+    return blt_mechanism_loss_fn(params, schema.n)(schema)

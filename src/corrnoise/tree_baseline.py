@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from corrnoise.loss_metrics import MechanismLoss, _bundle
+from corrnoise.loss_metrics import MechanismLoss
 from corrnoise.participation import (
     ParticipationSchema,
     max_participations,
@@ -43,14 +43,12 @@ class TreeStrategy:
     n: int
 
 
-def build_tree_matrix(n: int, guard: int = DENSE_GUARD) -> TreeStrategy:
+def build_tree_matrix(n: int) -> TreeStrategy:
     """Tree strategy covering n rounds (truncated next power-of-two tree)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > guard:
-        raise ValueError(
-            f"n = {n} exceeds the dense materialization guard ({guard})"
-        )
+    if n > DENSE_GUARD:
+        raise ValueError(f"n = {n} exceeds the dense materialization guard ({DENSE_GUARD})")
     C = np.ones((1, 1))
     levels = 1
     while C.shape[1] < n:
@@ -128,7 +126,7 @@ def _tree_sensitivity(h: int, schema: ParticipationSchema) -> float:
     return math.sqrt(sq)
 
 
-def tree_loss_fn(n: int, noise_multiplier: float = 1.0):
+def tree_loss_fn(n: int):
     """``schema -> MechanismLoss`` for full-decoded tree aggregation over n rounds.
 
     The errors do not depend on the schema: the first call takes them at
@@ -147,12 +145,12 @@ def tree_loss_fn(n: int, noise_multiplier: float = 1.0):
             evaluated = (h, *_tree_errors(h))
         h, max_error, rms_error = evaluated
         sens = _tree_sensitivity(h, schema)
-        return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "lower_bound")
+        return MechanismLoss(schema, sens, max_error, rms_error, "lower_bound")
 
     return loss
 
 
-def eval_tree(schema: ParticipationSchema, noise_multiplier: float = 1.0) -> MechanismLoss:
+def eval_tree(schema: ParticipationSchema) -> MechanismLoss:
     """Loss bundle for full-decoded tree aggregation over the schema's n rounds.
 
     When n is not a power of two the evaluation horizon drops to the
@@ -161,7 +159,7 @@ def eval_tree(schema: ParticipationSchema, noise_multiplier: float = 1.0) -> Mec
     Sensitivity is the front-loaded-pattern lower bound, flagged as such
     (empirically tight for trees at enumerable sizes, but not proven).
     """
-    return tree_loss_fn(schema.n, noise_multiplier)(schema)
+    return tree_loss_fn(schema.n)(schema)
 
 
 # ---------------------------------------------------------------------------

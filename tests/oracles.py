@@ -25,7 +25,7 @@ from corrnoise.accountant import zcdp_of
 from corrnoise.blt_core import toeplitz_inverse_coefs
 from corrnoise.blt_optimizer import _loss_batch, _sigmoid, _value_and_gradient
 from corrnoise.ftrl_sim import eval_model
-from corrnoise.loss_metrics import MechanismLoss, _bundle, toeplitz_error
+from corrnoise.loss_metrics import MechanismLoss, toeplitz_error
 from corrnoise.participation import ParticipationSchema, toeplitz_sensitivity
 
 
@@ -81,9 +81,7 @@ def prefix_sum_matrix(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n)))
 
 
-def toeplitz_mechanism_loss(
-    c, schema: ParticipationSchema, noise_multiplier: float = 1.0
-) -> MechanismLoss:
+def toeplitz_mechanism_loss(c, schema: ParticipationSchema) -> MechanismLoss:
     """Loss bundle of LtToep(c) from its first n coefficients, O(n^2).
 
     The exact front-loaded-pattern sensitivity (c validated non-negative
@@ -93,7 +91,7 @@ def toeplitz_mechanism_loss(
     c = np.asarray(c, dtype=float)[: schema.n]
     sens = toeplitz_sensitivity(c, schema)
     max_error, rms_error = toeplitz_error(toeplitz_inverse_coefs(c))
-    return _bundle(schema, sens, max_error, rms_error, noise_multiplier, "toeplitz")
+    return MechanismLoss(schema, sens, max_error, rms_error, "toeplitz")
 
 
 def blt_loss_gradient(

@@ -4,6 +4,7 @@ Everything runs in-process through ``main(argv)`` (fast, keeps coverage);
 one subprocess test confirms the installed entry point matches.
 """
 
+import csv
 import json
 import math
 import re
@@ -225,6 +226,29 @@ class TestEval:
         _, out_csv = run_cli(argv + [str(tmp_path / "C.csv")], capsys)
         assert out_npy == out_csv
 
+    @pytest.mark.parametrize("source", ["params", "tree", "matrix"])
+    def test_noise_multiplier_scales_only_the_printed_losses(
+        self, source, params_file, tmp_path, capsys
+    ):
+        # the library's losses are per unit noise multiplier; eval scales
+        # the two it prints, and nothing else moves
+        if source == "matrix":
+            path = tmp_path / "C.csv"
+            np.savetxt(path, np.tril(np.ones((64, 64))) * 0.5 + np.eye(64) * 0.5, delimiter=",")
+            flag = ["--matrix", str(path)]
+        else:
+            flag = {"params": ["--params", params_file], "tree": ["--tree"]}[source]
+        argv = ["eval", "--n", "64", "--min-sep", "16", "--max-part", "4", *flag]
+        plain, scaled = (
+            strict_loads(run_cli(a, capsys)[1])
+            for a in (argv, [*argv, "--noise-multiplier", "3.3"])
+        )
+        for key in ("n", "b", "k", "sens", "max_error", "rms_error", "sens_method"):
+            assert scaled[key] == plain[key], key
+        for doc, nm in ((plain, 1.0), (scaled, 3.3)):  # repr round-trip: bit for bit
+            assert doc["max_loss"] == nm * doc["max_error"] * doc["sens"]
+            assert doc["rms_loss"] == nm * doc["rms_error"] * doc["sens"]
+
     @pytest.mark.parametrize("suffix", ["csv", "npy"])
     def test_matrix_eval_matches_triangular_solve(self, suffix, tmp_path, capsys):
         n, b = 512, 64
@@ -318,10 +342,11 @@ class TestSweep:
         for line in out.strip().split("\n")[1:]:
             row = line.split(",")
             b, k = int(row[2]), int(row[3])
-            ref = toeplitz_mechanism_loss(e0, ParticipationSchema(n, b, k), 1.7)
+            ref = toeplitz_mechanism_loss(e0, ParticipationSchema(n, b, k))
             assert row[4:] == [
                 repr(ref.sens), repr(ref.max_error), repr(ref.rms_error),
-                repr(ref.max_loss), repr(ref.rms_loss), ref.sens_method, "ok",
+                repr(1.7 * ref.max_error * ref.sens), repr(1.7 * ref.rms_error * ref.sens),
+                ref.sens_method, "ok",
             ]
 
     def test_infeasible_cells_get_status_rows(self, params_file, capsys):
@@ -371,13 +396,11 @@ class TestSweep:
         for line in out.strip().split("\n")[1:]:
             row = line.split(",")
             schema = ParticipationSchema(n, int(row[2]), int(row[3]))
-            if row[0] == "tree":
-                ref = eval_tree(schema, nm)
-            else:
-                ref = blt_mechanism_loss(MECH, schema, nm)
+            ref = eval_tree(schema) if row[0] == "tree" else blt_mechanism_loss(MECH, schema)
             assert row[4:] == [
                 repr(ref.sens), repr(ref.max_error), repr(ref.rms_error),
-                repr(ref.max_loss), repr(ref.rms_loss), ref.sens_method, "ok",
+                repr(nm * ref.max_error * ref.sens), repr(nm * ref.rms_error * ref.sens),
+                ref.sens_method, "ok",
             ]
 
     def test_failing_decode_reported_in_every_feasible_cell(self, tmp_path, capsys):
@@ -394,10 +417,12 @@ class TestSweep:
             capsys,
         )
         assert code == 0
-        rows = out.strip().split("\n")[1:]
+        # the message has a comma, so the status field is quoted
+        rows = list(csv.reader(out.splitlines()))[1:]
         assert len(rows) == 3
         for row in rows:
-            assert row.endswith(",,,,,,error:theta must lie strictly inside (0, 1)")
+            assert len(row) == 11
+            assert row[4:] == [""] * 6 + ["error:theta must lie strictly inside (0, 1)"]
 
     def test_unreadable_params_file_exits_with_usage(
         self, params_file, unreadable_file, capsys

@@ -307,15 +307,6 @@ class TestMechanismLoss:
             blt_mechanism_loss(p, schema)
         assert str(evaluator.value) == str(coefficient_path.value)
 
-    def test_noise_multiplier_scales_losses_only(self):
-        schema = ParticipationSchema(32, 8, 2)
-        base = blt_mechanism_loss(P2, schema)
-        scaled = blt_mechanism_loss(P2, schema, noise_multiplier=2.5)
-        assert scaled.max_loss == pytest.approx(2.5 * base.max_loss, rel=1e-14)
-        assert scaled.rms_loss == pytest.approx(2.5 * base.rms_loss, rel=1e-14)
-        assert scaled.max_error == base.max_error
-        assert scaled.sens == base.sens
-
     def test_loss_is_error_times_sens(self):
         bundle = blt_mechanism_loss(P2, ParticipationSchema(20, 5, 2))
         assert bundle.max_loss == pytest.approx(bundle.sens * bundle.max_error, rel=1e-14)

@@ -2,7 +2,8 @@
 
 No unused module-level imports, no module-level def, class or constant
 that nothing names again (unless ``corrnoise.__all__`` exports it), no
-function parameter that nothing reads, a public namespace whose every
+function parameter that nothing reads, no default of a private function
+that no call in the package overrides, a public namespace whose every
 name resolves, the test-only oracles kept out of the package, and no
 scipy module on import: the package needs numpy alone.
 """
@@ -180,3 +181,43 @@ def test_function_parameters_are_read(path):
             if arg is not None and arg.arg not in ("self", "cls") and arg.arg not in loaded
         ]
     assert unread == [], f"{path.name}: parameters never read {unread}"
+
+
+def _defaulted_params(func):
+    """(name, position or None) of each parameter of ``func`` with a default."""
+    a = func.args
+    positional = [*a.posonlyargs, *a.args]
+    first = len(positional) - len(a.defaults)
+    yield from ((arg.arg, i) for i, arg in enumerate(positional) if i >= first)
+    yield from ((arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+
+
+def _passes(call, name, position):
+    """Does ``call`` pass the parameter ``name`` at ``position``, or may it?"""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: a **mapping
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def test_private_defaults_are_passed_by_some_call():
+    # a default no call overrides is a constant in disguise
+    trees = [_parse(path) for path in MODULES]
+    calls = {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(name, []).append(node)
+    unset = [
+        f"{path.name}: {func.name}({param})"
+        for path, tree in zip(MODULES, trees)
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        and func.name.startswith("_")
+        and not func.name.startswith("__")
+        for param, position in _defaulted_params(func)
+        if not any(_passes(call, param, position) for call in calls.get(func.name, []))
+    ]
+    assert unset == [], f"defaults no call in src passes: {unset}"

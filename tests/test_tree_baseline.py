@@ -143,12 +143,6 @@ class TestEvalTree:
         bundle = eval_tree(ParticipationSchema(16, 16, 1))
         assert bundle.sens == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
-    def test_noise_multiplier_passthrough(self):
-        s = ParticipationSchema(64, 16, 4)
-        a = eval_tree(s)
-        b = eval_tree(s, noise_multiplier=3.0)
-        assert b.max_loss == pytest.approx(3.0 * a.max_loss, rel=1e-14)
-
     def test_schema_on_bundle_is_the_requested_one(self):
         s = ParticipationSchema(100, 10, 10)
         bundle = eval_tree(s)
