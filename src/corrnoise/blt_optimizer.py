@@ -65,7 +65,11 @@ COMPLEX_STEP = 1e-100
 # L-BFGS: iteration cap, memory (curvature pairs kept), and the stops on
 # the inf-norm of the gradient and on the relative decrease of the loss
 MAXITER, MEMORY, GTOL, FTOL = 500, 10, 1e-9, 1e-13
-# strong Wolfe line search: sufficient decrease, curvature, evaluation budget
+# strong Wolfe line search: sufficient decrease, curvature, evaluation budget.
+# Once a trial bounds the step, every later trial halves the bracket, which
+# starts at least half as wide as max(1, lo) (as wide, if the first trial
+# bounds it); so within the budget it stays wider than 2^-39 max(1, lo),
+# and the search needs no stop on its width
 WOLFE_C1, WOLFE_C2, WOLFE_MAX_EVALS = 1e-4, 0.9, 40
 
 
@@ -207,73 +211,44 @@ def blt_loss(
 def _wolfe_search(x, f0, g0, p):
     """Strong Wolfe line search; non-finite trial values cap the step range.
 
-    A generator: yields each trial point and receives its (f, g). Falls
-    back to the best Armijo-satisfying point when the curvature condition
-    cannot be met within the evaluation budget. Returns (alpha, f, g) with
-    alpha None on total failure.
+    A generator: yields each trial point and receives its (f, g). One loop
+    keeps the lowest point (lo, flo), the bracket's far end hi and cap, the
+    smallest step known to give a non-finite value. It doubles the step,
+    or bisects toward cap, until a trial fails Armijo, rises, or has an
+    uphill slope, which sets hi; it then bisects the bracket. Only the
+    evaluation budget ends it short of a strong Wolfe point, with the best
+    Armijo-satisfying point if there is one. Returns (alpha, f, g) with
+    alpha None on total failure. p must be a descent direction, as
+    ``_lbfgs`` ensures.
     """
     d0 = float(g0 @ p)
-    if d0 >= 0:
-        return None, f0, g0
-    alpha_prev, f_prev = 0.0, f0
-    alpha = 1.0
-    nev = 0
-    cap = None  # smallest step known to leave the domain
+    lo, flo, hi, cap = 0.0, f0, None, None
     best = None  # best (a, f, g) satisfying Armijo
-
-    def armijo(a, fv):
-        return fv <= f0 + WOLFE_C1 * a * d0
-
-    lo = hi = None
-    flo = None
-    while nev < WOLFE_MAX_EVALS:
-        nev += 1
-        fv, gv = yield x + alpha * p
+    a = 1.0
+    for _ in range(WOLFE_MAX_EVALS):
+        fv, gv = yield x + a * p
         if not math.isfinite(fv):
-            cap = alpha
-            alpha = 0.5 * (alpha_prev + alpha)
-            if alpha - alpha_prev < 1e-16:
-                break
-            continue
-        dv = float(gv @ p)
-        if armijo(alpha, fv) and (best is None or fv < best[1]):
-            best = (alpha, fv, gv)
-        if not armijo(alpha, fv) or (fv >= f_prev and alpha_prev > 0):
-            lo, flo = alpha_prev, f_prev
-            hi = alpha
-            break
-        if abs(dv) <= -WOLFE_C2 * d0:
-            return alpha, fv, gv
-        if dv >= 0:
-            lo, flo = alpha, fv
-            hi = alpha_prev
-            break
-        alpha_prev, f_prev = alpha, fv
-        alpha = 2.0 * alpha if cap is None else 0.5 * (alpha + cap)
-    if lo is not None:
-        while nev < WOLFE_MAX_EVALS:
-            a = 0.5 * (lo + hi)
-            nev += 1
-            fv, gv = yield x + a * p
-            if not math.isfinite(fv):
+            if hi is None:
+                cap = a
+            else:
                 hi = a
-                continue
-            dv = float(gv @ p)
-            if armijo(a, fv) and (best is None or fv < best[1]):
+        else:
+            armijo = fv <= f0 + WOLFE_C1 * a * d0
+            if armijo and (best is None or fv < best[1]):
                 best = (a, fv, gv)
-            if not armijo(a, fv) or fv >= flo:
+            # a rise against the start point does not bound the first trials
+            if not armijo or (fv >= flo and (lo > 0 or hi is not None)):
                 hi = a
             else:
+                dv = float(gv @ p)
                 if abs(dv) <= -WOLFE_C2 * d0:
                     return a, fv, gv
-                if dv * (hi - lo) >= 0:
+                if (dv >= 0) if hi is None else (dv * (hi - lo) >= 0):
                     hi = lo
                 lo, flo = a, fv
-            if abs(hi - lo) <= 1e-14 * max(1.0, abs(lo)):
-                break
-    if best is not None:
-        return best
-    return None, f0, g0
+        bound = cap if hi is None else hi
+        a = 2.0 * a if bound is None else 0.5 * (lo + bound)
+    return best or (None, f0, g0)
 
 
 def _lbfgs(x0):

@@ -190,6 +190,8 @@ def mechanism_loss(strategy, schema: ParticipationSchema) -> MechanismLoss:
         raise ValueError(f"strategy must be a 2-d matrix, got {C.ndim}-d")
     if C.shape != (n, n):
         raise ValueError(f"dense strategy must be ({n}, {n}), got {C.shape}")
+    if not np.isfinite(C).all():
+        raise ValueError("dense strategy contains NaN or Inf")
     if np.any(np.triu(C, 1) != 0):
         raise ValueError("dense strategy must be lower-triangular")
     if np.any(np.diag(C) == 0):

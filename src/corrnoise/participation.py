@@ -50,11 +50,12 @@ def worst_case_pattern(schema: ParticipationSchema) -> np.ndarray:
 
 
 def _validate_toeplitz_column(c):
-    if np.any(c < -1e-12):
-        raise ValueError(
-            "Toeplitz sensitivity requires non-negative coefficients"
-        )
-    if np.any(np.diff(c) > 1e-12):
+    # each check passes only on a true comparison, so NaN fails it
+    if not np.isfinite(c).all():
+        raise ValueError("Toeplitz sensitivity requires finite coefficients")
+    if not (c >= -1e-12).all():
+        raise ValueError("Toeplitz sensitivity requires non-negative coefficients")
+    if not (np.diff(c) <= 1e-12).all():
         raise ValueError(
             "Toeplitz sensitivity requires non-increasing coefficients "
             "(the front-loaded pattern is not provably worst-case otherwise)"

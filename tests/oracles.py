@@ -8,6 +8,8 @@ Toeplitz strategy from its coefficients, the BLT errors by state-space
 doubling in O(d^3 log n), the complex-step gradient of
 ``blt_loss`` in (theta, theta_hat), the L-BFGS two-loop recursion of one
 restart over lists, which the fit's stacked ``_two_loop`` replaced,
+the two-phase strong Wolfe line search that the fit's one-loop search
+replaced,
 exhaustive participation-pattern
 enumeration with the sensitivity it implies, the one-client-at-a-time
 simulator steps that the stacked cohort batch replaces, the simulator's
@@ -23,7 +25,14 @@ from scipy.optimize import minimize_scalar
 
 from corrnoise.accountant import zcdp_of
 from corrnoise.blt_core import toeplitz_inverse_coefs
-from corrnoise.blt_optimizer import _loss_batch, _sigmoid, _value_and_gradient
+from corrnoise.blt_optimizer import (
+    WOLFE_C1,
+    WOLFE_C2,
+    WOLFE_MAX_EVALS,
+    _loss_batch,
+    _sigmoid,
+    _value_and_gradient,
+)
 from corrnoise.ftrl_sim import eval_model
 from corrnoise.loss_metrics import MechanismLoss, toeplitz_error
 from corrnoise.participation import ParticipationSchema, toeplitz_sensitivity
@@ -144,6 +153,82 @@ def two_loop_direction(g, S, Y, rhos):
         b = rhos[i] * (Y[i] @ r)
         r += S[i] * (a - b)
     return r
+
+
+def wolfe_search_two_phase(x, f0, g0, p):
+    """Strong Wolfe line search in two phases, bracketing and then zoom.
+
+    The form (Nocedal and Wright, Alg. 3.5/3.6) that the one loop of
+    ``blt_optimizer._wolfe_search`` replaced; non-finite trial values cap
+    the step range.
+
+    A generator: yields each trial point and receives its (f, g). Falls
+    back to the best Armijo-satisfying point when the curvature condition
+    cannot be met within the evaluation budget. Returns (alpha, f, g) with
+    alpha None on total failure.
+    """
+    d0 = float(g0 @ p)
+    if d0 >= 0:
+        return None, f0, g0
+    alpha_prev, f_prev = 0.0, f0
+    alpha = 1.0
+    nev = 0
+    cap = None  # smallest step known to leave the domain
+    best = None  # best (a, f, g) satisfying Armijo
+
+    def armijo(a, fv):
+        return fv <= f0 + WOLFE_C1 * a * d0
+
+    lo = hi = None
+    flo = None
+    while nev < WOLFE_MAX_EVALS:
+        nev += 1
+        fv, gv = yield x + alpha * p
+        if not math.isfinite(fv):
+            cap = alpha
+            alpha = 0.5 * (alpha_prev + alpha)
+            if alpha - alpha_prev < 1e-16:
+                break
+            continue
+        dv = float(gv @ p)
+        if armijo(alpha, fv) and (best is None or fv < best[1]):
+            best = (alpha, fv, gv)
+        if not armijo(alpha, fv) or (fv >= f_prev and alpha_prev > 0):
+            lo, flo = alpha_prev, f_prev
+            hi = alpha
+            break
+        if abs(dv) <= -WOLFE_C2 * d0:
+            return alpha, fv, gv
+        if dv >= 0:
+            lo, flo = alpha, fv
+            hi = alpha_prev
+            break
+        alpha_prev, f_prev = alpha, fv
+        alpha = 2.0 * alpha if cap is None else 0.5 * (alpha + cap)
+    if lo is not None:
+        while nev < WOLFE_MAX_EVALS:
+            a = 0.5 * (lo + hi)
+            nev += 1
+            fv, gv = yield x + a * p
+            if not math.isfinite(fv):
+                hi = a
+                continue
+            dv = float(gv @ p)
+            if armijo(a, fv) and (best is None or fv < best[1]):
+                best = (a, fv, gv)
+            if not armijo(a, fv) or fv >= flo:
+                hi = a
+            else:
+                if abs(dv) <= -WOLFE_C2 * d0:
+                    return a, fv, gv
+                if dv * (hi - lo) >= 0:
+                    hi = lo
+                lo, flo = a, fv
+            if abs(hi - lo) <= 1e-14 * max(1.0, abs(lo)):
+                break
+    if best is not None:
+        return best
+    return None, f0, g0
 
 
 def matrix_power(F, n):

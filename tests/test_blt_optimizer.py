@@ -6,11 +6,18 @@ driver is checked for determinism, objective dominance, and for beating
 the baselines it exists to beat.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import blt_loss_gradient, toeplitz_mechanism_loss, two_loop_direction
+from oracles import (
+    blt_loss_gradient,
+    toeplitz_mechanism_loss,
+    two_loop_direction,
+    wolfe_search_two_phase,
+)
 
 from corrnoise.blt_core import (
     DEGENERATE_GAP,
@@ -23,6 +30,8 @@ from corrnoise.blt_optimizer import (
     BARRIER_LAMBDA,
     COMPLEX_STEP,
     OBJECTIVES,
+    WOLFE_C1,
+    WOLFE_MAX_EVALS,
     OptimizerConfig,
     _chain,
     _init_point,
@@ -30,6 +39,7 @@ from corrnoise.blt_optimizer import (
     _loss_batch,
     _two_loop,
     _value_and_gradient,
+    _wolfe_search,
     blt_loss,
     optimize_blt,
 )
@@ -287,6 +297,110 @@ class TestTwoLoop:
             live = rho != 0
             expected = two_loop_direction(g, list(S[live]), list(Y[live]), list(rho[live]))
             assert row.tobytes() == expected.tobytes()
+
+
+def _search(search, x, f0, g0, p, reply):
+    """Drive a line search, answering its i-th trial point with reply(i, point);
+    returns the trial points and the search's (alpha, f, g)."""
+    run = search(x, f0, g0, p)
+    points = []
+    try:
+        point = next(run)
+        while True:
+            points.append(point)
+            point = run.send(reply(len(points) - 1, point))
+    except StopIteration as done:
+        return points, done.value
+
+
+def _scripted_replies(rng, f0, d0, p):
+    """(f, g) replies for one search: +inf, rises and falls on a coarse grid
+    of values (so that ties with the lowest point occur), and slopes from
+    steep descent through flat to uphill, in per-search proportions."""
+    size = WOLFE_MAX_EVALS
+    kinds = rng.choice(3, size=size, p=rng.dirichlet(np.ones(3)))
+    # kind 1 falls below f0 (Armijo holds for the first trials), kind 2 lands
+    # anywhere on the grid, kind 0 is +inf; grid steps are a multiple of |d0|,
+    # or one spacing of f0 where that is wider
+    steps = np.where(kinds == 1, rng.integers(-6, 0, size), rng.integers(-6, 4, size))
+    unit = np.maximum(abs(d0) * rng.choice([1e-3, 0.5, 3.0], size), np.spacing(f0))
+    f = f0 + steps * unit
+    slopes = rng.choice([-2.0, -1.0, -0.95, -0.5, 0.0, 0.5, 0.95, 2.0], size) * abs(d0)
+    return [
+        (np.inf, p * np.nan) if kind == 0 else (float(fv), slope * p / (p @ p))
+        for kind, fv, slope in zip(kinds, f, slopes)
+    ]
+
+
+class TestWolfeSearch:
+    def test_matches_the_two_phase_search_on_scripted_replies(self):
+        # the one-loop search yields the same trial points and returns the
+        # same result as the bracketing-then-zoom form it replaced
+        rng = np.random.default_rng(20261019)
+        seen = set()
+        for _ in range(3000):
+            x, p = rng.normal(size=2), rng.normal(size=2)
+            g0 = -p * rng.uniform(0.1, 10.0) + 0.1 * rng.normal(size=2)
+            if g0 @ p >= 0:
+                g0 = -g0
+            # at f0 = 1e20 the Armijo bound f0 + c1 a d0 rounds to f0
+            f0 = float(rng.choice([0.0, 1.0, -3.5, 1e20]))
+            replies = _scripted_replies(rng, f0, float(g0 @ p), p)
+            ours = _search(_wolfe_search, x, f0, g0, p, lambda i, _: replies[i])
+            theirs = _search(wolfe_search_two_phase, x, f0, g0, p, lambda i, _: replies[i])
+            assert len(ours[0]) == len(theirs[0])
+            for a, b in zip(ours[0], theirs[0]):
+                assert a.tobytes() == b.tobytes()
+            (alpha, f, g), (alpha_t, f_t, g_t) = ours[1], theirs[1]
+            assert alpha == alpha_t and f == f_t and g is g_t
+            n = len(ours[0])
+            seen.add("failure" if alpha is None else "budget" if n == WOLFE_MAX_EVALS else "early")
+            values = [v for v, _ in replies[:n]]
+            # +inf after a trial that rose above f0, so after a bracket formed
+            rise = next((i for i, v in enumerate(values) if math.isfinite(v) and v > f0), n)
+            if np.inf in values[rise:]:
+                seen.add("inf after a bracket")
+            # a trial back at f0 = 1e20 after that: Armijo holds by rounding
+            if f0 == 1e20 and f0 in values[rise:]:
+                seen.add("Armijo rounds")
+        assert seen == {"failure", "budget", "early", "inf after a bracket", "Armijo rounds"}
+
+    def test_all_infinite_replies_exhaust_the_budget_and_fail(self):
+        g0, p = np.array([1.0, -2.0]), np.array([-1.0, 2.0])
+        points, (alpha, f, g) = _search(
+            _wolfe_search, np.zeros(2), 3.0, g0, p, lambda i, _: (np.inf, np.zeros(2))
+        )
+        assert len(points) == WOLFE_MAX_EVALS
+        assert alpha is None and f == 3.0 and g is g0
+        # a cap at every trial: 1, then bisection toward 0
+        assert [point[1] / p[1] for point in points[:4]] == [1.0, 0.5, 0.25, 0.125]
+
+    def test_armijo_only_replies_return_the_best_of_them(self):
+        # every trial satisfies Armijo with a steep descending slope, so the
+        # curvature condition never holds; the values wave, so the search
+        # both doubles and bisects
+        f0, g0, p = 2.0, np.array([-1.0]), np.array([1.0])
+        d0 = float(g0 @ p)
+
+        def value(a):
+            return f0 + WOLFE_C1 * d0 * a * (2.0 + math.cos(7.0 * a))
+
+        def reply(i, point):
+            return value(float(point[0])), np.array([2.0 * d0])
+
+        points, (alpha, f, _) = _search(_wolfe_search, np.zeros(1), f0, g0, p, reply)
+        assert len(points) == WOLFE_MAX_EVALS
+        values = [value(float(point[0])) for point in points]
+        best = int(np.argmin(values))
+        assert alpha == points[best][0] and f == values[best]
+        assert len(set(values)) > 1 and best != len(values) - 1
+
+    def test_unit_step_is_accepted_at_once(self):
+        x, g0, p = np.array([0.5, 0.5]), np.array([1.0, 1.0]), np.array([-1.0, -1.0])
+        g1 = np.array([0.1, -0.1])  # zero slope along p
+        points, (alpha, f, g) = _search(_wolfe_search, x, 1.0, g0, p, lambda i, _: (0.2, g1))
+        assert len(points) == 1 and points[0].tobytes() == (x + p).tobytes()
+        assert alpha == 1.0 and f == 0.2 and g is g1
 
 
 class TestLockstep:

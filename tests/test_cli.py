@@ -7,6 +7,7 @@ one subprocess test confirms the installed entry point matches.
 import csv
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -779,10 +780,13 @@ class TestSimulate:
 
 
 def test_console_script_installed():
+    # the child sees the package this run imports, installed or not
+    src = Path(corrnoise.cli.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "corrnoise.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert "optimize" in proc.stdout

@@ -333,6 +333,14 @@ class TestMechanismLoss:
         with pytest.raises(ValueError, match="2-d matrix"):
             mechanism_loss(np.ones(4), schema)  # Toeplitz coefficients
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_dense_rejects_non_finite_entries(self, value):
+        # NaN would give sens = nan silently, inf a misleading singular-matrix error
+        C = np.eye(4)
+        C[2, 1] = value
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            mechanism_loss(C, ParticipationSchema(4, 2, 2))
+
     def test_bundle_is_frozen(self):
         bundle = blt_mechanism_loss(P2, ParticipationSchema(8, 2, 2))
         assert isinstance(bundle, MechanismLoss)

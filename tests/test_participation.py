@@ -73,6 +73,16 @@ class TestToeplitzSensitivity:
         with pytest.raises(ValueError):
             toeplitz_sensitivity(np.array([1.0, 0.2, 0.3]), ParticipationSchema(3, 3, 1))
 
+    @pytest.mark.parametrize(
+        "c",
+        [[1.0, 0.5, np.nan, 0.1], [np.nan, 0.5, 0.2, 0.1], [np.inf, 0.5, 0.2, 0.1],
+         [1.0, 0.5, 0.2, -np.inf], [1.0, 0.5, 0.2, np.inf]],
+    )
+    def test_rejects_non_finite_coefficients(self, c):
+        # NaN fails no comparison, and a leading +inf is non-increasing
+        with pytest.raises(ValueError, match="finite"):
+            toeplitz_sensitivity(np.array(c), ParticipationSchema(4, 1, 4))
+
     def test_requires_full_length_column(self):
         with pytest.raises(ValueError):
             toeplitz_sensitivity(np.ones(3), ParticipationSchema(4, 2, 2))

@@ -36,6 +36,7 @@ ORACLES = (
     "refined_eps_minimize_scalar",
     "metrics_per_round",
     "two_loop_direction",
+    "wolfe_search_two_phase",
 )
 
 
