@@ -34,6 +34,15 @@ import numpy as np
 # minimum gap between decay values before the pairing formula is declared
 # degenerate (omega_j divides by the pairwise differences theta_j - theta_l)
 DEGENERATE_GAP = 1e-12
+# the loss objectives: the max or the root-mean-square error over rounds
+OBJECTIVES = ("max", "rms")
+
+
+def _require_int(low, **values):
+    """Raise ValueError unless every value (a count or a seed) is an integer >= low."""
+    for name, value in values.items():
+        if not (isinstance(value, numbers.Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class DegenerateParamsError(ValueError):
@@ -78,7 +87,7 @@ class BltParams:
             raise ValueError("theta must lie strictly inside (0, 1)")
         if np.any(np.diff(th) >= 0):
             raise ValueError("theta must be strictly descending (canonical order)")
-        if self.d > 1 and np.min(-np.diff(th)) < DEGENERATE_GAP:
+        if _too_close(th):
             raise DegenerateParamsError(
                 "theta entries closer than 1e-12; pairing formula is degenerate"
             )
@@ -113,8 +122,7 @@ def blt_coefs(params: BltParams, n: int) -> np.ndarray:
 
     O(n*d) time and memory. Validated.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_int(1, n=n)
     params.validate()
     return _geometric_coefs(params.theta, params.omega, n).astype(float)
 
@@ -251,8 +259,7 @@ def blt_inverse_coefs(params: BltParams, n: int) -> np.ndarray:
     through the inverse decays of ``inverse_blt_params``, so cost stays
     linear in n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_int(1, n=n)
     pair = inverse_blt_params(params)
     return _geometric_coefs(pair.theta_hat, pair.omega_hat, n)
 
@@ -311,13 +318,11 @@ def make_noise_generator(
     accidental overruns instead.
     """
     params.validate()
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _require_int(1, m=m)
     if not 0.0 <= noise_std < math.inf:  # NaN fails too
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     # Philox takes any non-negative integer; 1.5 would silently become 1
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    _require_int(0, seed=seed)
     return NoiseGeneratorState(
         params=params,
         buffers=np.zeros((params.d, m)),
@@ -443,8 +448,8 @@ def save_params(
     json emits shortest round-trip float representations, so the file
     reproduces the doubles exactly on load.
     """
-    if objective not in ("max", "rms"):
-        raise ValueError("objective must be 'max' or 'rms'")
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
     doc = {
         "d": params.d,
         "theta": [float(t) for t in params.theta],

@@ -36,14 +36,15 @@ restart), or answers all direction requests with one stacked two-loop.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from corrnoise.blt_core import (
+    OBJECTIVES,
     BltParams,
+    _require_int,
     _residues,
     _too_close,
     blt_coefs,
@@ -57,7 +58,6 @@ from corrnoise.participation import (
     toeplitz_sensitivity,
 )
 
-OBJECTIVES = ("max", "rms")
 # log-barrier weight during the fit; reported losses are barrier-free
 BARRIER_LAMBDA = 1e-7
 # complex-step size: h^2 vanishes against any loss value
@@ -84,12 +84,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _require_int(1, d=self.d, restarts=self.restarts)
+        _require_int(0, seed=self.seed)
 
 
 @dataclass

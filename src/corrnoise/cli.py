@@ -28,6 +28,7 @@ import sys
 from corrnoise.accountant import METHOD_LABEL, eps_of_zcdp, zcdp_of
 from corrnoise.blt_core import (
     IDENTITY_MECHANISM,
+    OBJECTIVES,
     load_params,
     make_noise_generator,
     save_params,
@@ -192,9 +193,10 @@ def cmd_eval(args) -> int:
             C = load_strategy_matrix(args.matrix)
         except (OSError, ValueError) as exc:
             args.parser.error(str(exc))
-        if len(C) != args.n:
-            args.parser.error(f"{args.matrix}: a {len(C)} x {len(C)} matrix, not --n {args.n}")
-        bundle = mechanism_loss(C, schema)
+        try:
+            bundle = mechanism_loss(C, schema)
+        except ValueError as exc:
+            args.parser.error(f"{args.matrix}: {exc}")
     else:
         bundle = eval_tree(schema)
     _print_json(_loss_dict(bundle, args.noise_multiplier))
@@ -203,11 +205,11 @@ def cmd_eval(args) -> int:
 
 def _sweep_cell(loss_fn, n, b, k):
     """A sweep cell's MechanismLoss from ``loss_fn``, or its status if it has none."""
-    if (k - 1) * b >= n:
+    if k > max_participations(n, b):
         return "infeasible"
     try:
         return loss_fn(ParticipationSchema(n=n, b=b, k=k))
-    except Exception as exc:  # surface per-cell failures in the table
+    except ValueError as exc:  # surface per-cell failures in the table
         return f"error:{exc}"
 
 
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="fit noise parameters for a schema")
     _schema_args(p)
     p.add_argument("--buffers", type=_positive_int, default=3, help="decay buffers d")
-    p.add_argument("--objective", choices=("max", "rms"), default="max")
+    p.add_argument("--objective", choices=OBJECTIVES, default="max")
     p.add_argument("--restarts", type=_positive_int, default=8)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", type=str, default=None, help="write params JSON here")

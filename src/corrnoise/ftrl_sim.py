@@ -25,7 +25,6 @@ it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +33,7 @@ import numpy as np
 from corrnoise.blt_core import (
     IDENTITY_MECHANISM,
     BltParams,
+    _require_int,
     blt_coefs,
     make_noise_generator,
     stream_mult_inverse,
@@ -85,13 +85,6 @@ class ClientPopulation:
         return len(self.features)
 
 
-def _require_counts(**counts):
-    """Raise ValueError unless every value is an integer >= 1."""
-    for name, value in counts.items():
-        if not (isinstance(value, numbers.Integral) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass
 class TrainConfig:
     rounds: int
@@ -112,9 +105,8 @@ class TrainConfig:
         counts = ("rounds", "clients_per_round", "min_sep", "local_epochs", "batch_size")
         if self.est_max_part is not None:  # None is the worst case
             counts += ("est_max_part",)
-        _require_counts(**{name: getattr(self, name) for name in counts})
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _require_int(1, **{name: getattr(self, name) for name in counts})
+        _require_int(0, seed=self.seed)
         # a NaN or Inf step poisons the model without a sign
         for name in ("client_lr", "server_lr", "momentum"):
             if not math.isfinite(getattr(self, name)):
@@ -122,8 +114,10 @@ class TrainConfig:
         # written so that NaN fails too: a NaN sigma_zeta would train noiselessly
         if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
-        if not self.noise_multiplier >= 0:
-            raise ValueError(f"noise_multiplier must be >= 0, got {self.noise_multiplier}")
+        if not 0.0 <= self.noise_multiplier < math.inf:
+            raise ValueError(
+                f"noise_multiplier must be finite and >= 0, got {self.noise_multiplier}"
+            )
         # the noise scale is noise_multiplier * sens * clip_norm
         if self.noise_multiplier > 0 and math.isinf(self.clip_norm):
             raise ValueError("clip_norm must be finite when noise_multiplier > 0")
@@ -169,10 +163,8 @@ def make_population(
     if task not in ("linear", "logistic"):
         raise ValueError("task must be 'linear' or 'logistic'")
     # zero eval samples give a NaN eval loss, zero samples per client train on nothing
-    _require_counts(
-        n_clients=n_clients,
-        dim=dim,
-        samples_per_client=samples_per_client,
+    _require_int(
+        1, n_clients=n_clients, dim=dim, samples_per_client=samples_per_client,
         eval_samples=eval_samples,
     )
     if not 0.0 <= heterogeneity < math.inf:

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from corrnoise.blt_core import _require_int
+
 
 @dataclass(frozen=True)
 class ParticipationSchema:
-    """Rounds n, min-separation b, max participations k.
+    """Rounds n, min-separation b, max participations k, all integers >= 1.
 
     Requires (k-1)*b < n, equivalently k <= ceil(n/b), so that the
     worst-case pattern fits; ``max_participations(n, b)`` is the largest
@@ -30,8 +32,7 @@ class ParticipationSchema:
     k: int
 
     def __post_init__(self):
-        if self.n < 1 or self.b < 1 or self.k < 1:
-            raise ValueError(f"schema fields must be positive, got {self}")
+        _require_int(1, n=self.n, b=self.b, k=self.k)
         if (self.k - 1) * self.b >= self.n:
             raise ValueError(
                 f"pattern does not fit: (k-1)*b = {(self.k - 1) * self.b} "

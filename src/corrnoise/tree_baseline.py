@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from corrnoise.blt_core import _require_int
 from corrnoise.loss_metrics import MechanismLoss
 from corrnoise.participation import (
     ParticipationSchema,
@@ -45,8 +46,7 @@ class TreeStrategy:
 
 def build_tree_matrix(n: int) -> TreeStrategy:
     """Tree strategy covering n rounds (truncated next power-of-two tree)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_int(1, n=n)
     if n > DENSE_GUARD:
         raise ValueError(f"n = {n} exceeds the dense materialization guard ({DENSE_GUARD})")
     C = np.ones((1, 1))
@@ -168,18 +168,15 @@ def eval_tree(schema: ParticipationSchema) -> MechanismLoss:
 
 
 def load_strategy_matrix(path) -> np.ndarray:
-    """Load a square lower-triangular strategy matrix (.npy or CSV)."""
+    """Read a strategy matrix, as floats, from .npy (by extension) or CSV.
+
+    Only reads: ``loss_metrics.mechanism_loss`` checks the matrix. A file
+    that cannot be parsed, or a pickled .npy (never unpickled), raises
+    ValueError naming ``path``.
+    """
     try:
         if str(path).endswith(".npy"):
-            C = np.asarray(np.load(path, allow_pickle=False), dtype=float)
-        else:
-            C = np.loadtxt(path, delimiter=",", ndmin=2)
+            return np.asarray(np.load(path, allow_pickle=False), dtype=float)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
     except (EOFError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError(f"{path}: matrix is not square: {C.shape}")
-    if not np.all(np.isfinite(C)):
-        raise ValueError(f"{path}: matrix contains NaN or Inf")
-    if np.any(np.triu(C, 1) != 0):
-        raise ValueError(f"{path}: matrix is not lower-triangular")
-    return C

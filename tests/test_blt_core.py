@@ -8,6 +8,7 @@ anchors.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -34,6 +35,10 @@ from corrnoise.blt_core import (
     stream_mult_inverse,
     toeplitz_inverse_coefs,
 )
+from corrnoise.blt_optimizer import OptimizerConfig
+from corrnoise.ftrl_sim import TrainConfig, make_population
+from corrnoise.participation import ParticipationSchema
+from corrnoise.tree_baseline import build_tree_matrix
 
 # reference four-buffer parameter sets (production-grade optima)
 THETA_B400 = np.array(
@@ -581,3 +586,56 @@ class TestParamsIO:
                 opt_max_part=1,
                 objective="median",
             )
+
+
+P2 = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
+# (entry, valid keyword arguments, the integers it takes with their lower bounds)
+INTEGER_ENTRIES = [
+    (ParticipationSchema, dict(n=64, b=16, k=4), dict(n=1, b=1, k=1)),
+    (
+        OptimizerConfig,
+        dict(schema=ParticipationSchema(64, 16, 4), d=2, restarts=1, seed=0),
+        dict(d=1, restarts=1, seed=0),
+    ),
+    (
+        TrainConfig,
+        dict(rounds=12, clients_per_round=2, client_lr=0.1, server_lr=1.0, est_max_part=3),
+        dict(rounds=1, clients_per_round=1, min_sep=1, local_epochs=1, batch_size=1,
+             est_max_part=1, seed=0),
+    ),
+    (
+        make_population,
+        dict(n_clients=4, dim=2, samples_per_client=3, eval_samples=5),
+        dict(n_clients=1, dim=1, samples_per_client=1, eval_samples=1),
+    ),
+    (make_noise_generator, dict(params=P2, m=3, noise_std=1.0), dict(m=1, seed=0)),
+    (blt_coefs, dict(params=P2, n=8), dict(n=1)),
+    (blt_inverse_coefs, dict(params=P2, n=8), dict(n=1)),
+    (build_tree_matrix, dict(n=8), dict(n=1)),
+]
+
+
+class TestIntegerEntries:
+    # every count and seed is checked by one rule with one message where it
+    # enters: a fraction would otherwise be truncated or fail mid-run
+    @pytest.mark.parametrize(
+        "entry, kwargs, name, low",
+        [
+            pytest.param(e, kw, name, low, id=f"{e.__name__}-{name}")
+            for e, kw, ints in INTEGER_ENTRIES
+            for name, low in ints.items()
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["fractional", "below-bound"])
+    def test_rejected_with_the_shared_message(self, entry, kwargs, name, low, bad):
+        value = 2.5 if bad == "fractional" else low - 1
+        message = f"{name} must be an integer >= {low}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            entry(**{**kwargs, name: value})
+
+    @pytest.mark.parametrize("schema", [(2052.5, 342, 6), (2052, 342.5, 6)])
+    def test_fractional_schema_rejected(self, schema):
+        # b = 342.5 used to evaluate to a meaningless sensitivity
+        name = "n" if schema[0] != 2052 else "b"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            ParticipationSchema(*schema)

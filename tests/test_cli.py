@@ -295,7 +295,19 @@ class TestEval:
         np.savetxt(path, np.tril(np.ones((8, 8))), delimiter=",")
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--n", str(n), "--min-sep", "2", "--matrix", str(path)])
-        assert_usage_names_file(exc, capsys, str(path), f"8 x 8 matrix, not --n {n}")
+        # the shape is checked by mechanism_loss, which the error names
+        assert_usage_names_file(
+            exc, capsys, str(path), f"dense strategy must be ({n}, {n}), got (8, 8)"
+        )
+
+    def test_zero_diagonal_matrix_exits_with_usage(self, tmp_path, capsys):
+        path = tmp_path / "C.csv"
+        C = np.tril(np.ones((4, 4)))
+        C[2, 2] = 0.0
+        np.savetxt(path, C, delimiter=",")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--n", "4", "--min-sep", "2", "--matrix", str(path)])
+        assert_usage_names_file(exc, capsys, str(path), "must have a nonzero diagonal")
 
 
 class TestSweep:
@@ -424,6 +436,18 @@ class TestSweep:
         for row in rows:
             assert len(row) == 11
             assert row[4:] == [""] * 6 + ["error:theta must lie strictly inside (0, 1)"]
+
+    def test_defect_in_a_cell_is_raised(self, monkeypatch):
+        # only a ValueError (bad input) becomes an error: cell; a defect must
+        # not turn into a CSV row with exit 0
+        def broken(n):
+            def loss(schema):
+                raise TypeError("defect")
+            return loss
+
+        monkeypatch.setattr(corrnoise.cli, "tree_loss_fn", broken)
+        with pytest.raises(TypeError, match="defect"):
+            main(["sweep", "--n", "64", "--b-start", "16", "--b-stop", "16", "--tree"])
 
     def test_unreadable_params_file_exits_with_usage(
         self, params_file, unreadable_file, capsys
@@ -713,11 +737,12 @@ class TestSimulate:
          ({"server_lr": math.nan}, "server_lr must be finite"),
          ({"server_lr": math.inf}, "server_lr must be finite"),
          ({"momentum": math.nan}, "momentum must be finite"),
-         ({"client_lr": math.nan}, "client_lr must be finite")],
+         ({"client_lr": math.nan}, "client_lr must be finite"),
+         ({"noise_multiplier": math.inf}, "noise_multiplier must be finite and >= 0")],
         ids=["negative-clip-norm", "negative-seed", "unknown-key", "fractional-rounds",
              "float-cohort", "fractional-epochs", "fractional-est-max-part",
              "fractional-batch-size", "nan-server-lr", "inf-server-lr", "nan-momentum",
-             "nan-client-lr"],
+             "nan-client-lr", "inf-noise-multiplier"],
     )
     def test_bad_training_block_exits_with_usage(self, training, reason, tmp_path, capsys):
         self.assert_config_exits_with_usage(

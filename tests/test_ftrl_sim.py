@@ -326,6 +326,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=name):
             config(**{name: math.nan})
 
+    def test_infinite_noise_multiplier_rejected_at_construction(self):
+        # unchecked, the noise generator raises mid-run on an infinite noise_std
+        with pytest.raises(ValueError, match="noise_multiplier must be finite and >= 0"):
+            config(noise_multiplier=math.inf)
+
     def test_unclipped_noise_rejected_at_construction(self):
         # the noise scale noise_multiplier * sens * clip_norm would be infinite
         with pytest.raises(ValueError, match="clip_norm must be finite"):

@@ -5,7 +5,9 @@ that nothing names again (unless ``corrnoise.__all__`` exports it), no
 function parameter that nothing reads, no default of a private function
 that no call in the package overrides, a public namespace whose every
 name resolves, the test-only oracles kept out of the package, and no
-scipy module on import: the package needs numpy alone.
+scipy module on import: the package needs numpy alone. Rules that
+several modules apply are written once: the integer test (the one
+``numbers.Integral``) and the objective list (the one ``"max", "rms"``).
 """
 
 import ast
@@ -222,3 +224,26 @@ def test_private_defaults_are_passed_by_some_call():
         if not any(_passes(call, param, position) for call in calls.get(func.name, []))
     ]
     assert unset == [], f"defaults no call in src passes: {unset}"
+
+
+def _modules_where(found):
+    """Names of the src modules in whose AST some node satisfies ``found``."""
+    return [path.name for path in MODULES if any(map(found, ast.walk(_parse(path))))]
+
+
+def test_integer_rule_written_once():
+    def integral(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "Integral"
+        return isinstance(node, ast.alias) and node.name == "Integral"
+
+    assert _modules_where(integral) == ["blt_core.py"]
+
+
+def test_objective_list_written_once():
+    def pair(node):
+        if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return False
+        return {"max", "rms"} <= {e.value for e in node.elts if isinstance(e, ast.Constant)}
+
+    assert _modules_where(pair) == ["blt_core.py"]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrnoise.loss_metrics import dense_error
+from corrnoise.loss_metrics import dense_error, mechanism_loss
 from corrnoise.participation import ParticipationSchema, matrix_sensitivity_lower_bound
 from corrnoise.tree_baseline import (
     _tree_errors,
@@ -183,25 +183,28 @@ class TestMatrixContainer:
         np.savetxt(p2, C, delimiter=",", fmt="%.17g")
         np.testing.assert_array_equal(load_strategy_matrix(p1), load_strategy_matrix(p2))
 
-    def test_validation_on_load(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("1.0,0.0\n")  # non-square
-        with pytest.raises(ValueError):
-            load_strategy_matrix(bad)
-        nonlt = tmp_path / "nonlt.csv"
-        nonlt.write_text("1.0,0.5\n0.0,1.0\n")  # upper-triangular entry
-        with pytest.raises(ValueError):
-            load_strategy_matrix(nonlt)
-        nan = tmp_path / "nan.csv"
-        nan.write_text("nan,0.0\n1.0,1.0\n")
-        with pytest.raises(ValueError):
-            load_strategy_matrix(nan)
-        for name, bad in [
-            ("nonsq.npy", np.ones((2, 3))),
-            ("nonlt.npy", np.array([[1.0, 0.5], [0.0, 1.0]])),
-            ("nan.npy", np.array([[np.nan, 0.0], [1.0, 1.0]])),
-            ("pickled.npy", np.array([[{"a": 1}]], dtype=object)),  # never unpickled
+    def test_loader_reads_and_mechanism_loss_checks(self, tmp_path):
+        # the loader only reads; the matrix is checked where it is used
+        schema = ParticipationSchema(2, 1, 2)
+        for name, C, reason in [
+            ("nonsq", np.ones((2, 3)), r"must be \(2, 2\), got \(2, 3\)"),
+            ("nonlt", np.array([[1.0, 0.5], [0.0, 1.0]]), "lower-triangular"),
+            ("nan", np.array([[np.nan, 0.0], [1.0, 1.0]]), "NaN or Inf"),
+            ("zerodiag", np.array([[1.0, 0.0], [1.0, 0.0]]), "nonzero diagonal"),
         ]:
-            np.save(tmp_path / name, bad)
-            with pytest.raises(ValueError):
-                load_strategy_matrix(tmp_path / name)
+            csv_path, npy_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.npy"
+            np.savetxt(csv_path, C, delimiter=",")
+            np.save(npy_path, C)
+            for path in (csv_path, npy_path):
+                loaded = load_strategy_matrix(path)
+                np.testing.assert_array_equal(loaded, C)
+                with pytest.raises(ValueError, match=reason):
+                    mechanism_loss(loaded, schema)
+        # what cannot be read raises, naming the file
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("1.0,0.0\n1.0\n")
+        pickled = tmp_path / "pickled.npy"
+        np.save(pickled, np.array([[{"a": 1}]], dtype=object))  # never unpickled
+        for path in (ragged, pickled):
+            with pytest.raises(ValueError, match=path.name):
+                load_strategy_matrix(path)
