@@ -288,12 +288,15 @@ class NoiseGeneratorState:
     that ``make_noise_generator`` seeds. Every round is elementwise ufunc
     arithmetic in a fixed order, with no BLAS call, so identical seeds
     give bitwise-identical streams on every numpy build. A round
-    allocates one m-length array, the row it returns. A round wider than
-    one block fills its later blocks on one helper thread, joined before
-    the round returns; during a round nothing else may use ``rng``.
+    allocates the row it returns and one scratch row of at most
+    ``_CHUNK`` columns. A round wider than one block fills its later
+    blocks on one helper thread, joined before the round returns; during
+    a round nothing else may use ``rng``. ``stream_mult_inverse_block``
+    emits many narrow rounds at once, with the same bits.
     ``buffers``, ``round`` and ``rng.bit_generator.state`` form a checkpoint:
     copied into a fresh ``make_noise_generator`` state for the same params
-    and m, they continue the stream bit for bit.
+    and m, they continue the stream bit for bit. Only this module reads
+    or writes ``buffers``.
     """
 
     params: BltParams
@@ -323,6 +326,8 @@ def make_noise_generator(
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     # Philox takes any non-negative integer; 1.5 would silently become 1
     _require_int(0, seed=seed)
+    if max_rounds is not None:  # 2.5 would emit 3 rounds, 0 none
+        _require_int(1, max_rounds=max_rounds)
     return NoiseGeneratorState(
         params=params,
         buffers=np.zeros((params.d, m)),
@@ -342,6 +347,16 @@ def _fill(zhat, lo, hi, state, z):
         out += 0.0  # normal(0, s) is 0 + s*z: a zero-noise row is +0.0, not -0.0
     else:
         out[...] = z[lo:hi]
+
+
+def _check_horizon(state, rounds):
+    """Raise RuntimeError if ``rounds`` more emissions would pass ``max_rounds``."""
+    if state.max_rounds is not None and state.round + rounds > state.max_rounds:
+        raise RuntimeError(
+            f"noise generator exhausted its declared horizon of "
+            f"{state.max_rounds} rounds; construct one with a larger "
+            f"max_rounds (or None) to extend the stream"
+        )
 
 
 def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
@@ -368,17 +383,13 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
     ``normal(0, noise_std, size=m)`` draw, so the Philox state after the
     round is the same too. The helper is joined before the round returns
     or raises, and an error in it is raised here; the caller must not use
-    ``state.rng`` while a round runs. O(d*m) per round; the returned row
-    is the only m-length allocation. The state is mutated in place and
-    returned for convenience. A supplied row with the wrong shape, NaN or
-    Inf is rejected before the state changes.
+    ``state.rng`` while a round runs. O(d*m) per round; besides the
+    returned row it allocates one scratch row of min(m, ``_CHUNK``)
+    columns. The state is mutated in place and returned for convenience.
+    A supplied row with the wrong shape, NaN or Inf is rejected before
+    the state changes.
     """
-    if state.max_rounds is not None and state.round >= state.max_rounds:
-        raise RuntimeError(
-            f"noise generator exhausted its declared horizon of "
-            f"{state.max_rounds} rounds; construct one with a larger "
-            f"max_rounds (or None) to extend the stream"
-        )
+    _check_horizon(state, 1)
     S = state.buffers
     m = S.shape[1]
     z = None
@@ -430,6 +441,47 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
     return zhat, state
 
 
+def stream_mult_inverse_block(state: NoiseGeneratorState, rounds: int) -> np.ndarray:
+    """The next ``rounds`` rows of C^-1 Z at once: a (rounds, m) array.
+
+    Bit for bit the rows that ``rounds`` calls of ``stream_mult_inverse``
+    without a supplied row would return, and the state is left where
+    they leave it (``buffers``, ``round`` and the Philox state): the
+    whole block is drawn in one ``standard_normal`` call, which consumes
+    the Philox stream as the row-by-row draws do, and each row runs the
+    recurrence in the same fixed order. Per row, the d products
+    omega_j S_j are written in one call below the input row of a
+    (d + 1, m) scratch array and subtracted from it in row order by one
+    ``subtract.reduce``: five array calls per row, whatever d, which is
+    what makes narrow rows (a simulator's model) cheap; rows far wider
+    than the cache run faster through ``stream_mult_inverse``'s chunks.
+    Besides the block it allocates 3d + 1 scratch rows of m. A block
+    that would pass ``max_rounds`` raises the ``stream_mult_inverse``
+    error before the state changes.
+    """
+    _require_int(1, rounds=rounds)
+    _check_horizon(state, rounds)
+    S = state.buffers
+    d, m = S.shape
+    rows = np.empty((rounds, m))
+    state.rng.standard_normal(out=rows)
+    rows *= state.noise_std
+    rows += 0.0  # as in ``_fill``: a zero-noise row is +0.0, not -0.0
+    # full (d, m) copies: on narrow rows a broadcast costs more than the arithmetic
+    theta = np.repeat(state.params.theta[:, None], m, axis=1)
+    omega = np.repeat(state.params.omega[:, None], m, axis=1)
+    work = np.empty((d + 1, m))
+    head, products = work[0], work[1:]
+    for zhat in rows:
+        head[...] = zhat
+        np.multiply(S, omega, out=products)
+        np.subtract.reduce(work, axis=0, out=zhat)
+        S *= theta
+        S += zhat
+    state.round += rounds
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # parameter file round-trip
 # ---------------------------------------------------------------------------
@@ -477,12 +529,9 @@ def load_params(path):
         doc = json.loads(text)
         params = BltParams(np.array(doc["theta"]), np.array(doc["omega"]))
         d = doc["d"]
-        meta = {
-            "opt_n": int(doc["opt_n"]),
-            "opt_min_sep": int(doc["opt_min_sep"]),
-            "opt_max_part": int(doc["opt_max_part"]),
-            "objective": doc["objective"],
-        }
+        meta = {key: doc[key] for key in ("opt_n", "opt_min_sep", "opt_max_part")}
+        _require_int(1, **meta)  # int() would truncate 2052.5 to 2052
+        meta["objective"] = doc["objective"]
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -2,10 +2,12 @@
 
 One round: sample a cohort of clients that have rested at least b rounds,
 run local SGD on each, clip the deltas, sum them, privatize the sum with
-one streaming-noise row, and apply a momentum server step to the
+one row of correlated noise, and apply a momentum server step to the
 privatized average. The server optimizer sees only the privatized delta
 (post-processing), so the privacy guarantee follows entirely from the
-noise calibration sigma * zeta = alpha * sens * zeta.
+noise calibration sigma * zeta = alpha * sens * zeta. No noise row reads
+the model, so the run's rows are drawn before the loop as one
+(rounds, dim) block, the size of the model log the run keeps anyway.
 
 Every client holds the same number of samples, so the population is one
 (clients, m, dim) array and a round steps its whole cohort as one
@@ -16,10 +18,11 @@ heterogeneity: small enough to run hundreds of rounds in seconds, rich
 enough to exercise every line of the training loop. Accounting is
 reported against the realized participation log (min-sep and max
 participations actually observed), not just the configured estimate.
-No round reads another round's evaluation or accounting, so the loop
-only records each round's model and realized (b, k); the models are
-evaluated in stacked blocks and all rounds accounted in one pass after
-it.
+No round reads another round's evaluation, accounting or realized
+schema, so the loop only records each round's cohort and model; after
+it, the realized (b, k) of every round comes from the cohort log in a
+few array passes, the models are evaluated in stacked blocks and all
+rounds are accounted in one pass.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from corrnoise.blt_core import (
     _require_int,
     blt_coefs,
     make_noise_generator,
-    stream_mult_inverse,
+    stream_mult_inverse_block,
 )
 from corrnoise.blt_optimizer import _sigmoid
 from corrnoise.participation import (
@@ -127,13 +130,6 @@ class TrainConfig:
 
 
 @dataclass
-class ServerState:
-    model: np.ndarray
-    momentum_buf: np.ndarray
-    noise_state: Optional[object]
-
-
-@dataclass
 class SimResult:
     metrics: list
     participation: list
@@ -167,6 +163,7 @@ def make_population(
         1, n_clients=n_clients, dim=dim, samples_per_client=samples_per_client,
         eval_samples=eval_samples,
     )
+    _require_int(0, seed=seed)  # in place of numpy's SeedSequence errors
     if not 0.0 <= heterogeneity < math.inf:
         raise ValueError(f"heterogeneity must be finite and >= 0, got {heterogeneity}")
     rng = np.random.default_rng(seed)
@@ -262,37 +259,19 @@ def client_update(
     return delta
 
 
-def _server_opt(model, momentum_buf, delta_tilde, config):
-    """Momentum step on the privatized mean delta; sees nothing else.
+def server_round(model, momentum_buf, delta_tilde, config):
+    """One server step: returns the next (model, momentum buffer).
 
-    Client deltas already point downhill (w_local - w_global), so the
-    server adds the momentum-averaged delta.
+    A momentum step on the privatized mean delta, delta_tilde / cohort
+    size, where delta_tilde is the cohort's summed deltas plus the
+    round's noise row (the sum alone in a zero-noise run); it sees
+    nothing else. Client deltas already point downhill
+    (w_local - w_global), so the server adds the momentum-averaged
+    delta.
     """
     momentum_buf = config.momentum * momentum_buf + delta_tilde / config.clients_per_round
     model = model + config.server_lr * momentum_buf
     return model, momentum_buf
-
-
-def server_round(
-    state: ServerState,
-    delta_sum: np.ndarray,
-    config: TrainConfig,
-    noise_row=None,
-) -> ServerState:
-    """Privatize the summed deltas and take one server step.
-
-    delta_tilde = sum(deltas) + Zhat_t with Zhat_t one streaming-noise
-    row; a zero-noise configuration skips the noise arithmetic entirely,
-    so such runs are bit-identical to plain federated averaging. The
-    optimizer update itself only ever reads delta_tilde.
-    """
-    if state.noise_state is not None:
-        zhat, _ = stream_mult_inverse(state.noise_state, noise_row)
-        delta_tilde = delta_sum + zhat
-    else:
-        delta_tilde = delta_sum
-    model, momentum_buf = _server_opt(state.model, state.momentum_buf, delta_tilde, config)
-    return ServerState(model=model, momentum_buf=momentum_buf, noise_state=state.noise_state)
 
 
 def eval_model(model, X, y, task):
@@ -334,19 +313,63 @@ def _realized_sensitivities(c, b_log, k_log):
     return sens
 
 
+def _realized_schema(cohorts, min_sep):
+    """Per round t, the realized (b_t, k_t) of the cohort log up to t.
+
+    ``cohorts`` is the run's (rounds, cohort size) log. b_t is the
+    smallest gap between a client's consecutive rounds up to t (the
+    number of rounds, above any gap a run can realize, while no client
+    has returned) and k_t the most rounds any client joined up to t.
+    This is also the min-separation audit of the whole log: a client
+    back within ``min_sep`` rounds raises AssertionError.
+    """
+    rounds, size = cohorts.shape
+    flat = cohorts.ravel()
+    # the log client by client, each client's rounds in order: one sort on
+    # the (client, round) keys, which are distinct
+    order = np.argsort(flat * rounds + np.arange(flat.shape[0]) // size)
+    cid = flat[order]
+    t = order // size
+    first = np.ones(cid.shape, dtype=bool)  # a client's first round
+    np.not_equal(cid[1:], cid[:-1], out=first[1:])
+    gap = np.empty_like(t)
+    np.subtract(t[1:], t[:-1], out=gap[1:])
+    np.copyto(gap, rounds, where=first)
+    early = (gap < min_sep) & ~first
+    if early.any():
+        i = early.argmax()
+        raise AssertionError(
+            f"min-separation violated: client {cid[i]} at rounds "
+            f"{t[i - 1]} and {t[i]} with b={min_sep}"
+        )
+    idx = np.arange(cid.shape[0])
+    joined = idx - np.maximum.accumulate(np.where(first, idx, 0)) + 1
+    # back in the log's order, where round t's last entry closes it
+    log = np.empty((2, cid.shape[0]), dtype=t.dtype)
+    log[0, order] = gap
+    log[1, order] = joined
+    b_log = np.minimum.accumulate(log[0])[size - 1 :: size].copy()
+    k_log = np.maximum.accumulate(log[1])[size - 1 :: size].copy()
+    return b_log, k_log
+
+
 def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult:
     """The full training loop; returns logs and realized-schema accounting.
 
-    The loop runs only what the next round reads: the cohort, the stacked
-    client updates, their sum, the participation ledger and the server
-    step. It records each round's cohort, model, and realized min gap
-    and max count; after it, every round is evaluated in stacked blocks
-    and accounted in one pass. rho_so_far re-accounts the rounds released up
+    The run's noise is drawn before the loop: one (rounds, dim) block of
+    ``stream_mult_inverse_block``, the rows that per-round streaming
+    would emit, bit for bit. The loop runs only what reads the model:
+    the cohort, the stacked client updates, their sum and the server
+    step on the sum plus the round's noise row. It records each round's
+    cohort and model; after it, the realized (b, k) of every round comes
+    from the cohort log (``_realized_schema``, which also audits the
+    min separation), every round is evaluated in stacked blocks and
+    accounted in one pass. rho_so_far re-accounts the rounds released up
     to that round against the participation actually observed by then
     (min gap and max count), mirroring deployment practice where min-sep
     is only known after the fact; the last round's entry is the whole
-    run's. The min-separation audit is asserted on the final log. The
-    population is only read: the participation ledger lives here.
+    run's. The population is only read: the participation ledger lives
+    here.
     """
     ss = np.random.SeedSequence(config.seed)
     ss_cohort, ss_noise = ss.spawn(2)
@@ -364,7 +387,8 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     if config.noise_multiplier > 0:  # 0 * inf is NaN for an unclipped noiseless run
         sigma_zeta = config.noise_multiplier * sens * config.clip_norm
 
-    noise_state = None
+    # a zero-noise run skips the noise arithmetic: it is plain federated averaging, bit for bit
+    noise = None
     if sigma_zeta > 0:
         noise_state = make_noise_generator(
             config.mechanism,
@@ -373,25 +397,22 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
             seed=int(ss_noise.generate_state(1, dtype=np.uint64)[0]),
             max_rounds=config.rounds,
         )
-    state = ServerState(
-        model=np.zeros(dim), momentum_buf=np.zeros(dim), noise_state=noise_state
-    )
+        noise = stream_mult_inverse_block(noise_state, config.rounds)
 
+    model = np.zeros(dim)
+    momentum_buf = np.zeros(dim)
     # the participation ledger: each client's latest round, far negative before its first
     last_round = np.full(population.n_clients, -(10**9), dtype=np.int64)
-    counts = np.zeros(population.n_clients, dtype=np.int64)
-    min_gap = config.rounds  # above any gap a run can realize: no client has returned
-    k_real = 0
     cohorts = np.empty((config.rounds, config.clients_per_round), dtype=np.int64)
     models = np.empty((config.rounds, dim))
-    b_log = np.empty(config.rounds, dtype=np.int64)
-    k_log = np.empty(config.rounds, dtype=np.int64)
     for t in range(config.rounds):
         cohort = select_cohort(
             last_round, t, config.clients_per_round, config.min_sep, cohort_rng
         )
+        last_round[cohort] = t
+        cohorts[t] = cohort
         deltas = client_update(
-            state.model,
+            model,
             population.features.take(cohort, axis=0),
             population.labels.take(cohort, axis=0),
             config.client_lr,
@@ -400,22 +421,15 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
             config.batch_size,
             population.task,
         )
-        delta_sum = deltas.sum(axis=0)  # row by row, in cohort order
-        cohorts[t] = cohort
-        # a first-timer's sentinel gives a gap far above min_gap
-        min_gap = min(min_gap, t - int(last_round[cohort].max()))
-        last_round[cohort] = t
-        joined = counts[cohort] + 1  # cohort ids are unique
-        counts[cohort] = joined
-        k_real = max(k_real, int(joined.max()))
+        delta_tilde = deltas.sum(axis=0)  # row by row, in cohort order
+        if noise is not None:
+            delta_tilde += noise[t]
+        model, momentum_buf = server_round(model, momentum_buf, delta_tilde, config)
+        models[t] = model
+    del noise  # as large as the model log: freed before the logs after the loop
 
-        state = server_round(state, delta_sum, config)
-        models[t] = state.model
-        b_log[t] = min_gap
-        k_log[t] = k_real
-
+    b_log, k_log = _realized_schema(cohorts, config.min_sep)
     participation = [(t, cid) for t in range(config.rounds) for cid in cohorts[t].tolist()]
-    _audit_min_sep(participation, config.min_sep)
     rho = np.full(config.rounds, math.inf)
     if sigma_zeta > 0:
         # zcdp_of's rho = sens^2 / (2 sigma^2), for every round at once
@@ -437,25 +451,13 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     return SimResult(
         metrics=metrics,
         participation=participation,
-        final_model=state.model,
-        realized_b=min_gap,
-        realized_k=k_real,
+        final_model=model,
+        realized_b=int(b_log[-1]),
+        realized_k=int(k_log[-1]),
         rho_realized=metrics[-1]["rho_so_far"],
         sens_configured=sens,
         sigma_zeta=sigma_zeta,
     )
-
-
-def _audit_min_sep(participation, b):
-    """Every client's consecutive participations must differ by >= b."""
-    seen = {}
-    for t, cid in participation:
-        if cid in seen and t - seen[cid] < b:
-            raise AssertionError(
-                f"min-separation violated: client {cid} at rounds "
-                f"{seen[cid]} and {t} with b={b}"
-            )
-        seen[cid] = t
 
 
 def write_metrics_csv(path, metrics) -> None:

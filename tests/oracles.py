@@ -13,8 +13,10 @@ replaced,
 exhaustive participation-pattern
 enumeration with the sensitivity it implies, the one-client-at-a-time
 simulator steps that the stacked cohort batch replaces, the simulator's
-metrics recomputed one round at a time, and a numerical minimization of
-the refined epsilon bound.
+metrics recomputed one round at a time, the simulator run with its noise
+streamed and its participation ledger kept round by round, which the
+noise block and the ledger after the loop replaced, and a numerical
+minimization of the refined epsilon bound.
 """
 
 import math
@@ -23,8 +25,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from corrnoise import ftrl_sim
 from corrnoise.accountant import zcdp_of
-from corrnoise.blt_core import toeplitz_inverse_coefs
+from corrnoise.blt_core import (
+    blt_coefs,
+    make_noise_generator,
+    stream_mult_inverse,
+    toeplitz_inverse_coefs,
+)
 from corrnoise.blt_optimizer import (
     WOLFE_C1,
     WOLFE_C2,
@@ -33,9 +41,12 @@ from corrnoise.blt_optimizer import (
     _sigmoid,
     _value_and_gradient,
 )
-from corrnoise.ftrl_sim import eval_model
 from corrnoise.loss_metrics import MechanismLoss, toeplitz_error
-from corrnoise.participation import ParticipationSchema, toeplitz_sensitivity
+from corrnoise.participation import (
+    ParticipationSchema,
+    max_participations,
+    toeplitz_sensitivity,
+)
 
 
 def lt_toeplitz(c: np.ndarray) -> np.ndarray:
@@ -467,12 +478,136 @@ def metrics_per_round(models, participation, c, clip_norm, sigma_zeta, populatio
         b = min(gaps, default=t + 1)
         k = max(len(rs) for rs in seen)
         sens = toeplitz_sensitivity(c[: t + 1], ParticipationSchema(t + 1, b, k))
-        loss, acc = eval_model(
+        loss, acc = ftrl_sim.eval_model(
             model, population.eval_features, population.eval_labels, population.task
         )
         rho = zcdp_of(sens * clip_norm, sigma_zeta)
         rows.append({"round": t, "eval_loss": loss, "eval_acc": acc, "rho_so_far": rho})
     return rows
+
+
+def audit_min_sep(participation, b):
+    """Every client's consecutive participations must differ by >= b."""
+    seen = {}
+    for t, cid in participation:
+        if cid in seen and t - seen[cid] < b:
+            raise AssertionError(
+                f"min-separation violated: client {cid} at rounds "
+                f"{seen[cid]} and {t} with b={b}"
+            )
+        seen[cid] = t
+
+
+def ledger_per_round(cohorts, rounds):
+    """Per round, the realized (min gap, max count) kept as the rounds go.
+
+    ``cohorts`` holds each round's client ids. The min gap starts at
+    ``rounds`` (no client has returned) and a first-timer's far-negative
+    last round never lowers it. Returns two int64 arrays.
+    """
+    n_clients = 1 + max(max(cohort) for cohort in cohorts)
+    last_round = np.full(n_clients, -(10**9), dtype=np.int64)
+    counts = np.zeros(n_clients, dtype=np.int64)
+    min_gap, k_real = rounds, 0
+    b_log = np.empty(len(cohorts), dtype=np.int64)
+    k_log = np.empty(len(cohorts), dtype=np.int64)
+    for t, cohort in enumerate(cohorts):
+        cohort = np.asarray(cohort)
+        min_gap = min(min_gap, t - int(last_round[cohort].max()))
+        last_round[cohort] = t
+        counts[cohort] += 1  # cohort ids are unique
+        k_real = max(k_real, int(counts[cohort].max()))
+        b_log[t], k_log[t] = min_gap, k_real
+    return b_log, k_log
+
+
+def run_training_per_round(config, population):
+    """``run_training`` with each round's noise row streamed in the loop.
+
+    The coupled loop that the run's noise block and the ledger after the
+    loop replaced: per round the cohort, the stacked client updates and
+    their sum, one ``stream_mult_inverse`` row, the momentum step and the
+    realized (b, k) so far; then the tuple-by-tuple min-separation audit
+    and the package's evaluation and accounting after the loop. Returns
+    a ``SimResult`` that ``run_training`` must equal field for field,
+    bit for bit.
+    """
+    ss = np.random.SeedSequence(config.seed)
+    ss_cohort, ss_noise = ss.spawn(2)
+    cohort_rng = np.random.default_rng(ss_cohort)
+    dim = population.dim
+    c_full = blt_coefs(config.mechanism, config.rounds)
+    k_conf = config.est_max_part
+    if k_conf is None:
+        k_conf = max_participations(config.rounds, config.min_sep)
+    sens = toeplitz_sensitivity(c_full, ParticipationSchema(config.rounds, config.min_sep, k_conf))
+    sigma_zeta = 0.0
+    if config.noise_multiplier > 0:
+        sigma_zeta = config.noise_multiplier * sens * config.clip_norm
+    noise_state = None
+    if sigma_zeta > 0:
+        noise_state = make_noise_generator(
+            config.mechanism,
+            m=dim,
+            noise_std=sigma_zeta,
+            seed=int(ss_noise.generate_state(1, dtype=np.uint64)[0]),
+            max_rounds=config.rounds,
+        )
+    model, momentum_buf = np.zeros(dim), np.zeros(dim)
+    last_round = np.full(population.n_clients, -(10**9), dtype=np.int64)
+    cohorts, models = [], []
+    for t in range(config.rounds):
+        cohort = ftrl_sim.select_cohort(
+            last_round, t, config.clients_per_round, config.min_sep, cohort_rng
+        )
+        deltas = ftrl_sim.client_update(
+            model,
+            population.features[cohort],
+            population.labels[cohort],
+            config.client_lr,
+            config.clip_norm,
+            config.local_epochs,
+            config.batch_size,
+            population.task,
+        )
+        delta_tilde = deltas.sum(axis=0)
+        if noise_state is not None:
+            delta_tilde = delta_tilde + stream_mult_inverse(noise_state)[0]
+        momentum_buf = config.momentum * momentum_buf + delta_tilde / config.clients_per_round
+        model = model + config.server_lr * momentum_buf
+        last_round[cohort] = t
+        cohorts.append(cohort.tolist())
+        models.append(model)
+    b_log, k_log = ledger_per_round(cohorts, config.rounds)
+    participation = [(t, cid) for t, cohort in enumerate(cohorts) for cid in cohort]
+    audit_min_sep(participation, config.min_sep)
+    rho = np.full(config.rounds, math.inf)
+    if sigma_zeta > 0:
+        s = ftrl_sim._realized_sensitivities(c_full, b_log, k_log) * config.clip_norm
+        rho = s * s / (2.0 * sigma_zeta * sigma_zeta)
+    models = np.array(models)
+    loss = np.empty(config.rounds)
+    acc = np.empty(config.rounds)
+    for start in range(0, config.rounds, ftrl_sim._EVAL_BLOCK):
+        rows = slice(start, start + ftrl_sim._EVAL_BLOCK)
+        loss[rows], acc[rows] = ftrl_sim.eval_model(
+            models[rows], population.eval_features, population.eval_labels, population.task
+        )
+    metrics = [
+        {"round": t, "eval_loss": lo, "eval_acc": math.nan if math.isnan(a) else a,
+         "rho_so_far": r}
+        for t, (lo, a, r) in enumerate(zip(loss.tolist(), acc.tolist(), rho.tolist()))
+    ]
+    return ftrl_sim.SimResult(
+        metrics=metrics,
+        participation=participation,
+        final_model=model,
+        realized_b=int(b_log[-1]),
+        realized_k=int(k_log[-1]),
+        rho_realized=metrics[-1]["rho_so_far"],
+        sens_configured=sens,
+        sigma_zeta=sigma_zeta,
+    )
 
 
 def refined_eps_minimize_scalar(rho, delta):

@@ -33,6 +33,7 @@ from corrnoise.blt_core import (
     make_noise_generator,
     save_params,
     stream_mult_inverse,
+    stream_mult_inverse_block,
     toeplitz_inverse_coefs,
 )
 from corrnoise.blt_optimizer import OptimizerConfig
@@ -533,6 +534,61 @@ class TestFusedRound:
         assert peak < 1.25 * 8 * m
 
 
+BLOCK_PARAMS = {
+    **STREAM_PARAMS,
+    2: BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3])),
+    3: BltParams(np.array([0.9, 0.5, 0.1]), np.array([0.2, 0.2, 0.2])),
+}
+
+
+class TestNoiseBlock:
+    """A block of rows equals as many streaming rounds: rows, buffers, round, Philox."""
+
+    @staticmethod
+    def _twins(d, m, noise_std, start, max_rounds=None):
+        """Two equal states, each ``start`` rounds into the stream."""
+        states = [
+            make_noise_generator(
+                BLOCK_PARAMS[d], m=m, noise_std=noise_std, seed=21, max_rounds=max_rounds
+            )
+            for _ in range(2)
+        ]
+        for state in states:
+            for _ in range(start):
+                stream_mult_inverse(state)
+        return states
+
+    @staticmethod
+    def _checkpoint(state):
+        return state.buffers.tobytes(), state.round, _philox_state(state.rng)
+
+    @pytest.mark.parametrize("noise_std", [1.5, 0.0])
+    @pytest.mark.parametrize("start", [0, 3], ids=["fresh", "mid-stream"])
+    @pytest.mark.parametrize("m", [1, 20, (1 << 16) + 3])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+    def test_equals_streaming_rounds(self, d, m, start, noise_std):
+        # the horizon is reached exactly, which both paths allow
+        streamed, blocked = self._twins(d, m, noise_std, start, max_rounds=start + 5)
+        want = np.stack([stream_mult_inverse(streamed)[0] for _ in range(5)])
+        got = stream_mult_inverse_block(blocked, 5)
+        assert got.shape == (5, m)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
+        assert self._checkpoint(blocked) == self._checkpoint(streamed)
+        assert blocked.round == start + 5
+
+    def test_block_past_the_horizon_raises_before_any_change(self):
+        streamed, blocked = self._twins(4, 20, 1.0, 2, max_rounds=6)
+        before = self._checkpoint(blocked)
+        with pytest.raises(RuntimeError, match="exhausted its declared horizon of 6 rounds"):
+            stream_mult_inverse_block(blocked, 5)
+        assert self._checkpoint(blocked) == before
+        # the rounds left are still the stream's
+        want = np.stack([stream_mult_inverse(streamed)[0] for _ in range(4)])
+        assert stream_mult_inverse_block(blocked, 4).tobytes() == want.tobytes()
+        with pytest.raises(RuntimeError, match="exhausted"):
+            stream_mult_inverse_block(blocked, 1)
+
+
 class TestParamsIO:
     def test_roundtrip_exact_and_key_set(self, tmp_path):
         path = tmp_path / "params.json"
@@ -576,6 +632,18 @@ class TestParamsIO:
         with pytest.raises(ValueError):
             load_params(path)
 
+    @pytest.mark.parametrize("key", ["opt_n", "opt_min_sep", "opt_max_part"])
+    @pytest.mark.parametrize("value", [2052.5, 0, "2052"])
+    def test_non_integer_metadata_rejected(self, tmp_path, key, value):
+        # int() used to truncate 2052.5 to 2052 and accept the string "2052"
+        path = tmp_path / "bad.json"
+        doc = {"d": 1, "theta": [0.5], "omega": [0.2], "opt_n": 2052,
+               "opt_min_sep": 342, "opt_max_part": 6, "objective": "max"}
+        path.write_text(json.dumps({**doc, key: value}))
+        message = f"{path}: {key} must be an integer >= 1, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_params(path)
+
     def test_bad_objective_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_params(
@@ -606,9 +674,14 @@ INTEGER_ENTRIES = [
     (
         make_population,
         dict(n_clients=4, dim=2, samples_per_client=3, eval_samples=5),
-        dict(n_clients=1, dim=1, samples_per_client=1, eval_samples=1),
+        dict(n_clients=1, dim=1, samples_per_client=1, eval_samples=1, seed=0),
     ),
-    (make_noise_generator, dict(params=P2, m=3, noise_std=1.0), dict(m=1, seed=0)),
+    (make_noise_generator, dict(params=P2, m=3, noise_std=1.0), dict(m=1, seed=0, max_rounds=1)),
+    (
+        stream_mult_inverse_block,
+        dict(state=make_noise_generator(P2, m=3, noise_std=1.0), rounds=2),
+        dict(rounds=1),
+    ),
     (blt_coefs, dict(params=P2, n=8), dict(n=1)),
     (blt_inverse_coefs, dict(params=P2, n=8), dict(n=1)),
     (build_tree_matrix, dict(n=8), dict(n=1)),

@@ -12,16 +12,22 @@ import math
 
 import numpy as np
 import pytest
-from oracles import client_update_single, metrics_per_round, population_per_client
+from oracles import (
+    audit_min_sep,
+    client_update_single,
+    ledger_per_round,
+    metrics_per_round,
+    population_per_client,
+    run_training_per_round,
+)
 
 import corrnoise.ftrl_sim as sim
 from corrnoise.blt_core import IDENTITY_MECHANISM, BltParams, blt_coefs, blt_inverse_coefs
 from corrnoise.ftrl_sim import (
     ClientPopulation,
-    ServerState,
     StarvationError,
     TrainConfig,
-    _audit_min_sep,
+    _realized_schema,
     client_update,
     eval_model,
     make_population,
@@ -219,20 +225,29 @@ class TestStackedClientUpdate:
         np.testing.assert_array_equal(deltas, np.zeros((3, 8)))
         np.testing.assert_array_equal(moved, np.zeros((3, 8)))
 
-    def test_each_round_sums_its_cohort_in_order(self, monkeypatch):
+    @pytest.mark.parametrize("noise_multiplier", [0.4, 0.0], ids=["noisy", "noiseless"])
+    def test_each_round_sums_its_cohort_in_order(self, monkeypatch, noise_multiplier):
+        # the server step sees the cohort's sum plus the round's noise row;
+        # a noiseless run hands it the sum itself
         pop = small_population()
-        cfg = config(mechanism=MECH, noise_multiplier=0.4, batch_size=7)
-        seen = []
-        orig = sim.server_round
+        cfg = config(mechanism=MECH, noise_multiplier=noise_multiplier, batch_size=7)
+        seen, blocks = [], []
+        orig_opt, orig_block = sim.server_round, sim.stream_mult_inverse_block
 
-        def spy(state, delta_sum, cfg, noise_row=None):
-            seen.append((state.model.copy(), delta_sum.copy()))
-            return orig(state, delta_sum, cfg, noise_row)
+        def spy(model, momentum_buf, delta_tilde, cfg):
+            seen.append((model.copy(), delta_tilde.copy()))
+            return orig_opt(model, momentum_buf, delta_tilde, cfg)
+
+        def block_spy(state, rounds):
+            blocks.append(orig_block(state, rounds).copy())
+            return blocks[-1]
 
         monkeypatch.setattr(sim, "server_round", spy)
+        monkeypatch.setattr(sim, "stream_mult_inverse_block", block_spy)
         r = run_training(cfg, pop)
         assert len(seen) == cfg.rounds
-        for t, (model, delta_sum) in enumerate(seen):
+        assert len(blocks) == (noise_multiplier > 0)
+        for t, (model, delta_tilde) in enumerate(seen):
             want = np.zeros(8)
             for round_idx, cid in r.participation:
                 if round_idx == t:
@@ -240,7 +255,9 @@ class TestStackedClientUpdate:
                         model, pop.features[cid], pop.labels[cid], cfg.client_lr,
                         cfg.clip_norm, cfg.local_epochs, cfg.batch_size, pop.task,
                     )
-            np.testing.assert_array_equal(delta_sum, want)
+            if blocks:
+                want += blocks[0][t]
+            np.testing.assert_array_equal(delta_tilde, want)
 
     def test_one_diverging_client_fails_the_round(self, monkeypatch):
         pop = small_population(n_clients=4)
@@ -254,36 +271,37 @@ class TestStackedClientUpdate:
 
 class TestServerRound:
     def test_momentum_step_hand_values(self):
-        state = ServerState(
-            model=np.array([1.0, 2.0]), momentum_buf=np.array([0.5, 0.0]), noise_state=None
-        )
         cfg = config(clients_per_round=2, server_lr=0.1, momentum=0.5)
-        new = server_round(state, np.array([4.0, 8.0]), cfg)
+        model, buf = server_round(
+            np.array([1.0, 2.0]), np.array([0.5, 0.0]), np.array([4.0, 8.0]), cfg
+        )
         # P = 0.5*buf + delta/m = (0.25,0)+(2,4); y = y + 0.1*P
-        np.testing.assert_allclose(new.momentum_buf, [2.25, 4.0])
-        np.testing.assert_allclose(new.model, [1.225, 2.4])
+        np.testing.assert_allclose(buf, [2.25, 4.0])
+        np.testing.assert_allclose(model, [1.225, 2.4])
 
     def test_server_opt_sees_only_privatized_sum(self, monkeypatch):
-        # canary: the optimizer input must equal delta_sum + decoded noise,
-        # never the raw delta_sum, whenever a noise state is present
-        from corrnoise.blt_core import make_noise_generator
+        # canary: the optimizer input must equal delta_sum + the round's
+        # noise row, never the raw delta_sum, whenever the run is noisy
+        seen, sums = [], []
+        orig_update = sim.client_update
+        canary = np.arange(12 * 8, dtype=float).reshape(12, 8) + 1000.0
 
-        seen = {}
-        orig = sim._server_opt
+        def update_spy(*args):
+            deltas = orig_update(*args)
+            sums.append(deltas.sum(axis=0))
+            return deltas
 
-        def spy(model, buf, delta_tilde, cfg):
-            seen["delta_tilde"] = delta_tilde.copy()
-            return orig(model, buf, delta_tilde, cfg)
+        def opt_spy(model, buf, delta_tilde, cfg):
+            seen.append(delta_tilde.copy())
+            return model, buf
 
-        monkeypatch.setattr(sim, "_server_opt", spy)
-        noise_state = make_noise_generator(MECH, m=2, noise_std=1.0, seed=9)
-        state = ServerState(
-            model=np.zeros(2), momentum_buf=np.zeros(2), noise_state=noise_state
-        )
-        delta_sum = np.array([100.0, -50.0])
-        canary = np.array([3.0, 4.0])
-        server_round(state, delta_sum, config(), noise_row=canary)
-        np.testing.assert_array_equal(seen["delta_tilde"], delta_sum + canary)
+        monkeypatch.setattr(sim, "client_update", update_spy)
+        monkeypatch.setattr(sim, "server_round", opt_spy)
+        monkeypatch.setattr(sim, "stream_mult_inverse_block", lambda state, rounds: canary)
+        run_training(config(mechanism=MECH, noise_multiplier=0.4), small_population())
+        assert len(seen) == len(sums) == 12
+        for t, (delta_tilde, delta_sum) in enumerate(zip(seen, sums)):
+            np.testing.assert_array_equal(delta_tilde, delta_sum + canary[t])
 
 
 class TestTrainConfig:
@@ -458,6 +476,54 @@ class TestRunTraining:
             run_training(config(clients_per_round=2, min_sep=2), pop)
 
 
+def assert_bitwise_equal(got, want, where=""):
+    """Equal types and equal bits, through lists, tuples and dicts; NaN equals NaN."""
+    assert type(got) is type(want), where
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert got.tobytes() == want.tobytes(), where
+    elif isinstance(want, float):
+        assert got.hex() == want.hex(), where
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_bitwise_equal(g, w, f"{where}[{i}]")
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_bitwise_equal(got[key], want[key], f"{where}[{key!r}]")
+    else:
+        assert got == want, where
+
+
+class TestWholeRunOracle:
+    """Every output equals the run with its noise streamed and ledger kept per round."""
+
+    @pytest.mark.parametrize(
+        "task, n_clients, overrides",
+        [
+            ("linear", 40, dict(mechanism=MECH, noise_multiplier=0.5)),
+            ("logistic", 40, dict(mechanism=MECH, noise_multiplier=0.5, rounds=80)),
+            ("linear", 40, dict(mechanism=None, noise_multiplier=0.7, rounds=40)),
+            ("logistic", 40, dict(mechanism=MECH, noise_multiplier=0.0)),
+            ("linear", 40, dict(clip_norm=math.inf, noise_multiplier=0.0)),
+            ("logistic", 40, dict(mechanism=MECH, noise_multiplier=0.3, local_epochs=2,
+                                  batch_size=7, rounds=30)),
+            ("linear", 16, dict(mechanism=MECH, noise_multiplier=0.5, rounds=30)),
+        ],
+        ids=["linear", "logistic", "identity", "noiseless", "unclipped", "epochs-batch",
+             "changing-schema"],
+    )
+    def test_every_field_equals_per_round_oracle(self, task, n_clients, overrides):
+        pop = small_population(task=task, n_clients=n_clients)
+        cfg = config(**overrides)
+        got, want = run_training(cfg, pop), run_training_per_round(cfg, pop)
+        for field in dataclasses.fields(want):
+            assert_bitwise_equal(getattr(got, field.name), getattr(want, field.name), field.name)
+        if task == "linear":  # the regression task's accuracies are all NaN
+            assert all(math.isnan(row["eval_acc"]) for row in got.metrics)
+
+
 class TestMetricsAfterTheLoop:
     """Every round's eval and rho equal their one-round recomputation."""
 
@@ -478,9 +544,9 @@ class TestMetricsAfterTheLoop:
         models = []
         orig = sim.server_round
 
-        def spy(state, delta_sum, cfg, noise_row=None):
-            new = orig(state, delta_sum, cfg, noise_row)
-            models.append(new.model.copy())
+        def spy(model, momentum_buf, delta_tilde, cfg):
+            new = orig(model, momentum_buf, delta_tilde, cfg)
+            models.append(new[0].copy())
             return new
 
         monkeypatch.setattr(sim, "server_round", spy)
@@ -520,11 +586,39 @@ class TestMetricsAfterTheLoop:
 
 class TestAudit:
     def test_audit_rejects_violation(self):
-        with pytest.raises(AssertionError):
-            _audit_min_sep([(0, 7), (1, 7)], b=2)
+        log = np.array([[3, 7], [1, 7]])
+        with pytest.raises(AssertionError, match="client 7 at rounds 0 and 1 with b=2"):
+            _realized_schema(log, 2)
+        with pytest.raises(AssertionError, match="client 7 at rounds 0 and 1"):
+            audit_min_sep([(t, cid) for t, row in enumerate(log.tolist()) for cid in row], 2)
 
     def test_audit_accepts_valid_log(self):
-        _audit_min_sep([(0, 7), (2, 7), (0, 8), (2, 9)], b=2)
+        _realized_schema(np.array([[7, 8], [1, 2], [7, 9]]), 2)
+
+    def test_hand_log(self):
+        # client 5 returns at round 2 after 2 rounds, client 1 at round 3 after 3;
+        # no client has returned by round 1, so b is the number of rounds there
+        log = np.array([[1, 5], [2, 3], [4, 5], [1, 6]])
+        b_log, k_log = _realized_schema(log, 1)
+        assert b_log.tolist() == [4, 4, 2, 2]
+        assert k_log.tolist() == [1, 1, 2, 2]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_schema_equals_ledger_kept_round_by_round(self, seed):
+        rng = np.random.default_rng(seed)
+        n_clients, size = rng.integers(3, 12), rng.integers(1, 3)
+        rounds, b = rng.integers(1, 40), rng.integers(1, 4)
+        ledger, log = np.full(n_clients, -(10**9)), []
+        for t in range(rounds):
+            if np.sum(ledger <= t - b) < size:
+                break
+            log.append(select_cohort(ledger, t, size, b, rng))
+            ledger[log[-1]] = t
+        log = np.array(log)
+        b_log, k_log = _realized_schema(log, b)
+        want_b, want_k = ledger_per_round(log.tolist(), len(log))
+        np.testing.assert_array_equal(b_log, want_b)
+        np.testing.assert_array_equal(k_log, want_k)
 
 
 class TestEvalAndCsv:

@@ -8,6 +8,8 @@ name resolves, the test-only oracles kept out of the package, and no
 scipy module on import: the package needs numpy alone. Rules that
 several modules apply are written once: the integer test (the one
 ``numbers.Integral``) and the objective list (the one ``"max", "rms"``).
+The noise recurrence has one owner: only ``blt_core`` touches a noise
+state's ``buffers``.
 """
 
 import ast
@@ -39,6 +41,9 @@ ORACLES = (
     "metrics_per_round",
     "two_loop_direction",
     "wolfe_search_two_phase",
+    "audit_min_sep",
+    "ledger_per_round",
+    "run_training_per_round",
 )
 
 
@@ -247,3 +252,15 @@ def test_objective_list_written_once():
         return {"max", "rms"} <= {e.value for e in node.elts if isinstance(e, ast.Constant)}
 
     assert _modules_where(pair) == ["blt_core.py"]
+
+
+def test_noise_buffers_touched_only_in_blt_core():
+    # the parsed command line's ``args.buffers`` is the --buffers count, not a state
+    def buffers(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "buffers"
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args")
+        )
+
+    assert _modules_where(buffers) == ["blt_core.py"]
