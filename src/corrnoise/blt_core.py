@@ -39,9 +39,14 @@ OBJECTIVES = ("max", "rms")
 
 
 def _require_int(low, **values):
-    """Raise ValueError unless every value (a count or a seed) is an integer >= low."""
+    """Raise ValueError unless every value (a count or a seed) is an integer >= low.
+
+    A bool is refused, though Python counts it as one: ``true`` is not 1.
+    """
     for name, value in values.items():
-        if not (isinstance(value, numbers.Integral) and value >= low):
+        if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) and value >= low
+        ):
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -520,18 +525,32 @@ def load_params(path):
     """Read a parameter document; returns (BltParams, metadata dict).
 
     A file that is not JSON, lacks a key, holds a value of the wrong type
-    or gives a ``d`` other than the length of theta raises ValueError
-    naming the file. The parameters are not validated here.
+    (theta or omega other than a list of numbers, a ``d`` or ``opt_*``
+    count that is not an integer at or above its bound, an objective not
+    in ``OBJECTIVES``) or gives a ``d`` other than the length of theta
+    raises ValueError naming the file. The parameters are not validated
+    here.
     """
     with open(path) as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
-        params = BltParams(np.array(doc["theta"]), np.array(doc["omega"]))
+        vectors = {key: doc[key] for key in ("theta", "omega")}
         d = doc["d"]
         meta = {key: doc[key] for key in ("opt_n", "opt_min_sep", "opt_max_part")}
+        objective = doc["objective"]
+        for name, entries in vectors.items():
+            # np.array would keep "0.5" as a string and true as a bool
+            if not isinstance(entries, list) or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries
+            ):
+                raise ValueError(f"{name} must be a list of numbers, got {entries!r}")
+        _require_int(0, d=d)
         _require_int(1, **meta)  # int() would truncate 2052.5 to 2052
-        meta["objective"] = doc["objective"]
+        if objective not in OBJECTIVES:
+            raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+        params = BltParams(np.array(vectors["theta"]), np.array(vectors["omega"]))
+        meta["objective"] = objective
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -213,7 +213,10 @@ def select_cohort(
     eligible = (last_round <= t - b).nonzero()[0]
     if eligible.shape[0] < m_clients:
         raise StarvationError(t, eligible.shape[0], m_clients)
-    return np.sort(rng.choice(eligible, size=m_clients, replace=False))
+    # drawing positions, not the ids, is the same shuffle of the same RNG
+    # stream without choice's array handling
+    picks = rng.choice(eligible.shape[0], size=m_clients, replace=False)
+    return np.sort(eligible[picks])
 
 
 def client_update(

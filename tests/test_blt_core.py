@@ -644,6 +644,36 @@ class TestParamsIO:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_params(path)
 
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [("theta", ["0.5"], "theta must be a list of numbers, got ['0.5']"),
+         ("theta", 0.5, "theta must be a list of numbers, got 0.5"),
+         ("omega", [True], "omega must be a list of numbers, got [True]"),
+         ("d", True, "d must be an integer >= 0, got True"),
+         ("d", 1.0, "d must be an integer >= 0, got 1.0"),
+         ("d", -1, "d must be an integer >= 0, got -1"),
+         ("objective", 7, "objective must be one of ('max', 'rms'), got 7"),
+         ("objective", "median", "objective must be one of ('max', 'rms'), got 'median'")],
+        ids=["string-theta", "scalar-theta", "boolean-omega", "boolean-d", "float-d",
+             "negative-d", "numeric-objective", "unknown-objective"],
+    )
+    def test_wrongly_typed_entry_rejected(self, tmp_path, key, value, reason):
+        # np.array kept "0.5" as a string and true as a bool, and any
+        # objective was read back
+        path = tmp_path / "bad.json"
+        doc = {"d": 1, "theta": [0.5], "omega": [0.2], "opt_n": 2052,
+               "opt_min_sep": 342, "opt_max_part": 6, "objective": "max"}
+        path.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {reason}")):
+            load_params(path)
+
+    def test_identity_document_loads(self, tmp_path):
+        path = tmp_path / "identity.json"
+        save_params(path, IDENTITY_MECHANISM, opt_n=8, opt_min_sep=1, opt_max_part=8,
+                    objective="rms")
+        params, meta = load_params(path)
+        assert params.d == 0 and meta["objective"] == "rms"
+
     def test_bad_objective_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_params(
@@ -699,9 +729,10 @@ class TestIntegerEntries:
             for name, low in ints.items()
         ],
     )
-    @pytest.mark.parametrize("bad", ["fractional", "below-bound"])
+    @pytest.mark.parametrize("bad", ["fractional", "below-bound", "boolean"])
     def test_rejected_with_the_shared_message(self, entry, kwargs, name, low, bad):
-        value = 2.5 if bad == "fractional" else low - 1
+        # True is a numbers.Integral equal to 1, so it passed the bound
+        value = {"fractional": 2.5, "below-bound": low - 1, "boolean": True}[bad]
         message = f"{name} must be an integer >= {low}, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             entry(**{**kwargs, name: value})

@@ -4,6 +4,7 @@ Everything runs in-process through ``main(argv)`` (fast, keeps coverage);
 one subprocess test confirms the installed entry point matches.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -69,6 +70,26 @@ UNREADABLE_DOCS = {
         "d = 3 but theta has length 1",
     ),
     "malformed-json": ('{"d": 1, "theta": [0.5', "Expecting"),
+    "string-theta": (
+        json.dumps({"d": 1, "theta": ["0.5"], "omega": [0.2], "opt_n": 64,
+                    "opt_min_sep": 16, "opt_max_part": 4, "objective": "max"}),
+        "theta must be a list of numbers",
+    ),
+    "boolean-omega": (
+        json.dumps({"d": 1, "theta": [0.5], "omega": [True], "opt_n": 64,
+                    "opt_min_sep": 16, "opt_max_part": 4, "objective": "max"}),
+        "omega must be a list of numbers",
+    ),
+    "boolean-d": (
+        json.dumps({"d": True, "theta": [0.5], "omega": [0.2], "opt_n": 64,
+                    "opt_min_sep": 16, "opt_max_part": 4, "objective": "max"}),
+        "d must be an integer >= 0, got True",
+    ),
+    "unknown-objective": (
+        json.dumps({"d": 1, "theta": [0.5], "omega": [0.2], "opt_n": 64,
+                    "opt_min_sep": 16, "opt_max_part": 4, "objective": 7}),
+        "objective must be one of ('max', 'rms'), got 7",
+    ),
 }
 
 
@@ -730,6 +751,7 @@ class TestSimulate:
          ({"seed": -1}, "seed must be an integer >= 0"),
          ({"learning_rate": 0.1}, "unexpected keyword argument 'learning_rate'"),
          ({"rounds": 10.5}, "rounds must be an integer >= 1"),
+         ({"rounds": True}, "rounds must be an integer >= 1, got True"),
          ({"clients_per_round": 2.0}, "clients_per_round must be an integer >= 1"),
          ({"local_epochs": 1.5}, "local_epochs must be an integer >= 1"),
          ({"est_max_part": 2.5}, "est_max_part must be an integer >= 1"),
@@ -740,7 +762,7 @@ class TestSimulate:
          ({"client_lr": math.nan}, "client_lr must be finite"),
          ({"noise_multiplier": math.inf}, "noise_multiplier must be finite and >= 0")],
         ids=["negative-clip-norm", "negative-seed", "unknown-key", "fractional-rounds",
-             "float-cohort", "fractional-epochs", "fractional-est-max-part",
+             "boolean-rounds", "float-cohort", "fractional-epochs", "fractional-est-max-part",
              "fractional-batch-size", "nan-server-lr", "inf-server-lr", "nan-momentum",
              "nan-client-lr", "inf-noise-multiplier"],
     )
@@ -817,14 +839,89 @@ def test_console_script_installed():
     assert "optimize" in proc.stdout
 
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+# (language, body) of each fenced block in the README
+README_BLOCKS = re.findall(r"^```([^\n]*)\n(.*?)^```", README, flags=re.M | re.S)
+
+
+def readme_commands():
+    """argv of every corrnoise command in the README's fenced blocks, in order."""
+    blocks = "".join(body for _, body in README_BLOCKS)
+    lines = [line.strip() for line in blocks.replace("\\\n", " ").splitlines()]
+    return [
+        shlex.split(line.replace("$n", "2000"))[1:]
+        for line in lines
+        if line.startswith("corrnoise ")
+    ]
+
+
 def test_readme_commands_parse():
     # every corrnoise command in the README's fenced blocks must parse, so that a
     # renamed or retyped flag cannot leave a documented recipe broken
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    blocks = "".join(re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S))
-    lines = [line.strip() for line in blocks.replace("\\\n", " ").splitlines()]
-    commands = [line.replace("$n", "2000") for line in lines if line.startswith("corrnoise ")]
-    subcommands = {shlex.split(cmd)[1] for cmd in commands}
+    commands = readme_commands()
+    subcommands = {argv[0] for argv in commands}
     assert subcommands == {"optimize", "eval", "sweep", "noisegen", "account", "simulate"}
-    for cmd in commands:  # argparse exits, printing the bad flag, on any it rejects
-        corrnoise.cli.build_parser().parse_args(shlex.split(cmd)[1:])
+    for argv in commands:  # argparse exits, printing the bad flag, on any it rejects
+        corrnoise.cli.build_parser().parse_args(argv)
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestRepeatedCalls:
+    # main builds its parser once per process: a later call, after a usage
+    # error too, must print and return exactly what the first one did
+
+    @pytest.fixture
+    def readme_dir(self, tmp_path, monkeypatch):
+        """A working directory holding the inputs the README commands read."""
+        monkeypatch.chdir(tmp_path)
+        np.save("C.npy", np.eye(2052))  # the identity strategy, at the README's n
+        sim = next(body for lang, body in README_BLOCKS if lang == "json")
+        Path("sim.json").write_text(sim)
+        # the README's sed line: the same config without params_file
+        doc = json.loads(sim)
+        del doc["training"]["params_file"]
+        Path("independent.json").write_text(json.dumps(doc))
+        # read by the first simulate line, which runs before the fit that writes it
+        save_params("sim_mech.json", MECH, opt_n=64, opt_min_sep=8, opt_max_part=8,
+                    objective="max")
+        return tmp_path
+
+    def test_second_call_repeats_the_first_and_builds_no_parser(
+        self, readme_dir, monkeypatch, capsys
+    ):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in readme_commands():
+            first = exit_code(argv), capsys.readouterr().out
+            assert first[0] == 0, argv
+            assert exit_code(["eval", "--tree", "--n", "0"]) == 2
+            assert "usage" in capsys.readouterr().err
+            built.clear()
+            second = exit_code(argv), capsys.readouterr().out
+            assert second == first, argv
+            assert built == [], argv
+
+    def test_main_runs_the_command_the_module_holds(self, monkeypatch, capsys):
+        # a command swapped in after the parser was built is the one main runs
+        main(["account", "--sens", "1.0", "--sigma", "1.0"])
+        capsys.readouterr()
+        seen = []
+        monkeypatch.setattr(corrnoise.cli, "cmd_sweep", lambda args: seen.append(args) or 7)
+        assert main(["sweep", "--n", "8", "--b-start", "1", "--b-stop", "2", "--tree"]) == 7
+        assert [(args.n, args.b_start, args.b_stop, args.tree) for args in seen] == [
+            (8, 1, 2, True)
+        ]
+        assert capsys.readouterr().out == ""
