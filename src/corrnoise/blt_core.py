@@ -50,6 +50,20 @@ def _require_int(low, **values):
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _require_real(low=-math.inf, high=math.inf, **values):
+    """Raise ValueError unless every value (a rate or a scale) is finite in [low, high).
+
+    A bool is refused, as by ``_require_int``, and so is NaN.
+    """
+    rule = "finite" + (f" and >= {low}" if low > -math.inf else "")
+    rule += f" and < {high}" if high < math.inf else ""
+    for name, value in values.items():
+        if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and math.isfinite(value) and low <= value < high
+        ):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 class DegenerateParamsError(ValueError):
     """Raised when repeated or near-coincident decays break the pairing."""
 
@@ -327,8 +341,7 @@ def make_noise_generator(
     """
     params.validate()
     _require_int(1, m=m)
-    if not 0.0 <= noise_std < math.inf:  # NaN fails too
-        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    _require_real(0, noise_std=noise_std)
     # Philox takes any non-negative integer; 1.5 would silently become 1
     _require_int(0, seed=seed)
     if max_rounds is not None:  # 2.5 would emit 3 rounds, 0 none

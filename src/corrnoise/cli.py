@@ -99,34 +99,24 @@ def _schema_args(p: argparse.ArgumentParser):
         default=None,
         help="participation cap (default: worst case for n and min-sep)",
     )
-    p.set_defaults(parser=p)
 
 
 def _make_schema(args):
-    """Schema of --n, --min-sep and --max-part; a cap that cannot fit exits with usage."""
+    """Schema of --n, --min-sep and --max-part; a cap that cannot fit raises ValueError."""
     k = args.max_part or max_participations(args.n, args.min_sep)
     try:
         return ParticipationSchema(n=args.n, b=args.min_sep, k=k)
     except ValueError as exc:
-        args.parser.error(f"--max-part: {exc}")
+        raise ValueError(f"--max-part: {exc}") from None
 
 
-def _read_params(parser, path):
-    """Parameters from a file; one that cannot be read or parsed exits with usage."""
-    try:
-        params, _ = load_params(path)
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-    return params
-
-
-def _load_mechanism(parser, path):
-    """Parameters from a file that ``validate()`` accepts; any other exits with usage."""
-    params = _read_params(parser, path)
+def _load_mechanism(path):
+    """Parameters from a file that ``validate()`` accepts; any other raises ValueError."""
+    params, _ = load_params(path)
     try:
         return params.validate()
     except ValueError as exc:
-        parser.error(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _loss_dict(bundle, noise_multiplier=1.0):
@@ -187,17 +177,13 @@ def cmd_optimize(args) -> int:
 def cmd_eval(args) -> int:
     schema = _make_schema(args)
     if args.params:
-        params = _load_mechanism(args.parser, args.params)
-        bundle = blt_mechanism_loss(params, schema)
+        bundle = blt_mechanism_loss(_load_mechanism(args.params), schema)
     elif args.matrix:
-        try:
-            C = load_strategy_matrix(args.matrix)
-        except (OSError, ValueError) as exc:
-            args.parser.error(str(exc))
+        C = load_strategy_matrix(args.matrix)
         try:
             bundle = mechanism_loss(C, schema)
         except ValueError as exc:
-            args.parser.error(f"{args.matrix}: {exc}")
+            raise ValueError(f"{args.matrix}: {exc}") from None
     else:
         bundle = eval_tree(schema)
     _print_json(_loss_dict(bundle, args.noise_multiplier))
@@ -216,16 +202,15 @@ def _sweep_cell(loss_fn, n, b, k):
 
 def cmd_sweep(args) -> int:
     if args.b_stop < args.b_start:
-        args.parser.error(f"--b-stop {args.b_stop} is below --b-start {args.b_start}")
+        raise ValueError(f"--b-stop {args.b_stop} is below --b-start {args.b_start}")
     # one evaluator per mechanism: its b-independent errors are computed
     # once, on the first feasible cell, and only the sensitivity per b
     n = args.n
     mechanisms = []
     for path in args.params or []:
         # parameters that fail validate() get an error: status in each cell
-        params = _read_params(args.parser, path)
         name = os.path.splitext(os.path.basename(path))[0]
-        mechanisms.append((name, blt_mechanism_loss_fn(params, n)))
+        mechanisms.append((name, blt_mechanism_loss_fn(load_params(path)[0], n)))
     if args.tree:
         mechanisms.append(("tree", tree_loss_fn(n)))
     if args.identity:
@@ -251,9 +236,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_noisegen(args) -> int:
-    params = _load_mechanism(args.parser, args.params)
     state = make_noise_generator(
-        params,
+        _load_mechanism(args.params),
         m=args.dim,
         noise_std=args.noise_std,
         seed=args.seed,
@@ -270,12 +254,9 @@ def cmd_noisegen(args) -> int:
 
 def cmd_account(args) -> int:
     if math.isinf(args.sens):
-        args.parser.error(f"sensitivity must be finite, got {args.sens} (rho unbounded)")
-    try:
-        rho = zcdp_of(args.sens, args.sigma)
-        eps = eps_of_zcdp(rho, args.delta, refined=args.refined)
-    except ValueError as exc:
-        args.parser.error(str(exc))
+        raise ValueError(f"sensitivity must be finite, got {args.sens} (rho unbounded)")
+    rho = zcdp_of(args.sens, args.sigma)
+    eps = eps_of_zcdp(rho, args.delta, refined=args.refined)
     _print_json(
         {"rho": rho, "epsilon": eps, "sens": args.sens, "method": METHOD_LABEL}
     )
@@ -288,26 +269,25 @@ def cmd_simulate(args) -> int:
             doc = json.load(fh)
         pop_doc = dict(doc["population"])
         train_doc = dict(doc["training"])
+        # absent or null is independent noise; open() must never see a number
+        params_file = train_doc.pop("params_file", None)
+        if params_file is not None and not (isinstance(params_file, str) and params_file):
+            raise ValueError(f"params_file must be a path or null, got {params_file!r}")
     except KeyError as exc:
-        args.parser.error(f"{args.config}: missing block {exc}")
+        raise ValueError(f"{args.config}: missing block {exc}") from None
     except (OSError, TypeError, ValueError) as exc:
-        args.parser.error(f"{args.config}: {exc}")
-    mechanism = None
-    params_file = train_doc.pop("params_file", None)
-    if params_file:
-        mechanism = _load_mechanism(args.parser, params_file)
+        raise ValueError(f"{args.config}: {exc}") from None
+    mechanism = None if params_file is None else _load_mechanism(params_file)
     try:
         population = make_population(**pop_doc)
         config = TrainConfig(mechanism=mechanism, **train_doc)
-    except (TypeError, ValueError) as exc:
-        args.parser.error(f"{args.config}: {exc}")
-    # each client sits out min_sep - 1 rounds after joining one: no round
-    # starves exactly when there are this many clients
-    needed = config.clients_per_round * min(config.rounds, config.min_sep)
-    if population.n_clients < needed:
-        args.parser.error(
-            f"{args.config}: the cohorts need {needed} clients, not {population.n_clients}"
-        )
+        # each client sits out min_sep - 1 rounds after joining one: no round
+        # starves exactly when there are this many clients
+        needed = config.clients_per_round * min(config.rounds, config.min_sep)
+        if population.n_clients < needed:
+            raise ValueError(f"the cohorts need {needed} clients, not {population.n_clients}")
+    except (TypeError, ValueError) as exc:  # TypeError: a key neither one takes
+        raise ValueError(f"{args.config}: {exc}") from None
     result = run_training(config, population)
     os.makedirs(args.outdir, exist_ok=True)
     write_metrics_csv(os.path.join(args.outdir, "metrics.csv"), result.metrics)
@@ -372,7 +352,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", action="store_true")
     p.add_argument("--identity", action="store_true")
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(parser=p)
 
     p = sub.add_parser("noisegen", help="stream correlated noise rows to CSV")
     p.add_argument("--params", type=str, required=True)
@@ -381,19 +360,18 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-std", type=_nonnegative_float, default=1.0)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(parser=p)
 
     p = sub.add_parser("account", help="zCDP and epsilon for sens / sigma")
     p.add_argument("--sens", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--delta", type=float, default=1e-10)
     p.add_argument("--refined", action="store_true")
-    p.set_defaults(parser=p)
 
     p = sub.add_parser("simulate", help="run the training simulator")
     p.add_argument("--config", type=str, required=True, help="JSON config file")
     p.add_argument("--outdir", type=str, required=True)
-    p.set_defaults(parser=p)
+    for p in sub.choices.values():  # main reports bad input on the command's own usage
+        p.set_defaults(parser=p)
     return ap
 
 
@@ -409,7 +387,14 @@ def main(argv=None) -> int:
         "account": cmd_account,
         "simulate": cmd_simulate,
     }
-    return commands[args.command](args)
+    # the one exit for bad input, which a command raises as ValueError or
+    # OSError; a closed pipe is not bad input, and anything else is a defect
+    try:
+        return commands[args.command](args)
+    except BrokenPipeError:
+        raise
+    except (OSError, ValueError) as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from corrnoise.blt_core import (
     IDENTITY_MECHANISM,
     BltParams,
     _require_int,
+    _require_real,
     blt_coefs,
     make_noise_generator,
     stream_mult_inverse_block,
@@ -110,17 +111,16 @@ class TrainConfig:
             counts += ("est_max_part",)
         _require_int(1, **{name: getattr(self, name) for name in counts})
         _require_int(0, seed=self.seed)
-        # a NaN or Inf step poisons the model without a sign
-        for name in ("client_lr", "server_lr", "momentum"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        # written so that NaN fails too: a NaN sigma_zeta would train noiselessly
+        # a NaN or Inf step poisons the model without a sign, and a momentum
+        # of 1 or more lets the server buffer grow without bound
+        _require_real(client_lr=self.client_lr, server_lr=self.server_lr)
+        _require_real(0, 1, momentum=self.momentum)
+        # +inf turns clipping off; NaN fails too: a NaN sigma_zeta would train noiselessly
+        if self.clip_norm != math.inf:
+            _require_real(clip_norm=self.clip_norm)
         if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
-        if not 0.0 <= self.noise_multiplier < math.inf:
-            raise ValueError(
-                f"noise_multiplier must be finite and >= 0, got {self.noise_multiplier}"
-            )
+        _require_real(0, noise_multiplier=self.noise_multiplier)
         # the noise scale is noise_multiplier * sens * clip_norm
         if self.noise_multiplier > 0 and math.isinf(self.clip_norm):
             raise ValueError("clip_norm must be finite when noise_multiplier > 0")
@@ -164,8 +164,7 @@ def make_population(
         eval_samples=eval_samples,
     )
     _require_int(0, seed=seed)  # in place of numpy's SeedSequence errors
-    if not 0.0 <= heterogeneity < math.inf:
-        raise ValueError(f"heterogeneity must be finite and >= 0, got {heterogeneity}")
+    _require_real(0, heterogeneity=heterogeneity)
     rng = np.random.default_rng(seed)
     w_star = rng.normal(0.0, 1.0, dim) / math.sqrt(dim)
 

@@ -743,3 +743,58 @@ class TestIntegerEntries:
         name = "n" if schema[0] != 2052 else "b"
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
             ParticipationSchema(*schema)
+
+
+INF = float("inf")
+# (entry, valid keyword arguments, the reals it takes with their [low, high) bounds)
+REAL_ENTRIES = [
+    (
+        TrainConfig,
+        dict(rounds=12, clients_per_round=2, client_lr=0.1, server_lr=1.0),
+        dict(client_lr=(-INF, INF), server_lr=(-INF, INF), momentum=(0, 1),
+             noise_multiplier=(0, INF)),
+    ),
+    (
+        make_population,
+        dict(n_clients=4, dim=2, samples_per_client=3, eval_samples=5),
+        dict(heterogeneity=(0, INF)),
+    ),
+    (make_noise_generator, dict(params=P2, m=3, noise_std=1.0), dict(noise_std=(0, INF))),
+]
+
+
+def _real_cases():
+    """(entry, kwargs, name, low, high, bad value) for every real of REAL_ENTRIES."""
+    for entry, kwargs, reals in REAL_ENTRIES:
+        for name, (low, high) in reals.items():
+            bad = {"boolean": True, "nan": float("nan"), "infinite": INF, "string": "0.5"}
+            if low > -INF:
+                bad["below-bound"] = low - 0.5
+            if high < INF:
+                bad["at-upper-bound"] = high
+            for kind, value in bad.items():
+                yield pytest.param(
+                    entry, kwargs, name, low, high, value, id=f"{entry.__name__}-{name}-{kind}"
+                )
+
+
+class TestRealEntries:
+    # every rate and scale is checked by one rule with one message where it
+    # enters: true passed as 1.0, and a momentum of 1e30 overflowed mid-run
+    @pytest.mark.parametrize("entry, kwargs, name, low, high, value", _real_cases())
+    def test_rejected_with_the_shared_message(self, entry, kwargs, name, low, high, value):
+        rule = "finite" + (f" and >= {low}" if low > -INF else "")
+        rule += f" and < {high}" if high < INF else ""
+        message = f"{name} must be {rule}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(**{**kwargs, name: value})
+
+    @pytest.mark.parametrize(
+        "entry, kwargs, name, value",
+        [pytest.param(e, kw, name, low if low > -INF else -1e300, id=f"{e.__name__}-{name}")
+         for e, kw, reals in REAL_ENTRIES for name, (low, _) in reals.items()]
+        + [pytest.param(TrainConfig, REAL_ENTRIES[0][1], "momentum", np.float64(0.999),
+                        id="TrainConfig-momentum-numpy")],
+    )
+    def test_bounds_and_numpy_reals_accepted(self, entry, kwargs, name, value):
+        entry(**{**kwargs, name: value})

@@ -5,6 +5,7 @@ one subprocess test confirms the installed entry point matches.
 """
 
 import argparse
+import copy
 import csv
 import json
 import math
@@ -816,6 +817,28 @@ class TestSimulate:
             json.dumps(config), f"need {bound} clients", starved, capsys
         )
 
+    @pytest.mark.parametrize(
+        "value", [True, "", False, 0, [], 1.5],
+        ids=["true", "empty", "false", "zero", "list", "float"],
+    )
+    def test_params_file_that_is_no_path_exits_with_usage(self, value, tmp_path, capfd):
+        # open() must never see it: true opened file descriptor 1 and closed
+        # stdout, and "", false, 0 and [] trained silently with independent noise
+        self.assert_config_exits_with_usage(
+            json.dumps(simulate_config(params_file=value)),
+            f"params_file must be a path or null, got {value!r}",
+            tmp_path,
+            capfd,
+        )
+        os.fstat(1)
+
+    def test_null_params_file_is_independent_noise(self, tmp_path, capsys):
+        runs = []
+        for config in (simulate_config(), simulate_config(params_file=None)):
+            doc, outdir = self.run(config, tmp_path, capsys)
+            runs.append((doc, (outdir / "metrics.csv").read_bytes()))
+        assert runs[0] == runs[1]
+
     @staticmethod
     def assert_config_exits_with_usage(text, reason, tmp_path, capsys):
         cfg_path = tmp_path / "sim.json"
@@ -888,9 +911,6 @@ class TestRepeatedCalls:
         doc = json.loads(sim)
         del doc["training"]["params_file"]
         Path("independent.json").write_text(json.dumps(doc))
-        # read by the first simulate line, which runs before the fit that writes it
-        save_params("sim_mech.json", MECH, opt_n=64, opt_min_sep=8, opt_max_part=8,
-                    objective="max")
         return tmp_path
 
     def test_second_call_repeats_the_first_and_builds_no_parser(
@@ -925,3 +945,114 @@ class TestRepeatedCalls:
             (8, 1, 2, True)
         ]
         assert capsys.readouterr().out == ""
+
+
+class TestOneUsageExit:
+    # main turns a ValueError or OSError into a usage error, exit 2; the
+    # commands never call the parser themselves
+    @pytest.mark.parametrize("exc", [ValueError("bad value"), FileNotFoundError("no file")])
+    def test_bad_input_exits_with_usage(self, exc, monkeypatch, capsys):
+        def command(args):
+            raise exc
+
+        monkeypatch.setattr(corrnoise.cli, "cmd_account", command)
+        with pytest.raises(SystemExit) as caught:
+            main(["account", "--sens", "1.0", "--sigma", "1.0"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: corrnoise account")
+        assert err.endswith(f"corrnoise account: error: {exc}\n")
+
+    @pytest.mark.parametrize("exc", [TypeError, BrokenPipeError, RuntimeError])
+    def test_defects_and_closed_pipes_are_raised(self, exc, monkeypatch, capsys):
+        def command(args):
+            raise exc("not bad input")
+
+        monkeypatch.setattr(corrnoise.cli, "cmd_account", command)
+        with pytest.raises(exc, match="not bad input"):
+            main(["account", "--sens", "1.0", "--sigma", "1.0"])
+        assert "usage" not in capsys.readouterr().err
+
+    def test_closed_pipe_is_no_usage_error(self, params_file):
+        # noisegen | head: the reader leaves after 100 bytes, and the next
+        # write meets a closed pipe
+        src = Path(corrnoise.cli.__file__).resolve().parent.parent
+        command = [sys.executable, "-m", "corrnoise.cli", "noisegen", "--params", params_file,
+                   "--rounds", "20000", "--dim", "50"]
+        proc = subprocess.run(
+            ["sh", "-c", " ".join(map(shlex.quote, command)) + " | head -c 100"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stdout.startswith("round,z0,z1,")
+        assert len(proc.stdout) == 100
+        assert "usage" not in proc.stderr and "error:" not in proc.stderr
+
+
+# one value of every JSON kind, and the edges of the numbers
+FUZZ_VALUES = [None, True, False, -1, 0, 1.5, 1e30, "", "x", [], {}, math.nan, math.inf]
+# the README's sim.json with the optional fields it leaves out written at their defaults
+FUZZ_SIM = json.loads(next(body for lang, body in README_BLOCKS if lang == "json"))
+FUZZ_SIM["population"].update(heterogeneity=0.5, eval_samples=512)
+FUZZ_SIM["training"].update(
+    momentum=0.9, clip_norm=1.0, est_max_part=8, local_epochs=1, batch_size=16
+)
+# the commands that read a parameter file, with PATH where its name goes
+PARAMS_COMMANDS = {
+    "eval": ["eval", "--params", "PATH", "--n", "64", "--min-sep", "16", "--max-part", "4"],
+    "sweep": ["sweep", "--n", "64", "--b-start", "16", "--b-stop", "16", "--params", "PATH"],
+    "noisegen": ["noisegen", "--params", "PATH", "--rounds", "2", "--dim", "2"],
+}
+
+
+def fuzz_failures(argv, path, doc, field, capfd):
+    """Each FUZZ_VALUES case in ``field`` of the JSON document at ``path``
+    that main neither runs (exit 0) nor rejects with usage naming the file
+    and the field, as (value, exit code or exception, stderr's tail).
+
+    ``field`` is a key of ``doc`` or (block, key). A traceback or a closed
+    stdout is a failure too.
+    """
+    block, key = (None, field) if isinstance(field, str) else field
+    failures = []
+    for value in FUZZ_VALUES:
+        edited = copy.deepcopy(doc)
+        (edited[block] if block else edited)[key] = value
+        Path(path).write_text(json.dumps(edited))  # NaN and Infinity as json writes them
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = repr(exc)
+        os.fstat(1)
+        err = capfd.readouterr().err
+        # a params_file that names no file is reported by the name it gives
+        named = [f"'{value}'"] if key == "params_file" and value == "x" else [path, key]
+        if not (code == 0 or (code == 2 and all(name in err for name in named))):
+            failures.append((value, code, err[-200:]))
+    return failures
+
+
+class TestInputFuzz:
+    @pytest.mark.parametrize(
+        "field",
+        [(block, key) for block in FUZZ_SIM for key in FUZZ_SIM[block]],
+        ids=lambda field: ".".join(field),
+    )
+    def test_simulate_config_field(self, field, tmp_path, monkeypatch, capfd):
+        monkeypatch.chdir(tmp_path)
+        save_params("sim_mech.json", MECH, opt_n=64, opt_min_sep=8, opt_max_part=8,
+                    objective="max")
+        argv = ["simulate", "--config", "sim.json", "--outdir", "out"]
+        assert fuzz_failures(argv, "sim.json", FUZZ_SIM, field, capfd) == []
+
+    @pytest.mark.parametrize("command", sorted(PARAMS_COMMANDS))
+    @pytest.mark.parametrize(
+        "field", ["d", "theta", "omega", "opt_n", "opt_min_sep", "opt_max_part", "objective"]
+    )
+    def test_params_file_field(self, command, field, params_file, capfd):
+        doc = json.loads(Path(params_file).read_text())
+        argv = [params_file if arg == "PATH" else arg for arg in PARAMS_COMMANDS[command]]
+        assert fuzz_failures(argv, params_file, doc, field, capfd) == []

@@ -354,6 +354,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="clip_norm must be finite"):
             config(clip_norm=math.inf, noise_multiplier=0.5)
 
+    @pytest.mark.parametrize("value", [True, "1.0", -math.inf])
+    def test_clip_norm_that_is_no_number_rejected_at_construction(self, value):
+        # +inf is the one non-finite clip norm: it turns clipping off
+        with pytest.raises(ValueError, match=f"clip_norm must be finite, got {value!r}"):
+            config(clip_norm=value)
+        assert config(clip_norm=math.inf).clip_norm == math.inf
+
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0, 1e30])
+    def test_momentum_outside_unit_interval_rejected(self, momentum):
+        # a momentum of 1e30 overflowed the server buffer and ended in a
+        # FloatingPointError a few rounds into the run
+        with pytest.raises(ValueError, match="momentum must be finite and >= 0 and < 1"):
+            config(momentum=momentum)
+
     def test_mechanism_resolved_and_validated_at_construction(self):
         assert config(mechanism=None).mechanism is IDENTITY_MECHANISM
         with pytest.raises(ValueError, match="strictly positive"):

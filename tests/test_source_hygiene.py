@@ -7,9 +7,10 @@ that no call in the package overrides, a public namespace whose every
 name resolves, the test-only oracles kept out of the package, and no
 scipy module on import: the package needs numpy alone. Rules that
 several modules apply are written once: the integer test (the one
-``numbers.Integral``) and the objective list (the one ``"max", "rms"``).
-The noise recurrence has one owner: only ``blt_core`` touches a noise
-state's ``buffers``.
+``numbers.Integral``), the real-number test (the one ``numbers.Real``)
+and the objective list (the one ``"max", "rms"``). The noise recurrence
+has one owner: only ``blt_core`` touches a noise state's ``buffers``.
+Bad input has one exit: only ``cli.main`` calls a parser's ``error``.
 """
 
 import ast
@@ -243,6 +244,33 @@ def test_integer_rule_written_once():
         return isinstance(node, ast.alias) and node.name == "Integral"
 
     assert _modules_where(integral) == ["blt_core.py"]
+
+
+def test_real_rule_written_once():
+    def real(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "Real"
+        return isinstance(node, ast.alias) and node.name == "Real"
+
+    assert _modules_where(real) == ["blt_core.py"]
+
+
+def test_usage_errors_exit_only_in_main():
+    # a command raises ValueError or OSError, and main alone turns it into
+    # a usage error, so no input rule is written per call site
+    def error_calls(tree):
+        return sum(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "error"
+            for node in ast.walk(tree)
+        )
+
+    sites = {path.name: error_calls(_parse(path)) for path in MODULES}
+    cli = _parse(SRC / "cli.py")
+    main = next(f for f in cli.body if isinstance(f, ast.FunctionDef) and f.name == "main")
+    assert {name: count for name, count in sites.items() if count} == {"cli.py": 1}
+    assert error_calls(main) == 1
 
 
 def test_objective_list_written_once():
