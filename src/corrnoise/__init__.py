@@ -40,7 +40,6 @@ from corrnoise.blt_core import (
 from corrnoise.ftrl_sim import (
     ClientPopulation,
     TrainConfig,
-    StarvationError,
     make_population,
     run_training,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "eps_of_zcdp",
     "ClientPopulation",
     "TrainConfig",
-    "StarvationError",
     "make_population",
     "run_training",
 ]

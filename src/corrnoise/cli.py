@@ -26,7 +26,7 @@ import math
 import os
 import sys
 
-from corrnoise.accountant import METHOD_LABEL, eps_of_zcdp, zcdp_of
+from corrnoise.accountant import DEFAULT_DELTA, METHOD_LABEL, eps_of_zcdp, zcdp_of
 from corrnoise.blt_core import (
     IDENTITY_MECHANISM,
     OBJECTIVES,
@@ -158,7 +158,7 @@ def cmd_optimize(args) -> int:
     doc["objective"] = args.objective
     doc["converged"] = result.converged
     doc["iterations"] = result.iterations
-    _print_json(doc)
+    # written before the report, so an --out that cannot be written prints nothing
     if args.out:
         save_params(
             args.out,
@@ -168,6 +168,7 @@ def cmd_optimize(args) -> int:
             opt_max_part=schema.k,
             objective=args.objective,
         )
+    _print_json(doc)
     if not result.converged:
         print("optimizer did not converge", file=sys.stderr)
         return 1
@@ -216,8 +217,7 @@ def cmd_sweep(args) -> int:
     if args.identity:
         mechanisms.append(("identity", blt_mechanism_loss_fn(IDENTITY_MECHANISM, n)))
     if not mechanisms:
-        print("no mechanisms given (use --params / --tree / --identity)", file=sys.stderr)
-        return 1
+        raise ValueError("no mechanisms given (use --params / --tree / --identity)")
 
     rows = []
     for name, loss_fn in mechanisms:
@@ -281,14 +281,12 @@ def cmd_simulate(args) -> int:
     try:
         population = make_population(**pop_doc)
         config = TrainConfig(mechanism=mechanism, **train_doc)
-        # each client sits out min_sep - 1 rounds after joining one: no round
-        # starves exactly when there are this many clients
-        needed = config.clients_per_round * min(config.rounds, config.min_sep)
-        if population.n_clients < needed:
-            raise ValueError(f"the cohorts need {needed} clients, not {population.n_clients}")
     except (TypeError, ValueError) as exc:  # TypeError: a key neither one takes
         raise ValueError(f"{args.config}: {exc}") from None
-    result = run_training(config, population)
+    try:  # bad input, such as too few clients for the cohorts; a TypeError is a defect
+        result = run_training(config, population)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     os.makedirs(args.outdir, exist_ok=True)
     write_metrics_csv(os.path.join(args.outdir, "metrics.csv"), result.metrics)
     write_participation_csv(
@@ -296,7 +294,7 @@ def cmd_simulate(args) -> int:
     )
     _print_json(
         {
-            "rounds": config.rounds,
+            "rounds": len(result.metrics),
             "final_eval_loss": result.metrics[-1]["eval_loss"],
             "realized_b": result.realized_b,
             "realized_k": result.realized_k,
@@ -364,7 +362,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("account", help="zCDP and epsilon for sens / sigma")
     p.add_argument("--sens", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--delta", type=float, default=1e-10)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--refined", action="store_true")
 
     p = sub.add_parser("simulate", help="run the training simulator")

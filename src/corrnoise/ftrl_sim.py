@@ -12,6 +12,8 @@ the model, so the run's rows are drawn before the loop as one
 Every client holds the same number of samples, so the population is one
 (clients, m, dim) array and a round steps its whole cohort as one
 stacked batch: a single ``client_update`` call on the cohort's slice.
+A run of m clients a round needs m * min(rounds, b) clients, which
+``run_training`` checks before it starts, so no round can starve.
 
 Tasks are synthetic linear / logistic problems with per-client parameter
 heterogeneity: small enough to run hundreds of rounds in seconds, rich
@@ -55,17 +57,6 @@ from corrnoise.participation import (
 # simulate inputs (2052 rounds, 512 eval samples) one call for the whole
 # run adds 17 MB to peak RSS, blocks of 64 1.4 MB and blocks of 16 0.3 MB
 _EVAL_BLOCK = 16
-
-
-class StarvationError(RuntimeError):
-    """Raised when a round cannot fill its cohort with rested clients."""
-
-    def __init__(self, round_idx: int, eligible: int, wanted: int):
-        super().__init__(
-            f"training halted at round {round_idx}: only {eligible} clients "
-            f"eligible, cohort needs {wanted}"
-        )
-        self.round_idx = round_idx
 
 
 @dataclass
@@ -205,13 +196,10 @@ def select_cohort(
 
     ``last_round`` is the participation ledger, each client's latest
     round (a far-negative sentinel before its first); it is only read
-    here. Raises ``StarvationError`` when fewer than m_clients are
-    eligible (the loop cannot continue without breaking the
-    min-separation promise).
+    here. Fewer than m_clients eligible make the draw raise numpy's
+    ValueError, which ``run_training`` rules out before its loop.
     """
     eligible = (last_round <= t - b).nonzero()[0]
-    if eligible.shape[0] < m_clients:
-        raise StarvationError(t, eligible.shape[0], m_clients)
     # drawing positions, not the ids, is the same shuffle of the same RNG
     # stream without choice's array handling
     picks = rng.choice(eligible.shape[0], size=m_clients, replace=False)
@@ -371,8 +359,13 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     (min gap and max count), mirroring deployment practice where min-sep
     is only known after the fact; the last round's entry is the whole
     run's. The population is only read: the participation ledger lives
-    here.
+    here. Round t's resting clients are the m * min(t, b - 1) of rounds
+    t - b + 1 .. t - 1, so every round fills its cohort iff there are
+    m * min(rounds, b) clients; fewer raise ValueError before any work.
     """
+    needed = config.clients_per_round * min(config.rounds, config.min_sep)
+    if population.n_clients < needed:
+        raise ValueError(f"the cohorts need {needed} clients, not {population.n_clients}")
     ss = np.random.SeedSequence(config.seed)
     ss_cohort, ss_noise = ss.spawn(2)
     cohort_rng = np.random.default_rng(ss_cohort)

@@ -23,7 +23,7 @@ from oracles import lt_toeplitz, toeplitz_mechanism_loss
 
 import corrnoise.cli
 import corrnoise.tree_baseline
-from corrnoise.accountant import eps_of_zcdp, zcdp_of
+from corrnoise.accountant import DEFAULT_DELTA, eps_of_zcdp, zcdp_of
 from corrnoise.blt_core import (
     BltParams,
     blt_coefs,
@@ -166,6 +166,15 @@ class TestOptimize:
             blt_mechanism_loss(files["rms"], schema).rms_loss
             <= blt_mechanism_loss(files["max"], schema).rms_loss + 1e-9
         )
+
+    def test_unwritable_out_prints_nothing(self, tmp_path, capsys):
+        # the file is written before the report: either both or a usage error alone
+        out_path = tmp_path / "missing" / "fit.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--n", "64", "--min-sep", "16", "--buffers", "2",
+                  "--restarts", "1", "--out", str(out_path)])
+        assert_usage_names_file(exc, capsys, str(out_path), "No such file or directory")
+        assert not out_path.exists()
 
     def test_invalid_flags_exit_nonzero_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -547,8 +556,12 @@ class TestSweep:
         assert captured.out == ""
 
     def test_no_mechanism_is_an_error(self, capsys):
-        code = main(["sweep", "--n", "64", "--b-start", "8", "--b-stop", "8"])
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "64", "--b-start", "8", "--b-stop", "8"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage" in captured.err and "no mechanisms given" in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["optimize", "eval"])
@@ -575,6 +588,10 @@ class TestAccountCmd:
         assert doc["epsilon"] == eps_of_zcdp(rho, 1e-7)
         assert doc["sens"] == 2.0
         assert "upper bound" in doc["method"]
+
+    def test_default_delta_is_the_accountants(self):
+        args = corrnoise.cli.build_parser().parse_args(["account", "--sens", "1", "--sigma", "1"])
+        assert args.delta is DEFAULT_DELTA
 
     def test_unbounded_rho_prints_null(self, capsys):
         code, out = run_cli(["account", "--sens", "1", "--sigma", "0"], capsys)
@@ -817,6 +834,12 @@ class TestSimulate:
             json.dumps(config), f"need {bound} clients", starved, capsys
         )
 
+    def test_cap_that_does_not_fit_names_the_config(self, tmp_path, capsys):
+        # run_training's bad input carries the config's name, as the blocks' does
+        self.assert_config_exits_with_usage(
+            json.dumps(simulate_config(est_max_part=9)), "pattern does not fit", tmp_path, capsys
+        )
+
     @pytest.mark.parametrize(
         "value", [True, "", False, 0, [], 1.5],
         ids=["true", "empty", "false", "zero", "list", "float"],
@@ -888,6 +911,11 @@ def test_readme_commands_parse():
         corrnoise.cli.build_parser().parse_args(argv)
 
 
+def files_under(root):
+    """Sorted paths, relative to ``root``, of the files anywhere below it."""
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
 def exit_code(argv):
     """main's return value, or the code of the SystemExit it raises."""
     try:
@@ -896,9 +924,15 @@ def exit_code(argv):
         return exc.code
 
 
+# each README command's stdout and the files the commands write, recorded
+# once by running the README from an empty directory
+GOLDEN = Path(__file__).resolve().parent / "golden" / "readme"
+
+
 class TestRepeatedCalls:
     # main builds its parser once per process: a later call, after a usage
-    # error too, must print and return exactly what the first one did
+    # error too, must print and return exactly what the first one did, and
+    # the first must match the record
 
     @pytest.fixture
     def readme_dir(self, tmp_path, monkeypatch):
@@ -924,15 +958,25 @@ class TestRepeatedCalls:
             init(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        for argv in readme_commands():
+        commands = readme_commands()
+        stdouts = [f"{i:02d}-{argv[0]}.out" for i, argv in enumerate(commands, 1)]
+        assert sorted(os.listdir(GOLDEN / "stdout")) == stdouts
+        inputs = {"C.npy", "sim.json", "independent.json"}
+        for argv, name in zip(commands, stdouts):
             first = exit_code(argv), capsys.readouterr().out
             assert first[0] == 0, argv
+            assert first[1] == (GOLDEN / "stdout" / name).read_bytes().decode(), argv
             assert exit_code(["eval", "--tree", "--n", "0"]) == 2
             assert "usage" in capsys.readouterr().err
             built.clear()
             second = exit_code(argv), capsys.readouterr().out
             assert second == first, argv
             assert built == [], argv
+        written = [name for name in files_under(readme_dir) if name not in inputs]
+        files = GOLDEN / "files"
+        assert written == files_under(files)
+        for name in written:
+            assert (readme_dir / name).read_bytes() == (files / name).read_bytes(), name
 
     def test_main_runs_the_command_the_module_holds(self, monkeypatch, capsys):
         # a command swapped in after the parser was built is the one main runs

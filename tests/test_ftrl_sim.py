@@ -25,7 +25,6 @@ import corrnoise.ftrl_sim as sim
 from corrnoise.blt_core import IDENTITY_MECHANISM, BltParams, blt_coefs, blt_inverse_coefs
 from corrnoise.ftrl_sim import (
     ClientPopulation,
-    StarvationError,
     TrainConfig,
     _realized_schema,
     client_update,
@@ -131,9 +130,41 @@ class TestSelectCohort:
         ledger = fresh_ledger(3)
         rng = np.random.default_rng(0)
         ledger[select_cohort(ledger, 0, 2, 2, rng)] = 0
-        with pytest.raises(StarvationError) as exc:
+        with pytest.raises(ValueError):
             select_cohort(ledger, 1, 2, 2, rng)
-        assert exc.value.round_idx == 1
+
+    @pytest.mark.parametrize("m, b", itertools.product(range(1, 4), range(1, 6)))
+    def test_cohort_rule_is_exact(self, m, b, monkeypatch):
+        # a bare ledger loop fills every round iff N >= m * min(rounds, b),
+        # and run_training refuses exactly the other cases before any work
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(sim, "blt_coefs", reached)
+        rng = np.random.default_rng(m * 10 + b)
+        for n_clients in range(1, 17):
+            pop = small_population(n_clients=n_clients)
+            for rounds in range(1, 9):
+                ledger, filled = fresh_ledger(n_clients), True
+                for t in range(rounds):
+                    try:
+                        ledger[select_cohort(ledger, t, m, b, rng)] = t
+                    except ValueError:
+                        filled = False
+                        break
+                needed = m * min(rounds, b)
+                assert filled == (n_clients >= needed), (n_clients, rounds)
+                cfg = config(rounds=rounds, clients_per_round=m, min_sep=b)
+                if filled:
+                    with pytest.raises(Reached):
+                        run_training(cfg, pop)
+                else:
+                    refused = f"the cohorts need {needed} clients, not {n_clients}$"
+                    with pytest.raises(ValueError, match=refused):
+                        run_training(cfg, pop)
 
     def test_cohort_is_sorted(self):
         rng = np.random.default_rng(3)
@@ -486,7 +517,7 @@ class TestRunTraining:
 
     def test_starvation_surfaces_from_run(self):
         pop = small_population(n_clients=3)
-        with pytest.raises(StarvationError):
+        with pytest.raises(ValueError, match="need 4 clients, not 3"):
             run_training(config(clients_per_round=2, min_sep=2), pop)
 
 

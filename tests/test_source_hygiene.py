@@ -9,7 +9,8 @@ scipy module on import: the package needs numpy alone. Rules that
 several modules apply are written once: the integer test (the one
 ``numbers.Integral``), the real-number test (the one ``numbers.Real``)
 and the objective list (the one ``"max", "rms"``). The noise recurrence
-has one owner: only ``blt_core`` touches a noise state's ``buffers``.
+has one owner: only ``blt_core`` touches a noise state's ``buffers``,
+and so has the cohort rule: only ``ftrl_sim`` reads ``clients_per_round``.
 Bad input has one exit: only ``cli.main`` calls a parser's ``error``.
 """
 
@@ -292,3 +293,11 @@ def test_noise_buffers_touched_only_in_blt_core():
         )
 
     assert _modules_where(buffers) == ["blt_core.py"]
+
+
+def test_cohort_size_read_only_in_ftrl_sim():
+    # run_training checks the cohort rule, so no caller needs the cohort size
+    def cohort_size(node):
+        return isinstance(node, ast.Attribute) and node.attr == "clients_per_round"
+
+    assert _modules_where(cohort_size) == ["ftrl_sim.py"]
