@@ -28,6 +28,7 @@ import sys
 
 from corrnoise.accountant import DEFAULT_DELTA, METHOD_LABEL, eps_of_zcdp, zcdp_of
 from corrnoise.blt_core import (
+    _CHUNK,
     IDENTITY_MECHANISM,
     OBJECTIVES,
     load_params,
@@ -235,6 +236,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _write_csv_line(fh, first, m, cells):
+    """``first``, then the m cells ``cells(lo, hi)`` gives column chunk by chunk.
+
+    A chunk is ``_CHUNK`` columns, so neither the line nor a list of its
+    m cells is ever held whole.
+    """
+    fh.write(first)
+    for lo in range(0, m, _CHUNK):
+        fh.write("," + ",".join(cells(lo, min(lo + _CHUNK, m))))
+    fh.write("\n")
+
+
 def cmd_noisegen(args) -> int:
     state = make_noise_generator(
         _load_mechanism(args.params),
@@ -243,12 +256,13 @@ def cmd_noisegen(args) -> int:
         seed=args.seed,
         max_rounds=args.rounds,
     )
-    # each row is written as it is made, so memory stays constant in --rounds
+    # each row is written as it is made, in column chunks, so memory stays
+    # constant in --rounds and near the noise state plus one row in --dim
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write("round," + ",".join(f"z{j}" for j in range(args.dim)) + "\n")
+        _write_csv_line(fh, "round", args.dim, lambda lo, hi: map("z{}".format, range(lo, hi)))
         for t in range(args.rounds):
             row, state = stream_mult_inverse(state)
-            fh.write(f"{t}," + ",".join(map(repr, row.tolist())) + "\n")
+            _write_csv_line(fh, str(t), args.dim, lambda lo, hi: map(repr, row[lo:hi].tolist()))
     return 0
 
 
@@ -289,9 +303,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"{args.config}: {exc}") from None
     os.makedirs(args.outdir, exist_ok=True)
     write_metrics_csv(os.path.join(args.outdir, "metrics.csv"), result.metrics)
-    write_participation_csv(
-        os.path.join(args.outdir, "participation.csv"), result.participation
-    )
+    write_participation_csv(os.path.join(args.outdir, "participation.csv"), result.cohorts)
     _print_json(
         {
             "rounds": len(result.metrics),

@@ -101,6 +101,13 @@ class TrainConfig:
         if self.est_max_part is not None:  # None is the worst case
             counts += ("est_max_part",)
         _require_int(1, **{name: getattr(self, name) for name in counts})
+        # k rounds min_sep apart need (k - 1) * min_sep < rounds
+        k_max = max_participations(self.rounds, self.min_sep)
+        if self.est_max_part is not None and self.est_max_part > k_max:
+            raise ValueError(
+                f"est_max_part {self.est_max_part} does not fit {self.rounds} rounds "
+                f"at min_sep {self.min_sep}; at most {k_max}"
+            )
         _require_int(0, seed=self.seed)
         # a NaN or Inf step poisons the model without a sign, and a momentum
         # of 1 or more lets the server buffer grow without bound
@@ -122,8 +129,15 @@ class TrainConfig:
 
 @dataclass
 class SimResult:
+    """A run's logs and accounting.
+
+    ``cohorts`` is the (rounds, clients_per_round) int64 participation
+    log: row t holds round t's client ids in ascending order. It stays
+    one array; ``write_participation_csv`` formats it only when written.
+    """
+
     metrics: list
-    participation: list
+    cohorts: np.ndarray
     final_model: np.ndarray
     realized_b: int
     realized_k: int
@@ -316,13 +330,19 @@ def _realized_schema(cohorts, min_sep):
     rounds, size = cohorts.shape
     flat = cohorts.ravel()
     # the log client by client, each client's rounds in order: one sort on
-    # the (client, round) keys, which are distinct
-    order = np.argsort(flat * rounds + np.arange(flat.shape[0]) // size)
-    cid = flat[order]
-    t = order // size
+    # the (client, round) keys, which are distinct. Three log-sized buffers
+    # serve the whole pass: the keys, then the ids, then the counts; the
+    # rounds; and the sort order, then the gaps
+    t = np.arange(flat.shape[0])
+    t //= size
+    keys = flat * rounds
+    keys += t
+    order = np.argsort(keys)
+    cid = np.take(flat, order, out=keys)
+    np.floor_divide(order, size, out=t)
     first = np.ones(cid.shape, dtype=bool)  # a client's first round
     np.not_equal(cid[1:], cid[:-1], out=first[1:])
-    gap = np.empty_like(t)
+    gap = order
     np.subtract(t[1:], t[:-1], out=gap[1:])
     np.copyto(gap, rounds, where=first)
     early = (gap < min_sep) & ~first
@@ -332,14 +352,20 @@ def _realized_schema(cohorts, min_sep):
             f"min-separation violated: client {cid[i]} at rounds "
             f"{t[i - 1]} and {t[i]} with b={min_sep}"
         )
-    idx = np.arange(cid.shape[0])
-    joined = idx - np.maximum.accumulate(np.where(first, idx, 0)) + 1
-    # back in the log's order, where round t's last entry closes it
-    log = np.empty((2, cid.shape[0]), dtype=t.dtype)
-    log[0, order] = gap
-    log[1, order] = joined
-    b_log = np.minimum.accumulate(log[0])[size - 1 :: size].copy()
-    k_log = np.maximum.accumulate(log[1])[size - 1 :: size].copy()
+    # the j-th round of a client counts j: ones summed, restarting at each
+    # client's first round
+    joined = cid
+    joined.fill(1)
+    starts = first.nonzero()[0]
+    joined[starts[1:]] = 1 - np.diff(starts)
+    np.cumsum(joined, out=joined)
+    # per round, then across rounds: round t's smallest gap and largest count
+    b_log = np.full(rounds, rounds, dtype=t.dtype)
+    np.minimum.at(b_log, t, gap)
+    np.minimum.accumulate(b_log, out=b_log)
+    k_log = np.zeros(rounds, dtype=t.dtype)
+    np.maximum.at(k_log, t, joined)
+    np.maximum.accumulate(k_log, out=k_log)
     return b_log, k_log
 
 
@@ -351,17 +377,19 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     would emit, bit for bit. The loop runs only what reads the model:
     the cohort, the stacked client updates, their sum and the server
     step on the sum plus the round's noise row. It records each round's
-    cohort and model; after it, the realized (b, k) of every round comes
-    from the cohort log (``_realized_schema``, which also audits the
-    min separation), every round is evaluated in stacked blocks and
-    accounted in one pass. rho_so_far re-accounts the rounds released up
-    to that round against the participation actually observed by then
-    (min gap and max count), mirroring deployment practice where min-sep
-    is only known after the fact; the last round's entry is the whole
-    run's. The population is only read: the participation ledger lives
-    here. Round t's resting clients are the m * min(t, b - 1) of rounds
-    t - b + 1 .. t - 1, so every round fills its cohort iff there are
-    m * min(rounds, b) clients; fewer raise ValueError before any work.
+    cohort and model. After the loop, the realized (b, k) of every round
+    comes from the cohort log (``_realized_schema``, which also audits
+    the min separation), every round is evaluated in stacked blocks and
+    accounted in one pass. The log itself is returned as it was kept,
+    one (rounds, clients_per_round) int64 array of sorted cohorts.
+    rho_so_far re-accounts the rounds released up to that round against
+    the participation actually observed by then (min gap and max count),
+    mirroring deployment practice where min-sep is only known after the
+    fact; the last round's entry is the whole run's. The population is
+    only read: the participation ledger lives here. Round t's resting
+    clients are the m * min(t, b - 1) of rounds t - b + 1 .. t - 1, so
+    every round fills its cohort iff there are m * min(rounds, b)
+    clients; fewer raise ValueError before any work.
     """
     needed = config.clients_per_round * min(config.rounds, config.min_sep)
     if population.n_clients < needed:
@@ -424,7 +452,6 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     del noise  # as large as the model log: freed before the logs after the loop
 
     b_log, k_log = _realized_schema(cohorts, config.min_sep)
-    participation = [(t, cid) for t in range(config.rounds) for cid in cohorts[t].tolist()]
     rho = np.full(config.rounds, math.inf)
     if sigma_zeta > 0:
         # zcdp_of's rho = sens^2 / (2 sigma^2), for every round at once
@@ -445,7 +472,7 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     ]
     return SimResult(
         metrics=metrics,
-        participation=participation,
+        cohorts=cohorts,
         final_model=model,
         realized_b=int(b_log[-1]),
         realized_k=int(k_log[-1]),
@@ -465,8 +492,13 @@ def write_metrics_csv(path, metrics) -> None:
             )
 
 
-def write_participation_csv(path, participation) -> None:
+def write_participation_csv(path, cohorts) -> None:
+    """One ``round,client_id`` line per entry of the (rounds, cohort) log.
+
+    Lines go round by round, each cohort in its row's order; only one
+    row is turned into Python ints at a time.
+    """
     with open(path, "w") as fh:
         fh.write("round,client_id\n")
-        for t, cid in participation:
-            fh.write(f"{t},{cid}\n")
+        for t, cohort in enumerate(cohorts):
+            fh.writelines(f"{t},{cid}\n" for cid in cohort.tolist())

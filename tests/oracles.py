@@ -486,6 +486,11 @@ def metrics_per_round(models, participation, c, clip_norm, sigma_zeta, populatio
     return rows
 
 
+def log_entries(cohorts):
+    """The (round, client id) entries of a cohort log, round by round, as ints."""
+    return [(t, cid) for t, cohort in enumerate(np.asarray(cohorts).tolist()) for cid in cohort]
+
+
 def audit_min_sep(participation, b):
     """Every client's consecutive participations must differ by >= b."""
     seen = {}
@@ -579,8 +584,7 @@ def run_training_per_round(config, population):
         cohorts.append(cohort.tolist())
         models.append(model)
     b_log, k_log = ledger_per_round(cohorts, config.rounds)
-    participation = [(t, cid) for t, cohort in enumerate(cohorts) for cid in cohort]
-    audit_min_sep(participation, config.min_sep)
+    audit_min_sep(log_entries(cohorts), config.min_sep)
     rho = np.full(config.rounds, math.inf)
     if sigma_zeta > 0:
         s = ftrl_sim._realized_sensitivities(c_full, b_log, k_log) * config.clip_norm
@@ -600,7 +604,7 @@ def run_training_per_round(config, population):
     ]
     return ftrl_sim.SimResult(
         metrics=metrics,
-        participation=participation,
+        cohorts=np.array(cohorts, dtype=np.int64),
         final_model=model,
         realized_b=int(b_log[-1]),
         realized_k=int(k_log[-1]),

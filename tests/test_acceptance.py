@@ -19,7 +19,13 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import blt_loss_gradient, exact_sensitivity_bruteforce, lt_toeplitz, stream_mult
+from oracles import (
+    blt_loss_gradient,
+    exact_sensitivity_bruteforce,
+    log_entries,
+    lt_toeplitz,
+    stream_mult,
+)
 from strategies import blt_params_strategy, monotone_coefs_strategy
 
 from corrnoise.accountant import eps_of_zcdp, zcdp_of
@@ -256,7 +262,7 @@ class TestCriterion8Simulator:
         plain = run_training(TrainConfig(mechanism=None, **base), pop)
         np.testing.assert_array_equal(with_mech.final_model, plain.final_model)
         assert with_mech.metrics == plain.metrics
-        assert with_mech.participation == plain.participation
+        np.testing.assert_array_equal(with_mech.cohorts, plain.cohorts)
 
     def test_min_sep_audit_on_noisy_run(self):
         pop = make_population(40, 8, 32, task="linear", seed=1)
@@ -268,7 +274,7 @@ class TestCriterion8Simulator:
             pop,
         )
         last = {}
-        for t, cid in result.participation:
+        for t, cid in log_entries(result.cohorts):
             if cid in last:
                 assert t - last[cid] >= 4
             last[cid] = t

@@ -14,6 +14,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,11 @@ import scipy.linalg
 from oracles import lt_toeplitz, toeplitz_mechanism_loss
 
 import corrnoise.cli
+import corrnoise.ftrl_sim
 import corrnoise.tree_baseline
 from corrnoise.accountant import DEFAULT_DELTA, eps_of_zcdp, zcdp_of
 from corrnoise.blt_core import (
+    IDENTITY_MECHANISM,
     BltParams,
     blt_coefs,
     load_params,
@@ -691,6 +694,41 @@ class TestNoisegen:
         assert len(written) == 5
         assert "".join(written) == expect
 
+    # column chunks are _CHUNK = 2^14 wide: one column, one short of a
+    # chunk, one chunk, one past it, and two chunks and a part
+    @pytest.mark.parametrize("dim", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, (2 << 14) + 3])
+    @pytest.mark.parametrize("mechanism", ["identity", "b400"])
+    def test_chunked_rows_equal_one_string_rows(self, dim, mechanism, tmp_path):
+        if mechanism == "b400":
+            path = str(GOLDEN / "files" / "b400.json")
+        else:
+            path = str(tmp_path / "identity.json")
+            save_params(path, IDENTITY_MECHANISM, opt_n=8, opt_min_sep=1, opt_max_part=8,
+                        objective="max")
+        state = make_noise_generator(load_params(path)[0], m=dim, noise_std=0.7, seed=5)
+        expect = "round," + ",".join(f"z{j}" for j in range(dim)) + "\n"
+        for t in range(3):
+            expect += f"{t}," + ",".join(map(repr, stream_mult_inverse(state)[0].tolist())) + "\n"
+        out_path = tmp_path / "noise.csv"
+        assert main(["noisegen", "--params", path, "--rounds", "3", "--dim", str(dim),
+                     "--noise-std", "0.7", "--seed", "5", "--out", str(out_path)]) == 0
+        assert out_path.read_text() == expect
+
+    def test_memory_stays_near_the_noise_state_and_one_row(self, tmp_path):
+        # 2^17 columns of the 4-buffer b400 mechanism: the state and a row
+        # are 5 MB. Formatting whole rows held every row's floats and
+        # strings at once and peaked at 19.5 MB; column chunks peak at 7.0
+        argv = ["noisegen", "--params", str(GOLDEN / "files" / "b400.json"), "--rounds", "2",
+                "--dim", str(1 << 17), "--out", str(tmp_path / "noise.csv")]
+        args = corrnoise.cli.build_parser().parse_args(argv)
+        tracemalloc.start()
+        try:
+            corrnoise.cli.cmd_noisegen(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9e6
+
 
 def simulate_config(**training):
     base = {
@@ -834,10 +872,16 @@ class TestSimulate:
             json.dumps(config), f"need {bound} clients", starved, capsys
         )
 
-    def test_cap_that_does_not_fit_names_the_config(self, tmp_path, capsys):
-        # run_training's bad input carries the config's name, as the blocks' does
+    def test_cap_that_does_not_fit_names_the_config(self, tmp_path, capsys, monkeypatch):
+        # (k - 1) * min_sep = 16 >= rounds = 6: TrainConfig rejects the cap,
+        # so the run builds no coefficients; it used to fail in run_training
+        def no_work(*args):
+            raise AssertionError("blt_coefs ran")
+
+        monkeypatch.setattr(corrnoise.ftrl_sim, "blt_coefs", no_work)
         self.assert_config_exits_with_usage(
-            json.dumps(simulate_config(est_max_part=9)), "pattern does not fit", tmp_path, capsys
+            json.dumps(simulate_config(est_max_part=9)),
+            "est_max_part 9 does not fit 6 rounds at min_sep 2; at most 3", tmp_path, capsys
         )
 
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ equality, determinism, audits) plus per-operation closed forms.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     audit_min_sep,
     client_update_single,
     ledger_per_round,
+    log_entries,
     metrics_per_round,
     population_per_client,
     run_training_per_round,
@@ -280,12 +282,11 @@ class TestStackedClientUpdate:
         assert len(blocks) == (noise_multiplier > 0)
         for t, (model, delta_tilde) in enumerate(seen):
             want = np.zeros(8)
-            for round_idx, cid in r.participation:
-                if round_idx == t:
-                    want += client_update_single(
-                        model, pop.features[cid], pop.labels[cid], cfg.client_lr,
-                        cfg.clip_norm, cfg.local_epochs, cfg.batch_size, pop.task,
-                    )
+            for cid in r.cohorts[t].tolist():
+                want += client_update_single(
+                    model, pop.features[cid], pop.labels[cid], cfg.client_lr,
+                    cfg.clip_norm, cfg.local_epochs, cfg.batch_size, pop.task,
+                )
             if blocks:
                 want += blocks[0][t]
             np.testing.assert_array_equal(delta_tilde, want)
@@ -356,6 +357,15 @@ class TestTrainConfig:
     def test_non_integral_count_rejected_at_construction(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
             config(**{name: value})
+
+    def test_est_max_part_that_cannot_fit_rejected_at_construction(self):
+        # (k - 1) * min_sep = 8 >= rounds = 6: at most max_participations(6, 2) = 3;
+        # unchecked, the schema in run_training failed after the coefficients
+        with pytest.raises(
+            ValueError, match="est_max_part 5 does not fit 6 rounds at min_sep 2; at most 3"
+        ):
+            config(rounds=6, min_sep=2, est_max_part=5)
+        assert config(rounds=6, min_sep=2, est_max_part=3).est_max_part == 3
 
     def test_numpy_integer_counts_accepted(self):
         cfg = config(rounds=np.int64(12), est_max_part=np.int32(4))
@@ -436,7 +446,7 @@ class TestRunTraining:
         rb = run_training(cfg, pop)
         np.testing.assert_array_equal(ra.final_model, rb.final_model)
         assert ra.metrics == rb.metrics
-        assert ra.participation == rb.participation
+        np.testing.assert_array_equal(ra.cohorts, rb.cohorts)
 
     def test_population_is_left_byte_equal(self):
         # the participation ledger belongs to the run, not to the population
@@ -454,7 +464,9 @@ class TestRunTraining:
         pop = small_population()
         r = run_training(config(), pop)
         assert len(r.metrics) == 12
-        assert len(r.participation) == 12 * 4
+        # the cohort log stays one array: round t's cohort, ascending, in row t
+        assert r.cohorts.shape == (12, 4) and r.cohorts.dtype == np.int64
+        assert (np.diff(r.cohorts, axis=1) > 0).all()
         assert [m["round"] for m in r.metrics] == list(range(12))
         assert all(
             set(m) == {"round", "eval_loss", "eval_acc", "rho_so_far"} for m in r.metrics
@@ -464,7 +476,7 @@ class TestRunTraining:
         pop = small_population(n_clients=16)
         r = run_training(config(min_sep=4, rounds=16), pop)
         last = {}
-        for t, cid in r.participation:
+        for t, cid in log_entries(r.cohorts):
             if cid in last:
                 assert t - last[cid] >= 4
             last[cid] = t
@@ -475,7 +487,7 @@ class TestRunTraining:
         pop = small_population(n_clients=16)
         r = run_training(config(min_sep=3, rounds=30), pop)
         rounds_of = {}
-        for t, cid in r.participation:
+        for t, cid in log_entries(r.cohorts):
             rounds_of.setdefault(cid, []).append(t)
         assert r.realized_k == max(len(ts) for ts in rounds_of.values())
         assert r.realized_b == min(b - a for ts in rounds_of.values() for a, b in zip(ts, ts[1:]))
@@ -597,7 +609,7 @@ class TestMetricsAfterTheLoop:
         monkeypatch.setattr(sim, "server_round", spy)
         r = run_training(cfg, pop)
         want = metrics_per_round(
-            models, r.participation, blt_coefs(cfg.mechanism, cfg.rounds),
+            models, log_entries(r.cohorts), blt_coefs(cfg.mechanism, cfg.rounds),
             cfg.clip_norm, r.sigma_zeta, pop,
         )
         assert len(r.metrics) == len(want) == cfg.rounds
@@ -621,7 +633,7 @@ class TestMetricsAfterTheLoop:
         rho = [row["rho_so_far"] for row in r.metrics]
         rounds_of, pairs = {}, set()
         for t in range(30):
-            for _, cid in [p for p in r.participation if p[0] == t]:
+            for cid in r.cohorts[t].tolist():
                 rounds_of.setdefault(cid, []).append(t)
             gaps = [b - a for ts in rounds_of.values() for a, b in zip(ts, ts[1:])]
             pairs.add((min(gaps, default=None), max(map(len, rounds_of.values()))))
@@ -635,7 +647,7 @@ class TestAudit:
         with pytest.raises(AssertionError, match="client 7 at rounds 0 and 1 with b=2"):
             _realized_schema(log, 2)
         with pytest.raises(AssertionError, match="client 7 at rounds 0 and 1"):
-            audit_min_sep([(t, cid) for t, row in enumerate(log.tolist()) for cid in row], 2)
+            audit_min_sep(log_entries(log), 2)
 
     def test_audit_accepts_valid_log(self):
         _realized_schema(np.array([[7, 8], [1, 2], [7, 9]]), 2)
@@ -647,6 +659,21 @@ class TestAudit:
         b_log, k_log = _realized_schema(log, 1)
         assert b_log.tolist() == [4, 4, 2, 2]
         assert k_log.tolist() == [1, 1, 2, 2]
+
+    def test_working_memory_at_reference_size(self):
+        # perfbench's simulate log: 2052 rounds of 10 from 4000 clients at
+        # b = 342. A fresh array per step and a scatter back to log order
+        # peaked at 1.55 MB; three reused log-sized buffers peak at 0.66 MB
+        rounds, size = 2052, 10
+        log = (np.arange(rounds)[:, None] * size + np.arange(size)) % 4000
+        tracemalloc.start()
+        try:
+            b_log, k_log = _realized_schema(log, 342)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (b_log[-1], k_log[-1]) == (400, 6)
+        assert peak <= 0.9e6
 
     @pytest.mark.parametrize("seed", range(20))
     def test_schema_equals_ledger_kept_round_by_round(self, seed):
@@ -705,5 +732,12 @@ class TestEvalAndCsv:
         write_metrics_csv(mpath, metrics)
         assert mpath.read_text() == "round,eval_loss,eval_acc,rho_so_far\n0,0.5,nan,0.125\n"
         ppath = tmp_path / "participation.csv"
-        write_participation_csv(ppath, [(0, 3), (0, 5)])
-        assert ppath.read_text() == "round,client_id\n0,3\n0,5\n"
+        write_participation_csv(ppath, np.array([[3, 5], [1, 4]]))
+        assert ppath.read_text() == "round,client_id\n0,3\n0,5\n1,1\n1,4\n"
+
+    def test_participation_csv_is_the_log_entry_by_entry(self, tmp_path):
+        r = run_training(config(min_sep=3, rounds=30), small_population(n_clients=16))
+        path = tmp_path / "participation.csv"
+        write_participation_csv(path, r.cohorts)
+        want = "round,client_id\n" + "".join(f"{t},{cid}\n" for t, cid in log_entries(r.cohorts))
+        assert path.read_text() == want
