@@ -482,9 +482,7 @@ def stream_mult_inverse_block(state: NoiseGeneratorState, rounds: int) -> np.nda
     S = state.buffers
     d, m = S.shape
     rows = np.empty((rounds, m))
-    state.rng.standard_normal(out=rows)
-    rows *= state.noise_std
-    rows += 0.0  # as in ``_fill``: a zero-noise row is +0.0, not -0.0
+    _fill(rows.reshape(-1), 0, rows.size, state, None)
     # full (d, m) copies: on narrow rows a broadcast costs more than the arithmetic
     theta = np.repeat(state.params.theta[:, None], m, axis=1)
     omega = np.repeat(state.params.omega[:, None], m, axis=1)

@@ -23,6 +23,7 @@ import csv
 import functools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -37,13 +38,7 @@ from corrnoise.blt_core import (
     stream_mult_inverse,
 )
 from corrnoise.blt_optimizer import OptimizerConfig, optimize_blt
-from corrnoise.ftrl_sim import (
-    TrainConfig,
-    make_population,
-    run_training,
-    write_metrics_csv,
-    write_participation_csv,
-)
+from corrnoise.ftrl_sim import TrainConfig, make_population, run_training
 from corrnoise.loss_metrics import (
     blt_mechanism_loss,
     blt_mechanism_loss_fn,
@@ -57,46 +52,30 @@ SWEEP_HEADER = (
 )
 
 
-def _positive_int(text):
-    """argparse type: an int >= 1, so bad grid and schema values exit with usage."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(kind, rule, bound):
+    """argparse type: a ``kind`` whose value is ``rule`` ``bound``; NaN and Inf exit with usage."""
+    holds = {">": operator.gt, ">=": operator.ge}[rule]
+    finite = "finite and " if kind is float else ""
 
+    def parse(text):
+        value = kind(text)
+        if not (holds(value, bound) and value < math.inf):  # NaN fails both
+            raise argparse.ArgumentTypeError(f"must be {finite}{rule} {bound}, got {value}")
+        return value
 
-def _nonnegative_int(text):
-    """argparse type: an int >= 0, so a negative seed exits with usage."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text):
-    """argparse type: a finite float > 0, so NaN and negative multipliers exit with usage."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
-
-
-def _nonnegative_float(text):
-    """argparse type: a finite float >= 0; NaN, Inf and negatives exit with usage."""
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
+    # argparse names the type when the text is no number at all
+    parse.__name__ = f"_{'nonnegative' if holds(0, bound) else 'positive'}_{kind.__name__}"
+    return parse
 
 
 def _schema_args(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=_positive_int, required=True, help="number of rounds")
+    p.add_argument("--n", type=_number(int, ">=", 1), required=True, help="number of rounds")
     p.add_argument(
-        "--min-sep", type=_positive_int, default=1, help="min rounds between repeats"
+        "--min-sep", type=_number(int, ">=", 1), default=1, help="min rounds between repeats"
     )
     p.add_argument(
         "--max-part",
-        type=_positive_int,
+        type=_number(int, ">=", 1),
         default=None,
         help="participation cap (default: worst case for n and min-sep)",
     )
@@ -192,6 +171,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _write_csv(path, header, rows):
+    """The ``header`` line, then one CSV line per row, to ``path`` or stdout.
+
+    csv writes a float as its repr and quotes a field with a comma, such
+    as an error message.
+    """
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(header + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def _sweep_cell(loss_fn, n, b, k):
     """A sweep cell's MechanismLoss from ``loss_fn``, or its status if it has none."""
     if k > max_participations(n, b):
@@ -229,10 +219,7 @@ def cmd_sweep(args) -> int:
                 rows.append([name, n, b, k, *[""] * 6, cell])
             else:  # the row's n, b, k, ... sens_method in SWEEP_HEADER's order
                 rows.append([name, *_loss_dict(cell, args.noise_multiplier).values(), "ok"])
-    # csv quotes a field with a comma, such as an error message
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    _write_csv(args.out, SWEEP_HEADER, rows)
     return 0
 
 
@@ -302,8 +289,17 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
     os.makedirs(args.outdir, exist_ok=True)
-    write_metrics_csv(os.path.join(args.outdir, "metrics.csv"), result.metrics)
-    write_participation_csv(os.path.join(args.outdir, "participation.csv"), result.cohorts)
+    _write_csv(
+        os.path.join(args.outdir, "metrics.csv"),
+        "round,eval_loss,eval_acc,rho_so_far",
+        (row.values() for row in result.metrics),
+    )
+    # one cohort at a time is turned into Python ints
+    _write_csv(
+        os.path.join(args.outdir, "participation.csv"),
+        "round,client_id",
+        ((t, cid) for t, cohort in enumerate(result.cohorts) for cid in cohort.tolist()),
+    )
     _print_json(
         {
             "rounds": len(result.metrics),
@@ -337,10 +333,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="fit noise parameters for a schema")
     _schema_args(p)
-    p.add_argument("--buffers", type=_positive_int, default=3, help="decay buffers d")
+    p.add_argument("--buffers", type=_number(int, ">=", 1), default=3, help="decay buffers d")
     p.add_argument("--objective", choices=OBJECTIVES, default="max")
-    p.add_argument("--restarts", type=_positive_int, default=8)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--restarts", type=_number(int, ">=", 1), default=8)
+    p.add_argument("--seed", type=_number(int, ">=", 0), default=0)
     p.add_argument("--out", type=str, default=None, help="write params JSON here")
 
     p = sub.add_parser("eval", help="loss report for a mechanism")
@@ -349,15 +345,15 @@ def _parser() -> argparse.ArgumentParser:
     src.add_argument("--params", type=str, help="params JSON file")
     src.add_argument("--matrix", type=str, help="strategy matrix, .npy or CSV")
     src.add_argument("--tree", action="store_true", help="binary-tree baseline")
-    p.add_argument("--noise-multiplier", type=_positive_float, default=1.0)
+    p.add_argument("--noise-multiplier", type=_number(float, ">", 0), default=1.0)
 
     p = sub.add_parser("sweep", help="loss grid over min-separation values")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--b-start", type=_positive_int, required=True)
+    p.add_argument("--n", type=_number(int, ">=", 1), required=True)
+    p.add_argument("--b-start", type=_number(int, ">=", 1), required=True)
     p.add_argument("--b-stop", type=int, required=True)
-    p.add_argument("--b-step", type=_positive_int, default=10)
-    p.add_argument("--max-part", type=_positive_int, default=None)
-    p.add_argument("--noise-multiplier", type=_positive_float, default=1.0)
+    p.add_argument("--b-step", type=_number(int, ">=", 1), default=10)
+    p.add_argument("--max-part", type=_number(int, ">=", 1), default=None)
+    p.add_argument("--noise-multiplier", type=_number(float, ">", 0), default=1.0)
     p.add_argument("--params", type=str, nargs="*", help="params JSON files")
     p.add_argument("--tree", action="store_true")
     p.add_argument("--identity", action="store_true")
@@ -365,10 +361,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noisegen", help="stream correlated noise rows to CSV")
     p.add_argument("--params", type=str, required=True)
-    p.add_argument("--rounds", type=_positive_int, required=True)
-    p.add_argument("--dim", type=_positive_int, default=1)
-    p.add_argument("--noise-std", type=_nonnegative_float, default=1.0)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--rounds", type=_number(int, ">=", 1), required=True)
+    p.add_argument("--dim", type=_number(int, ">=", 1), default=1)
+    p.add_argument("--noise-std", type=_number(float, ">=", 0), default=1.0)
+    p.add_argument("--seed", type=_number(int, ">=", 0), default=0)
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("account", help="zCDP and epsilon for sens / sigma")
@@ -402,7 +398,11 @@ def main(argv=None) -> int:
     try:
         return commands[args.command](args)
     except BrokenPipeError:
-        raise
+        # as Python itself does on EPIPE: exit 1 quietly, with stdout sent to
+        # devnull so that the flush at exit meets no closed pipe again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except (OSError, ValueError) as exc:
         args.parser.error(str(exc))
 

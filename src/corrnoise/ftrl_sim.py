@@ -24,7 +24,8 @@ No round reads another round's evaluation, accounting or realized
 schema, so the loop only records each round's cohort and model; after
 it, the realized (b, k) of every round comes from the cohort log in a
 few array passes, the models are evaluated in stacked blocks and all
-rounds are accounted in one pass.
+rounds are accounted in one pass. A run returns its logs as data and
+writes no file: the ``simulate`` command writes them as CSV.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ class SimResult:
     """A run's logs and accounting.
 
     ``cohorts`` is the (rounds, clients_per_round) int64 participation
-    log: row t holds round t's client ids in ascending order. It stays
-    one array; ``write_participation_csv`` formats it only when written.
+    log: row t holds round t's client ids in ascending order. The result
+    is data only: writing it as CSV is the command line's job.
     """
 
     metrics: list
@@ -480,25 +481,3 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
         sens_configured=sens,
         sigma_zeta=sigma_zeta,
     )
-
-
-def write_metrics_csv(path, metrics) -> None:
-    with open(path, "w") as fh:
-        fh.write("round,eval_loss,eval_acc,rho_so_far\n")
-        for row in metrics:
-            fh.write(
-                f"{row['round']},{row['eval_loss']!r},"
-                f"{row['eval_acc']!r},{row['rho_so_far']!r}\n"
-            )
-
-
-def write_participation_csv(path, cohorts) -> None:
-    """One ``round,client_id`` line per entry of the (rounds, cohort) log.
-
-    Lines go round by round, each cohort in its row's order; only one
-    row is turned into Python ints at a time.
-    """
-    with open(path, "w") as fh:
-        fh.write("round,client_id\n")
-        for t, cohort in enumerate(cohorts):
-            fh.writelines(f"{t},{cid}\n" for cid in cohort.tolist())

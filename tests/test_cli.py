@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import lt_toeplitz, toeplitz_mechanism_loss
+from oracles import log_entries, lt_toeplitz, toeplitz_mechanism_loss
 
 import corrnoise.cli
 import corrnoise.ftrl_sim
@@ -36,6 +36,7 @@ from corrnoise.blt_core import (
     stream_mult_inverse,
 )
 from corrnoise.cli import SWEEP_HEADER, main
+from corrnoise.ftrl_sim import SimResult, TrainConfig, make_population, run_training
 from corrnoise.loss_metrics import blt_mechanism_loss, dense_error
 from corrnoise.participation import (
     ParticipationSchema,
@@ -777,6 +778,41 @@ class TestSimulate:
         assert part[0] == "round,client_id"
         assert len(part) == 1 + 6 * 3
 
+    def test_csv_files_hold_the_result(self, tmp_path, capsys, monkeypatch):
+        # floats as repr, NaN included; the log entry by entry, round by round
+        result = SimResult(
+            metrics=[{"round": 0, "eval_loss": 0.5, "eval_acc": math.nan, "rho_so_far": 0.125}],
+            cohorts=np.array([[3, 5], [1, 4]]),
+            final_model=np.zeros(4),
+            realized_b=1,
+            realized_k=2,
+            rho_realized=0.125,
+            sens_configured=1.0,
+            sigma_zeta=1.0,
+        )
+        monkeypatch.setattr(corrnoise.cli, "run_training", lambda config, population: result)
+        _, outdir = self.run(simulate_config(), tmp_path, capsys)
+        metrics = (outdir / "metrics.csv").read_text()
+        assert metrics == "round,eval_loss,eval_acc,rho_so_far\n0,0.5,nan,0.125\n"
+        part = (outdir / "participation.csv").read_text()
+        assert part == "round,client_id\n0,3\n0,5\n1,1\n1,4\n"
+
+    def test_csv_files_are_the_run_entry_by_entry(self, tmp_path, capsys):
+        config = simulate_config(rounds=30, min_sep=3)
+        _, outdir = self.run(config, tmp_path, capsys)
+        result = run_training(
+            TrainConfig(**config["training"]), make_population(**config["population"])
+        )
+        want = "round,client_id\n" + "".join(
+            f"{t},{cid}\n" for t, cid in log_entries(result.cohorts)
+        )
+        assert (outdir / "participation.csv").read_text() == want
+        want = "round,eval_loss,eval_acc,rho_so_far\n" + "".join(
+            f"{m['round']},{m['eval_loss']!r},{m['eval_acc']!r},{m['rho_so_far']!r}\n"
+            for m in result.metrics
+        )
+        assert (outdir / "metrics.csv").read_text() == want
+
     def test_noiseless_run_prints_null_rho(self, tmp_path, capsys):
         doc, _ = self.run(simulate_config(noise_multiplier=0.0), tmp_path, capsys)
         assert doc["rho_realized"] is None
@@ -1051,8 +1087,8 @@ class TestOneUsageExit:
         assert err.startswith("usage: corrnoise account")
         assert err.endswith(f"corrnoise account: error: {exc}\n")
 
-    @pytest.mark.parametrize("exc", [TypeError, BrokenPipeError, RuntimeError])
-    def test_defects_and_closed_pipes_are_raised(self, exc, monkeypatch, capsys):
+    @pytest.mark.parametrize("exc", [TypeError, RuntimeError])
+    def test_defects_are_raised(self, exc, monkeypatch, capsys):
         def command(args):
             raise exc("not bad input")
 
@@ -1061,21 +1097,41 @@ class TestOneUsageExit:
             main(["account", "--sens", "1.0", "--sigma", "1.0"])
         assert "usage" not in capsys.readouterr().err
 
+    def test_closed_pipe_exits_1_with_stdout_sent_to_devnull(self, monkeypatch, capsys, tmp_path):
+        # main points stdout's descriptor at devnull; here that is a file of
+        # this test's own, never the test process's descriptor 1
+        def command(args):
+            raise BrokenPipeError("closed")
+
+        monkeypatch.setattr(corrnoise.cli, "cmd_account", command)
+        with open(tmp_path / "stdout", "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["account", "--sens", "1.0", "--sigma", "1.0"]) == 1
+            out.write("after the closed pipe")
+        assert (tmp_path / "stdout").read_text() == ""
+        assert capsys.readouterr().err == ""
+
     def test_closed_pipe_is_no_usage_error(self, params_file):
         # noisegen | head: the reader leaves after 100 bytes, and the next
-        # write meets a closed pipe
+        # write meets a closed pipe; the run ends 1 and says nothing
         src = Path(corrnoise.cli.__file__).resolve().parent.parent
         command = [sys.executable, "-m", "corrnoise.cli", "noisegen", "--params", params_file,
                    "--rounds", "20000", "--dim", "50"]
-        proc = subprocess.run(
-            ["sh", "-c", " ".join(map(shlex.quote, command)) + " | head -c 100"],
-            capture_output=True,
+        proc = subprocess.Popen(
+            command,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
-        assert proc.stdout.startswith("round,z0,z1,")
-        assert len(proc.stdout) == 100
-        assert "usage" not in proc.stderr and "error:" not in proc.stderr
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert head.startswith("round,z0,z1,")
+        assert len(head) == 100
+        assert err == ""
 
 
 # one value of every JSON kind, and the edges of the numbers

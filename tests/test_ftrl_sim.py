@@ -35,8 +35,6 @@ from corrnoise.ftrl_sim import (
     run_training,
     select_cohort,
     server_round,
-    write_metrics_csv,
-    write_participation_csv,
 )
 
 MECH = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
@@ -723,21 +721,3 @@ class TestEvalAndCsv:
                 assert math.isnan(acc[row]) and math.isnan(one_acc)
             else:
                 assert acc[row] == pytest.approx(one_acc, rel=1e-13, abs=0)
-
-    def test_csv_writers(self, tmp_path):
-        metrics = [
-            {"round": 0, "eval_loss": 0.5, "eval_acc": math.nan, "rho_so_far": 0.125}
-        ]
-        mpath = tmp_path / "metrics.csv"
-        write_metrics_csv(mpath, metrics)
-        assert mpath.read_text() == "round,eval_loss,eval_acc,rho_so_far\n0,0.5,nan,0.125\n"
-        ppath = tmp_path / "participation.csv"
-        write_participation_csv(ppath, np.array([[3, 5], [1, 4]]))
-        assert ppath.read_text() == "round,client_id\n0,3\n0,5\n1,1\n1,4\n"
-
-    def test_participation_csv_is_the_log_entry_by_entry(self, tmp_path):
-        r = run_training(config(min_sep=3, rounds=30), small_population(n_clients=16))
-        path = tmp_path / "participation.csv"
-        write_participation_csv(path, r.cohorts)
-        want = "round,client_id\n" + "".join(f"{t},{cid}\n" for t, cid in log_entries(r.cohorts))
-        assert path.read_text() == want

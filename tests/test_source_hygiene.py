@@ -11,7 +11,10 @@ several modules apply are written once: the integer test (the one
 and the objective list (the one ``"max", "rms"``). The noise recurrence
 has one owner: only ``blt_core`` touches a noise state's ``buffers``,
 and so has the cohort rule: only ``ftrl_sim`` reads ``clients_per_round``.
-Bad input has one exit: only ``cli.main`` calls a parser's ``error``.
+Bad input has one exit: only ``cli.main`` calls a parser's ``error``,
+and one flag rule: one function raises ``argparse.ArgumentTypeError``.
+Only ``cli`` and ``blt_core.save_params`` open a file for writing: the
+rest of the package returns data.
 """
 
 import ast
@@ -238,6 +241,17 @@ def _modules_where(found):
     return [path.name for path in MODULES if any(map(found, ast.walk(_parse(path))))]
 
 
+def _defs_where(found):
+    """(module, top-level def) of every node in src that satisfies ``found``."""
+    return [
+        (path.name, getattr(stmt, "name", "<module>"))
+        for path in MODULES
+        for stmt in _parse(path).body
+        for node in ast.walk(stmt)
+        if found(node)
+    ]
+
+
 def test_integer_rule_written_once():
     def integral(node):
         if isinstance(node, ast.Attribute):
@@ -301,3 +315,34 @@ def test_cohort_size_read_only_in_ftrl_sim():
         return isinstance(node, ast.Attribute) and node.attr == "clients_per_round"
 
     assert _modules_where(cohort_size) == ["ftrl_sim.py"]
+
+
+def test_files_are_written_only_by_the_cli_and_save_params():
+    # the simulator and the other library modules return data, and the
+    # command line writes it; save_params writes the parameter file
+    def writing_open(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) != "open":
+            return False
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        # a mode or os.open flag that is no string literal may write
+        return any(
+            not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes
+        )
+
+    writers = set(_defs_where(writing_open))
+    assert ("cli.py", "_write_csv") in writers
+    assert {w for w in writers if w[0] != "cli.py"} == {("blt_core.py", "save_params")}
+
+
+def test_flag_rule_written_once():
+    # one argparse type factory checks every numeric flag
+    def type_error(node):
+        return isinstance(node, ast.Raise) and any(
+            getattr(n, "attr", getattr(n, "id", None)) == "ArgumentTypeError"
+            for n in ast.walk(node)
+        )
+
+    assert _defs_where(type_error) == [("cli.py", "_number")]
