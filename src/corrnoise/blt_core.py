@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -292,7 +291,7 @@ def blt_inverse_coefs(params: BltParams, n: int) -> np.ndarray:
 # the buffers (512 KB at d = 4) stays in L2 through the update
 _CHUNK = 1 << 14
 # chunks per block of input that one call fills: the caller fills the first
-# block of a round, a helper thread the later ones ahead of the recurrence
+# block of a round, one worker the later ones ahead of the recurrence
 _BLOCK_CHUNKS = 4
 
 
@@ -309,8 +308,9 @@ class NoiseGeneratorState:
     give bitwise-identical streams on every numpy build. A round
     allocates the row it returns and one scratch row of at most
     ``_CHUNK`` columns. A round wider than one block fills its later
-    blocks on one helper thread, joined before the round returns; during
-    a round nothing else may use ``rng``. ``stream_mult_inverse_block``
+    blocks on one worker, shut down before the round returns or raises
+    (a failed round is not counted); during a round nothing else may use
+    ``rng``. ``stream_mult_inverse_block``
     emits many narrow rounds at once, with the same bits.
     ``buffers``, ``round`` and ``rng.bit_generator.state`` form a checkpoint:
     copied into a fresh ``make_noise_generator`` state for the same params
@@ -390,7 +390,7 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
     Zhat_t is row t of C^-1 Z. The input is filled into the output row in
     blocks of ``_BLOCK_CHUNKS`` chunks (Gaussians drawn in place, or a copy
     of the supplied row), in column order. The caller fills the first
-    block; if there are more, one helper thread fills them while the
+    block; if there are more, one worker fills them while the
     caller runs the recurrence chunk by chunk behind it, waiting only when
     it catches up. Both stages release the GIL, so on two cores the round
     costs about the draw alone. Per chunk of ``_CHUNK`` columns the buffer
@@ -399,13 +399,15 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
     fixed order makes the bits independent of the chunk and block widths
     and of the BLAS build, and draws made in order equal one
     ``normal(0, noise_std, size=m)`` draw, so the Philox state after the
-    round is the same too. The helper is joined before the round returns
-    or raises, and an error in it is raised here; the caller must not use
-    ``state.rng`` while a round runs. O(d*m) per round; besides the
-    returned row it allocates one scratch row of min(m, ``_CHUNK``)
-    columns. The state is mutated in place and returned for convenience.
-    A supplied row with the wrong shape, NaN or Inf is rejected before
-    the state changes.
+    round is the same too. The worker is shut down before the round
+    returns or raises. If a fill fails, the first failed block's error is
+    raised here, the blocks not yet started are cancelled, the round is
+    not counted and ``state.rng`` stands where the last fill stopped; the
+    caller must not use ``state.rng`` while a round runs. O(d*m) per
+    round; besides the returned row it allocates one scratch row of
+    min(m, ``_CHUNK``) columns. The state is mutated in place and returned
+    for convenience. A supplied row with the wrong shape, NaN or Inf is
+    rejected before the state changes.
     """
     _check_horizon(state, 1)
     S = state.buffers
@@ -422,29 +424,18 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
     zhat = np.empty(m)
     block = _BLOCK_CHUNKS * _CHUNK
     _fill(zhat, 0, block, state, z)
-    helper = None
+    pool, filled = None, {}
     if m > block:
-        filled = threading.Semaphore(0)  # one release per later block
-        failed = []
+        from concurrent.futures import ThreadPoolExecutor  # 7 ms that narrow rounds skip
 
-        def fill_rest():
-            try:
-                for lo in range(block, m, block):
-                    _fill(zhat, lo, lo + block, state, z)
-                    filled.release()
-            except BaseException as exc:  # raised again by the caller
-                failed.append(exc)
-                filled.release()
-
-        helper = threading.Thread(target=fill_rest, name="corrnoise-noise-fill")
-        helper.start()
+        pool = ThreadPoolExecutor(1, thread_name_prefix="corrnoise-noise-fill")
+        for lo in range(block, m, block):  # in column order, so the draws are too
+            filled[lo] = pool.submit(_fill, zhat, lo, lo + block, state, z)
     try:
         prod = np.empty(min(m, _CHUNK))
         for lo in range(0, m, _CHUNK):
-            if lo and not lo % block:
-                filled.acquire()
-                if failed:
-                    raise failed[0]
+            if lo in filled:
+                filled[lo].result()
             out, S_c = zhat[lo : lo + _CHUNK], S[:, lo : lo + _CHUNK]
             tmp = prod[: out.shape[0]]
             for w, S_j in zip(omega, S_c):
@@ -453,8 +444,8 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
             S_c *= theta
             S_c += out
     finally:
-        if helper is not None:
-            helper.join()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     state.round += 1
     return zhat, state
 

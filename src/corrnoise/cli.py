@@ -58,13 +58,15 @@ def _number(kind, rule, bound):
     finite = "finite and " if kind is float else ""
 
     def parse(text):
-        value = kind(text)
+        try:
+            value = kind(text)
+        except ValueError:  # no number at all
+            noun = "an integer" if kind is int else "a finite number"
+            raise argparse.ArgumentTypeError(f"must be {noun} {rule} {bound}, got {text!r}")
         if not (holds(value, bound) and value < math.inf):  # NaN fails both
             raise argparse.ArgumentTypeError(f"must be {finite}{rule} {bound}, got {value}")
         return value
 
-    # argparse names the type when the text is no number at all
-    parse.__name__ = f"_{'nonnegative' if holds(0, bound) else 'positive'}_{kind.__name__}"
     return parse
 
 

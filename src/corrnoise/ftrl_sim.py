@@ -31,6 +31,7 @@ writes no file: the ``simulate`` command writes them as CSV.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -390,8 +391,14 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     only read: the participation ledger lives here. Round t's resting
     clients are the m * min(t, b - 1) of rounds t - b + 1 .. t - 1, so
     every round fills its cohort iff there are m * min(rounds, b)
-    clients; fewer raise ValueError before any work.
+    clients; fewer raise ValueError before any work, and so does a run
+    whose noise block and logs would not fit in physical memory.
     """
+    # the noise block, the model and cohort logs and the coefficient column
+    need = config.rounds * (2 * population.dim + config.clients_per_round + 1) * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"rounds {config.rounds} need {need >> 20} MiB; RAM is {have >> 20} MiB")
     needed = config.clients_per_round * min(config.rounds, config.min_sep)
     if population.n_clients < needed:
         raise ValueError(f"the cohorts need {needed} clients, not {population.n_clients}")
@@ -403,9 +410,7 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     # validated once by the configured sensitivity; the realized
     # sensitivities below read prefixes of it, which stay valid
     c_full = blt_coefs(config.mechanism, config.rounds)
-    k_conf = config.est_max_part
-    if k_conf is None:
-        k_conf = max_participations(config.rounds, config.min_sep)
+    k_conf = config.est_max_part or max_participations(config.rounds, config.min_sep)
     sens = toeplitz_sensitivity(c_full, ParticipationSchema(config.rounds, config.min_sep, k_conf))
     sigma_zeta = 0.0
     if config.noise_multiplier > 0:  # 0 * inf is NaN for an unclipped noiseless run

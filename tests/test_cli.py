@@ -46,6 +46,8 @@ from corrnoise.participation import (
 from corrnoise.tree_baseline import eval_tree
 
 MECH = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
+# a module-private name such as _positive_int, which no usage error may print
+PRIVATE_NAME = r"\b_[a-z]"
 
 
 @pytest.fixture
@@ -513,28 +515,37 @@ class TestSweep:
             ]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["sweep", "--n", "64", "--b-start", "0", "--b-stop", "8", "--identity"],
-            ["sweep", "--n", "64", "--b-start", "8", "--b-stop", "16", "--b-step", "0",
-             "--identity"],
-            ["sweep", "--n", "64", "--b-start", "8", "--b-stop", "16", "--b-step", "-8",
-             "--identity"],
-            ["sweep", "--n", "64", "--b-start", "16", "--b-stop", "8", "--identity"],
-            ["sweep", "--n", "64", "--b-start", "8", "--b-stop", "16", "--max-part", "0",
-             "--identity"],
-            ["sweep", "--n", "0", "--b-start", "8", "--b-stop", "16", "--identity"],
-            ["eval", "--n", "64", "--min-sep", "0", "--tree"],
+            (["sweep", "--n", "64", "--b-start", "0", "--b-stop", "8", "--identity"],
+             "--b-start: must be >= 1, got 0"),
+            (["sweep", "--n", "64", "--b-start", "8", "--b-stop", "16", "--b-step", "0",
+              "--identity"], "--b-step: must be >= 1, got 0"),
+            (["sweep", "--n", "64", "--b-start", "8", "--b-stop", "16", "--b-step", "-8",
+              "--identity"], "--b-step: must be >= 1, got -8"),
+            (["sweep", "--n", "64", "--b-start", "16", "--b-stop", "8", "--identity"],
+             "--b-stop 8 is below --b-start 16"),
+            (["sweep", "--n", "64", "--b-start", "8", "--b-stop", "16", "--max-part", "0",
+              "--identity"], "--max-part: must be >= 1, got 0"),
+            (["sweep", "--n", "0", "--b-start", "8", "--b-stop", "16", "--identity"],
+             "--n: must be >= 1, got 0"),
+            (["sweep", "--n", "abc", "--b-start", "8", "--b-stop", "16", "--identity"],
+             "--n: must be an integer >= 1, got 'abc'"),
+            (["sweep", "--n", "1.5", "--b-start", "8", "--b-stop", "16", "--identity"],
+             "--n: must be an integer >= 1, got '1.5'"),
+            (["eval", "--n", "64", "--min-sep", "0", "--tree"],
+             "--min-sep: must be >= 1, got 0"),
         ],
         ids=["b-start-0", "b-step-0", "b-step-negative", "b-stop-below-start",
-             "max-part-0", "n-0", "eval-min-sep-0"],
+             "max-part-0", "n-0", "n-text", "n-fractional", "eval-min-sep-0"],
     )
-    def test_bad_grid_or_schema_exits_with_usage(self, argv, capsys):
+    def test_bad_grid_or_schema_exits_with_usage(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "usage" in captured.err and captured.out == ""
+        assert message in captured.err and not re.search(PRIVATE_NAME, captured.err)
 
     @pytest.mark.parametrize(
         "argv",
@@ -641,19 +652,26 @@ class TestNoisegen:
         assert len(lines) == 5
 
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--noise-std", "nan"), ("--noise-std", "inf"), ("--noise-std", "-1"),
-         ("--dim", "0"), ("--rounds", "0"), ("--rounds", "-3"), ("--seed", "-1")],
-        ids=["std-nan", "std-inf", "std-negative", "dim-0", "rounds-0", "rounds-negative",
-             "seed-negative"],
+        "flag, value, rule",
+        [("--noise-std", "nan", "must be finite and >= 0, got nan"),
+         ("--noise-std", "inf", "must be finite and >= 0, got inf"),
+         ("--noise-std", "-1", "must be finite and >= 0, got -1.0"),
+         ("--noise-std", "y", "must be a finite number >= 0, got 'y'"),
+         ("--dim", "0", "must be >= 1, got 0"),
+         ("--rounds", "0", "must be >= 1, got 0"),
+         ("--rounds", "-3", "must be >= 1, got -3"),
+         ("--seed", "-1", "must be >= 0, got -1")],
+        ids=["std-nan", "std-inf", "std-negative", "std-text", "dim-0", "rounds-0",
+             "rounds-negative", "seed-negative"],
     )
-    def test_bad_arguments_exit_with_usage(self, flag, value, params_file, capsys):
+    def test_bad_arguments_exit_with_usage(self, flag, value, rule, params_file, capsys):
         argv = {"--rounds": "2", "--dim": "2", "--noise-std": "1.0", flag: value}
         with pytest.raises(SystemExit) as exc:
             main(["noisegen", "--params", params_file, *sum(argv.items(), ())])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "usage" in captured.err and flag in captured.err
+        assert "usage" in captured.err and f"argument {flag}: {rule}\n" in captured.err
+        assert not re.search(PRIVATE_NAME, captured.err)
         assert captured.out == ""
 
     def test_weightless_buffer_params_rejected(self, weightless_file, capsys):
@@ -919,6 +937,21 @@ class TestSimulate:
             json.dumps(simulate_config(est_max_part=9)),
             "est_max_part 9 does not fit 6 rounds at min_sep 2; at most 3", tmp_path, capsys
         )
+
+    def test_run_larger_than_memory_names_rounds(self, tmp_path, capsys):
+        # the noise block alone would be 32 TB; the run used to end in a
+        # MemoryError traceback from blt_coefs. Any exception but the usage
+        # exit would escape pytest.raises, and the check allocates nothing
+        tracemalloc.start()
+        try:
+            self.assert_config_exits_with_usage(
+                json.dumps(simulate_config(rounds=10**12)),
+                "rounds 1000000000000 need", tmp_path, capsys
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @pytest.mark.parametrize(
         "value", [True, "", False, 0, [], 1.5],

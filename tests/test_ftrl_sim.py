@@ -691,7 +691,7 @@ class TestAudit:
         np.testing.assert_array_equal(k_log, want_k)
 
 
-class TestEvalAndCsv:
+class TestEvalModel:
     def test_eval_linear_zero_model(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([2.0, -2.0])

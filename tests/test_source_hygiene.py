@@ -14,7 +14,10 @@ and so has the cohort rule: only ``ftrl_sim`` reads ``clients_per_round``.
 Bad input has one exit: only ``cli.main`` calls a parser's ``error``,
 and one flag rule: one function raises ``argparse.ArgumentTypeError``.
 Only ``cli`` and ``blt_core.save_params`` open a file for writing: the
-rest of the package returns data.
+rest of the package returns data. The package starts threads only
+through the executor of ``blt_core.stream_mult_inverse``, which it
+imports there, so ``import corrnoise`` loads neither that executor nor
+``logging``.
 """
 
 import ast
@@ -116,11 +119,12 @@ def test_oracles_live_only_in_tests():
         assert not [n for n in ORACLES if hasattr(module, n)]
 
 
-def test_import_loads_no_scipy():
+def _loaded_on_import(*packages):
+    """The modules of ``packages`` that ``import corrnoise`` loads."""
     # a fresh interpreter, since this one has the test oracles loaded
     code = (
         "import sys, corrnoise; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -129,7 +133,17 @@ def test_import_loads_no_scipy():
         check=True,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_on_import("scipy") == "[]"
+
+
+def test_import_loads_no_executor():
+    # concurrent.futures pulls in logging, queue and traceback, about 7 ms:
+    # the noise round imports it only when a row is wider than one block
+    assert _loaded_on_import("concurrent", "logging") == "[]"
 
 
 def _reads(tree):
@@ -345,4 +359,18 @@ def test_flag_rule_written_once():
             for n in ast.walk(node)
         )
 
-    assert _defs_where(type_error) == [("cli.py", "_number")]
+    # two raises there: text that is no number, and a number out of bounds
+    assert set(_defs_where(type_error)) == {("cli.py", "_number")}
+
+
+def test_threads_only_through_the_noise_rounds_executor():
+    # the wide noise round's one worker is the package's only thread
+    for path in MODULES:
+        assert "threading" not in _identifiers(_parse(path)), path.name
+
+    def executor_import(node):
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("concurrent")
+        return isinstance(node, ast.alias) and node.name.startswith("concurrent")
+
+    assert _defs_where(executor_import) == [("blt_core.py", "stream_mult_inverse")]
