@@ -315,18 +315,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call in a process and shared after.
 
     A build costs more than the cells of a small sweep. The tree binds no
-    command function: ``main`` looks each up when it runs. A plain function
-    over the cached ``_parser``, so perfbench's tracer still wraps it.
+    command function: ``main`` looks each up when it runs.
     """
-    return _parser()
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="corrnoise",
         description="correlated-noise mechanisms for private learning",

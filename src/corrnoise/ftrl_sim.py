@@ -148,6 +148,14 @@ class SimResult:
     sigma_zeta: float
 
 
+def _require_memory(values: int, what: str):
+    """ValueError naming ``what`` if ``values`` float64s would not fit in physical memory."""
+    need = values * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"{what} need {need >> 20} MiB; RAM is {have >> 20} MiB")
+
+
 def make_population(
     n_clients: int,
     dim: int,
@@ -161,7 +169,8 @@ def make_population(
 
     Each client solves the shared problem w* perturbed by
     ``heterogeneity`` in parameter space; the held-out eval set is drawn
-    from the unperturbed w*.
+    from the unperturbed w*. A population larger than physical memory
+    raises ValueError, naming its sizes, before any draw.
     """
     if task not in ("linear", "logistic"):
         raise ValueError("task must be 'linear' or 'logistic'")
@@ -172,6 +181,10 @@ def make_population(
     )
     _require_int(0, seed=seed)  # in place of numpy's SeedSequence errors
     _require_real(0, heterogeneity=heterogeneity)
+    _require_memory(
+        (n_clients * samples_per_client + eval_samples) * (dim + 1),
+        f"n_clients {n_clients}, samples_per_client {samples_per_client} and dim {dim}",
+    )
     rng = np.random.default_rng(seed)
     w_star = rng.normal(0.0, 1.0, dim) / math.sqrt(dim)
 
@@ -395,10 +408,8 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     whose noise block and logs would not fit in physical memory.
     """
     # the noise block, the model and cohort logs and the coefficient column
-    need = config.rounds * (2 * population.dim + config.clients_per_round + 1) * 8
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(f"rounds {config.rounds} need {need >> 20} MiB; RAM is {have >> 20} MiB")
+    values = config.rounds * (2 * population.dim + config.clients_per_round + 1)
+    _require_memory(values, f"rounds {config.rounds}")
     needed = config.clients_per_round * min(config.rounds, config.min_sep)
     if population.n_clients < needed:
         raise ValueError(f"the cohorts need {needed} clients, not {population.n_clients}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -202,35 +202,41 @@ def mechanism_loss(strategy, schema: ParticipationSchema) -> MechanismLoss:
     return MechanismLoss(schema, sens, max_error, rms_error, "lower_bound")
 
 
-def blt_mechanism_loss_fn(params: BltParams, n: int):
-    """``schema -> MechanismLoss`` for a BLT strategy over n rounds.
+def loss_fn(n: int, errors, sensitivity, sens_method: str):
+    """``schema -> MechanismLoss`` over n rounds from a mechanism's kernels.
 
-    Errors and sensitivity come from the same n-independent kernels as
-    ``blt_optimizer.blt_loss``: the errors in closed form in O(d^2) from
-    the decays and the inverse decays of ``inverse_blt_params``, once,
-    since they do not depend on the schema; the sensitivity by the pulse
-    recursion in O(k d^2) on every call. The first call validates
-    ``params`` as ``blt_coefs`` does (in ``inverse_blt_params``); valid
-    parameters give a non-negative, non-increasing column, on which this
-    sensitivity is exact. A failed validation is not kept, so each later
-    call raises the same way.
-    Nothing runs until the first call; the schema's n must equal ``n``.
+    The first call computes ``errors()``, the (MaxError, RmsError) that do
+    not depend on the schema, and keeps them unless it raises; each call
+    then takes ``sensitivity(schema)``. A schema of another n raises.
     """
-    theta, omega = params.theta[None], params.omega[None]
-    errors = None
+    errors = cache(errors)
 
     def loss(schema: ParticipationSchema) -> MechanismLoss:
-        nonlocal errors
         if schema.n != n:
             raise ValueError(f"schema has n = {schema.n}, evaluator has n = {n}")
-        if errors is None:
-            theta_hat = inverse_blt_params(params).theta_hat[None]
-            errors = tuple(float(e[0]) for e in _blt_errors(theta, theta_hat, n))
-        sens = float(_blt_sensitivity(theta, omega, schema)[0])
-        max_error, rms_error = errors
-        return MechanismLoss(schema, sens, max_error, rms_error, "toeplitz")
+        max_error, rms_error = errors()
+        return MechanismLoss(schema, sensitivity(schema), max_error, rms_error, sens_method)
 
     return loss
+
+
+def blt_mechanism_loss_fn(params: BltParams, n: int):
+    """``loss_fn`` of a BLT strategy, through the n-independent kernels of
+    ``blt_optimizer.blt_loss``: the errors in closed form in O(d^2) from the
+    inverse decays of ``inverse_blt_params``, which validates ``params`` as
+    ``blt_coefs`` does, and the sensitivity by the pulse recursion in
+    O(k d^2), exact on the non-negative, non-increasing column of valid
+    parameters.
+    """
+    theta, omega = params.theta[None], params.omega[None]
+
+    def errors():
+        theta_hat = inverse_blt_params(params).theta_hat[None]
+        return tuple(float(e[0]) for e in _blt_errors(theta, theta_hat, n))
+
+    return loss_fn(
+        n, errors, lambda schema: float(_blt_sensitivity(theta, omega, schema)[0]), "toeplitz"
+    )
 
 
 def blt_mechanism_loss(params: BltParams, schema: ParticipationSchema) -> MechanismLoss:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from corrnoise.blt_core import _require_int
-from corrnoise.loss_metrics import MechanismLoss
+from corrnoise.loss_metrics import MechanismLoss, loss_fn
 from corrnoise.participation import (
     ParticipationSchema,
     max_participations,
@@ -127,27 +127,12 @@ def _tree_sensitivity(h: int, schema: ParticipationSchema) -> float:
 
 
 def tree_loss_fn(n: int):
-    """``schema -> MechanismLoss`` for full-decoded tree aggregation over n rounds.
-
-    The errors do not depend on the schema: the first call takes them at
-    the evaluation horizon, and every call then computes only the
-    sensitivity. Nothing runs until the first call; the schema's n must
-    equal ``n``.
-    """
-    evaluated = None  # (horizon, max_error, rms_error) after the first call
-
-    def loss(schema: ParticipationSchema) -> MechanismLoss:
-        nonlocal evaluated
-        if schema.n != n:
-            raise ValueError(f"schema has n = {schema.n}, evaluator has n = {n}")
-        if evaluated is None:
-            h = tree_eval_horizon(n)
-            evaluated = (h, *_tree_errors(h))
-        h, max_error, rms_error = evaluated
-        sens = _tree_sensitivity(h, schema)
-        return MechanismLoss(schema, sens, max_error, rms_error, "lower_bound")
-
-    return loss
+    """``loss_fn`` of full-decoded tree aggregation over n rounds, both
+    kernels at the evaluation horizon."""
+    h = tree_eval_horizon(n)
+    return loss_fn(
+        n, lambda: _tree_errors(h), lambda schema: _tree_sensitivity(h, schema), "lower_bound"
+    )
 
 
 def eval_tree(schema: ParticipationSchema) -> MechanismLoss:

@@ -279,7 +279,7 @@ class TestStreaming:
     def test_resume_from_checkpoint_is_bit_identical(self, monkeypatch, supplied, rng):
         monkeypatch.setattr(blt_core, "_CHUNK", 16)  # blocks of 64 columns
         p = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
-        for m in (3, 229):  # one block, and several with the helper thread
+        for m in (3, 229):  # one block, and several with the worker thread
             rows = list(rng.normal(size=(10, m))) if supplied else [None] * 10
 
             def fresh(seed):
@@ -387,7 +387,7 @@ class _CountingThread(threading.Thread):
 
 
 class TestFusedRound:
-    """The chunked round: its bits, its Philox draws, its helper thread and its allocation."""
+    """The chunked round: its bits, its Philox draws, its worker thread and its allocation."""
 
     CHUNK = 16
     BLOCK = blt_core._BLOCK_CHUNKS * CHUNK
@@ -422,7 +422,7 @@ class TestFusedRound:
 
     @pytest.mark.parametrize("supplied", [False, True], ids=["philox", "supplied"])
     def test_bits_hold_under_fast_thread_switching(self, monkeypatch, supplied):
-        # a recurrence that ran ahead of its helper would read unfilled columns
+        # a recurrence that ran ahead of its worker would read unfilled columns
         ref = self._stream(monkeypatch, self.MULTI_BLOCK, 4, self.MULTI_BLOCK, supplied)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -473,7 +473,7 @@ class TestFusedRound:
         return _CountingThread
 
     @pytest.mark.parametrize("fail_at", [2, 4], ids=["second-block", "last-block"])
-    def test_helper_error_is_raised_and_its_thread_joined(self, threads, fail_at):
+    def test_worker_error_is_raised_and_its_thread_joined(self, threads, fail_at):
         state = make_noise_generator(
             STREAM_PARAMS[4], m=self.MULTI_BLOCK, noise_std=1.0, seed=2
         )
@@ -496,7 +496,7 @@ class TestFusedRound:
         state = make_noise_generator(STREAM_PARAMS[4], m=self.BLOCK + 1, noise_std=1.0)
         stream_mult_inverse(state)
         stream_mult_inverse(state, np.ones(self.BLOCK + 1))
-        assert (threads.starts, threads.joins) == (2, 2)  # one helper per round
+        assert (threads.starts, threads.joins) == (2, 2)  # one worker per round
         assert threading.active_count() == before
 
     def test_import_starts_no_thread(self):

@@ -24,6 +24,7 @@ from oracles import log_entries, lt_toeplitz, toeplitz_mechanism_loss
 
 import corrnoise.cli
 import corrnoise.ftrl_sim
+import corrnoise.loss_metrics
 import corrnoise.tree_baseline
 from corrnoise.accountant import DEFAULT_DELTA, eps_of_zcdp, zcdp_of
 from corrnoise.blt_core import (
@@ -411,25 +412,35 @@ class TestSweep:
         assert status["16"] == "ok"  # (4-1)*16 = 48 < 64
         assert status["32"] == "infeasible"  # (4-1)*32 = 96 >= 64
 
-    def test_tree_decodes_once_per_invocation(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "module, kernel, flag",
+        [(corrnoise.tree_baseline, "_tree_errors", "--tree"),
+         (corrnoise.loss_metrics, "_blt_errors", "--params"),
+         (corrnoise.loss_metrics, "_blt_errors", "--identity")],
+        ids=["tree", "params", "identity"],
+    )
+    def test_errors_once_per_invocation(
+        self, module, kernel, flag, params_file, monkeypatch, capsys
+    ):
         calls = []
-        errors = corrnoise.tree_baseline._tree_errors
+        errors = getattr(module, kernel)
 
-        def counting_errors(h):
-            calls.append(h)
-            return errors(h)
+        def counting_errors(*args):
+            calls.append(args[-1])  # the tree's horizon, or the BLT's n
+            return errors(*args)
 
-        monkeypatch.setattr(corrnoise.tree_baseline, "_tree_errors", counting_errors)
+        monkeypatch.setattr(module, kernel, counting_errors)
+        flags = [flag, params_file] if flag == "--params" else [flag]
         argv = ["sweep", "--n", "64", "--b-start", "8", "--b-stop", "32", "--b-step", "8",
-                "--tree"]
-        for expected in (1, 2):  # no tree error outlives a main call
+                *flags]
+        for expected in (1, 2):  # no mechanism's errors outlive a main call
             code, out = run_cli(argv, capsys)
             assert code == 0 and out.count(",ok\n") == 4
             assert calls == [64] * expected
-        # every cell infeasible: no tree error is computed
+        # every cell infeasible: no errors are computed
         code, out = run_cli(
             ["sweep", "--n", "64", "--b-start", "40", "--b-stop", "60", "--b-step", "10",
-             "--max-part", "3", "--tree"],
+             "--max-part", "3", *flags],
             capsys,
         )
         assert code == 0 and out.count(",infeasible\n") == 3
@@ -947,6 +958,24 @@ class TestSimulate:
             self.assert_config_exits_with_usage(
                 json.dumps(simulate_config(rounds=10**12)),
                 "rounds 1000000000000 need", tmp_path, capsys
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_population_larger_than_memory_names_its_fields(self, tmp_path, capsys):
+        # 1e10 clients of 1000 samples in 4 dims are 291 TiB; the run used to
+        # end in a MemoryError traceback from make_population's np.empty
+        config = simulate_config()
+        config["population"].update(n_clients=10**10, samples_per_client=1000)
+        tracemalloc.start()
+        try:
+            self.assert_config_exits_with_usage(
+                json.dumps(config),
+                "n_clients 10000000000, samples_per_client 1000 and dim 4 need",
+                tmp_path,
+                capsys,
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -11,6 +11,9 @@ several modules apply are written once: the integer test (the one
 and the objective list (the one ``"max", "rms"``). The noise recurrence
 has one owner: only ``blt_core`` touches a noise state's ``buffers``,
 and so has the cohort rule: only ``ftrl_sim`` reads ``clients_per_round``.
+Every mechanism evaluator is built by ``loss_metrics.loss_fn``, the one
+def that refuses a schema of another n, and no function keeps its state
+in a ``nonlocal``.
 Bad input has one exit: only ``cli.main`` calls a parser's ``error``,
 and one flag rule: one function raises ``argparse.ArgumentTypeError``.
 Only ``cli`` and ``blt_core.save_params`` open a file for writing: the
@@ -361,6 +364,15 @@ def test_flag_rule_written_once():
 
     # two raises there: text that is no number, and a number out of bounds
     assert set(_defs_where(type_error)) == {("cli.py", "_number")}
+
+
+def test_evaluator_contract_written_once():
+    # one factory fixes an evaluator's n and keeps its schema-free errors
+    def n_refusal(node):
+        return isinstance(node, ast.Constant) and "evaluator has n" in str(node.value)
+
+    assert _defs_where(n_refusal) == [("loss_metrics.py", "loss_fn")]
+    assert _modules_where(lambda node: isinstance(node, ast.Nonlocal)) == []
 
 
 def test_threads_only_through_the_noise_rounds_executor():
