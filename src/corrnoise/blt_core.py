@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -61,6 +62,14 @@ def _require_real(low=-math.inf, high=math.inf, **values):
             isinstance(value, numbers.Real) and math.isfinite(value) and low <= value < high
         ):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _require_memory(values: int, what: str):
+    """ValueError naming ``what`` if ``values`` float64s would not fit in physical memory."""
+    need = values * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"{what} need {need >> 20} MiB; RAM is {have >> 20} MiB")
 
 
 class DegenerateParamsError(ValueError):
@@ -341,6 +350,8 @@ def make_noise_generator(
     """
     params.validate()
     _require_int(1, m=m)
+    # the d x m buffers, a round's row and its scratch
+    _require_memory((params.d + 2) * m, f"m {m}")
     _require_real(0, noise_std=noise_std)
     # Philox takes any non-negative integer; 1.5 would silently become 1
     _require_int(0, seed=seed)

@@ -45,6 +45,7 @@ from corrnoise.blt_core import (
     OBJECTIVES,
     BltParams,
     _require_int,
+    _require_memory,
     _residues,
     _too_close,
     blt_coefs,
@@ -124,26 +125,16 @@ def _loss_batch(theta, theta_hat, schema: ParticipationSchema, objective, barrie
 
     The B rows of a group are meant to be complex-step perturbations of
     one real point, which share their real parts, so feasibility is
-    decided per group: a group with any infeasible row is +inf in every
-    row, and every other group gets the values it would get alone. A
-    (B, d) input is one group.
+    decided per group: every group is evaluated, one with an infeasible
+    row or a non-finite loss is +inf in every row, and every other group
+    gets the values it would get alone. A (B, d) input is one group.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
     groups, d = np.shape(theta)[:-1], np.shape(theta)[-1]
     # (G, B, d): groups, rows
     theta, theta_hat = (np.reshape(v, (-1, *np.shape(theta)[-2:])) for v in (theta, theta_hat))
-    out = np.full(theta.shape[:2], np.inf, dtype=np.result_type(theta, theta_hat, float))
-    rth, rthh = np.real(theta), np.real(theta_hat)
-    inside = (rth > 0) & (rth < 1) & (rthh > 0) & (rthh < 1)
-    # near-coincident decays make the pairing blow up: infeasible
-    ok = (inside & ~_too_close(theta)[..., None]).all(axis=(1, 2))
-    if not ok.any():
-        return out.reshape(groups)
-    theta, theta_hat = theta[ok], theta_hat[ok]
-    omega = _residues(theta, theta_hat)
-    th, thh, om = (v.reshape(-1, d) for v in (theta, theta_hat, omega))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega = _residues(theta, theta_hat)
+        th, thh, om = (v.reshape(-1, d) for v in (theta, theta_hat, omega))
         max_error, rms_error = _blt_errors(th, thh, schema.n)
         sens = _blt_sensitivity(th, om, schema)
         loss = ((max_error if objective == "max" else rms_error) * sens).reshape(theta.shape[:2])
@@ -154,9 +145,12 @@ def _loss_batch(theta, theta_hat, schema: ParticipationSchema, objective, barrie
                 - np.log(omega).sum(axis=-1)
             )
             loss = loss + barrier_lambda * pen
-    feasible = (np.real(omega) > 0).all(axis=(1, 2)) & np.isfinite(np.real(loss)).all(axis=1)
-    out[np.flatnonzero(ok)[feasible]] = loss[feasible]
-    return out.reshape(groups)
+    rth, rthh = np.real(theta), np.real(theta_hat)
+    inside = (rth > 0) & (rth < 1) & (rthh > 0) & (rthh < 1) & (np.real(omega) > 0)
+    # near-coincident decays make the pairing blow up: infeasible
+    ok = (inside & ~_too_close(theta)[..., None]).all(axis=(1, 2))
+    ok &= np.isfinite(np.real(loss)).all(axis=1)
+    return np.where(ok[:, None], loss, np.inf).reshape(groups)
 
 
 @lru_cache(maxsize=None)
@@ -193,6 +187,8 @@ def blt_loss(
     Complex-safe in both arguments for derivative propagation: a float
     for real input, a complex number for complex input.
     """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
     theta = np.atleast_1d(np.asarray(theta))
     theta_hat = np.atleast_1d(np.asarray(theta_hat))
     loss = _loss_batch(theta[None], theta_hat[None], schema, objective, barrier_lambda)[0]
@@ -366,6 +362,8 @@ def optimize_blt(config: OptimizerConfig) -> OptimizationResult:
     1e-9 relative before returning.
     """
     schema = config.schema
+    # the O(n) arrays of the end-of-fit check, refused before any restart
+    _require_memory((config.d + 4) * schema.n, f"n {schema.n}")
     rng = np.random.default_rng(config.seed)
 
     def loss_batch(X, lam=BARRIER_LAMBDA):

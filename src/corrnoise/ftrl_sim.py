@@ -31,7 +31,6 @@ writes no file: the ``simulate`` command writes them as CSV.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +40,7 @@ from corrnoise.blt_core import (
     IDENTITY_MECHANISM,
     BltParams,
     _require_int,
+    _require_memory,
     _require_real,
     blt_coefs,
     make_noise_generator,
@@ -146,14 +146,6 @@ class SimResult:
     rho_realized: float
     sens_configured: float
     sigma_zeta: float
-
-
-def _require_memory(values: int, what: str):
-    """ValueError naming ``what`` if ``values`` float64s would not fit in physical memory."""
-    need = values * 8
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(f"{what} need {need >> 20} MiB; RAM is {have >> 20} MiB")
 
 
 def make_population(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from corrnoise.blt_core import _require_int
+from corrnoise.blt_core import _require_int, _require_memory
 from corrnoise.loss_metrics import MechanismLoss, loss_fn
 from corrnoise.participation import (
     ParticipationSchema,
@@ -130,6 +130,8 @@ def tree_loss_fn(n: int):
     """``loss_fn`` of full-decoded tree aggregation over n rounds, both
     kernels at the evaluation horizon."""
     h = tree_eval_horizon(n)
+    # the errors' arrays at the horizon
+    _require_memory(7 * h, f"n {n}")
     return loss_fn(
         n, lambda: _tree_errors(h), lambda schema: _tree_sensitivity(h, schema), "lower_bound"
     )

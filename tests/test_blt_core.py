@@ -36,10 +36,12 @@ from corrnoise.blt_core import (
     stream_mult_inverse_block,
     toeplitz_inverse_coefs,
 )
-from corrnoise.blt_optimizer import OptimizerConfig
+import corrnoise.blt_optimizer as blt_optimizer
+import corrnoise.tree_baseline as tree_baseline
+from corrnoise.blt_optimizer import OptimizerConfig, _chain, _init_point, optimize_blt
 from corrnoise.ftrl_sim import TrainConfig, make_population
 from corrnoise.participation import ParticipationSchema
-from corrnoise.tree_baseline import build_tree_matrix
+from corrnoise.tree_baseline import build_tree_matrix, tree_loss_fn
 
 # reference four-buffer parameter sets (production-grade optima)
 THETA_B400 = np.array(
@@ -798,3 +800,55 @@ class TestRealEntries:
     )
     def test_bounds_and_numpy_reals_accepted(self, entry, kwargs, name, value):
         entry(**{**kwargs, name: value})
+
+
+def _interlaced_params(d):
+    """A valid d-buffer BLT from the fit's own start point; d = 0 is the identity."""
+    if d == 0:
+        return IDENTITY_MECHANISM
+    theta, theta_hat = _chain(_init_point(np.random.default_rng(d), d))
+    return BltParams(theta, calc_output_scale(theta, theta_hat))
+
+
+def _noise_job(d, size):
+    state = make_noise_generator(_interlaced_params(d), size, 1.0)
+    stream_mult_inverse(state)
+
+
+def _fit_job(d, size):
+    optimize_blt(OptimizerConfig(ParticipationSchema(size, size // 2, 2), d, restarts=1))
+
+
+def _tree_job(d, size):
+    tree_loss_fn(size)(ParticipationSchema(size, size // 6, 6))
+
+
+class TestMemoryRule:
+    # each job sizes its O(n) or O(m) arrays with _require_memory before it
+    # makes them; its traced peak must stay within the rule's float64s, so
+    # the rule never under-counts what it lets through
+    @pytest.mark.parametrize("size", [1 << 16, (1 << 17) + 3, 1 << 18])
+    @pytest.mark.parametrize(
+        "job, ds",
+        [(_noise_job, range(5)), (_fit_job, range(1, 5)), (_tree_job, [0])],
+        ids=["noise-round", "fit-check", "tree-errors"],
+    )
+    def test_peak_within_the_rule(self, job, ds, size, monkeypatch):
+        sized = []
+
+        def record(values, what):
+            sized.append(values)
+
+        for module in (blt_core, blt_optimizer, tree_baseline):
+            monkeypatch.setattr(module, "_require_memory", record)
+        for d in ds:
+            job(d, 1 << 12)  # a first call's imports and caches stay out of the peak
+            sized.clear()
+            tracemalloc.start()
+            try:
+                job(d, size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            [values] = sized
+            assert peak <= 8 * values, (d, peak / 8 / size)

@@ -7,6 +7,7 @@ the baselines it exists to beat.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +418,18 @@ class TestLockstep:
             solo = _loss_batch(theta[r], theta_hat[r], SCHEMA, "max", BARRIER_LAMBDA)
             assert np.all(np.isfinite(solo))
             np.testing.assert_array_equal(stacked[r], solo)
+        # a batch of infeasible groups alone: the kernels run on every one of
+        # them, and no warning of theirs escapes. One has a decay above 1, one
+        # the degenerate pair, one a hat-decay above its decay (so omega_1 < 0)
+        bad, bad_hat = theta[[0, 2, 3]], theta_hat[[0, 2, 3]]
+        bad[0, :, 0] += 1.0
+        bad_hat[2, :, 0] = 0.5 * (1.0 + bad[2, :, 0])
+        for rows in ((bad, bad_hat), (np.real(bad), np.real(bad_hat))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = _loss_batch(*rows, SCHEMA, "max", BARRIER_LAMBDA)
+            assert values.shape == (3, 6) and values.dtype == rows[0].dtype
+            assert np.all(values == np.inf)
 
     def test_each_restart_matches_its_generator_alone(self, monkeypatch):
         # at this schema one d=3 restart probes the degeneracy wall (+inf

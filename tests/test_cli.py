@@ -22,6 +22,7 @@ import pytest
 import scipy.linalg
 from oracles import log_entries, lt_toeplitz, toeplitz_mechanism_loss
 
+import corrnoise.blt_optimizer
 import corrnoise.cli
 import corrnoise.ftrl_sim
 import corrnoise.loss_metrics
@@ -1012,6 +1013,41 @@ class TestSimulate:
             main(["simulate", "--config", str(cfg_path), "--outdir", str(tmp_path / "out")])
         assert_usage_names_file(exc, capsys, str(cfg_path), reason)
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["noisegen", "--params", "{params}", "--rounds", "1", "--dim", "10000000000000"],
+         "m 10000000000000 need"),
+        (["optimize", "--n", "1000000000000", "--min-sep", "400", "--max-part", "2",
+          "--buffers", "1", "--restarts", "1"], "n 1000000000000 need"),
+        (["eval", "--tree", "--n", "1000000000000", "--min-sep", "400", "--max-part", "2"],
+         "n 1000000000000 need"),
+    ],
+    ids=["noisegen", "optimize", "eval-tree"],
+)
+def test_command_larger_than_memory_names_its_field(argv, reason, params_file, monkeypatch,
+                                                    capsys):
+    # the noise buffers would be 146 TiB, the fit's end check 7.28 TiB and the
+    # tree's errors 4 TiB; each used to end in a MemoryError traceback, the fit
+    # only after all its restarts. Any exception but the usage exit would
+    # escape pytest.raises, and the check allocates nothing
+    def no_loss(*args):
+        raise AssertionError("a loss call ran")
+
+    monkeypatch.setattr(corrnoise.blt_optimizer, "_loss_batch", no_loss)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(params=params_file) for arg in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{argv[0]}: error: {reason} " in captured.err and captured.out == ""
+    assert peak < 1e6
 
 
 def test_console_script_installed():

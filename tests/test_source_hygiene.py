@@ -7,8 +7,9 @@ that no call in the package overrides, a public namespace whose every
 name resolves, the test-only oracles kept out of the package, and no
 scipy module on import: the package needs numpy alone. Rules that
 several modules apply are written once: the integer test (the one
-``numbers.Integral``), the real-number test (the one ``numbers.Real``)
-and the objective list (the one ``"max", "rms"``). The noise recurrence
+``numbers.Integral``), the real-number test (the one ``numbers.Real``),
+the memory test (the one ``"SC_PHYS_PAGES"``) and the objective list
+(the one ``"max", "rms"``). The noise recurrence
 has one owner: only ``blt_core`` touches a noise state's ``buffers``,
 and so has the cohort rule: only ``ftrl_sim`` reads ``clients_per_round``.
 Every mechanism evaluator is built by ``loss_metrics.loss_fn``, the one
@@ -285,6 +286,13 @@ def test_real_rule_written_once():
         return isinstance(node, ast.alias) and node.name == "Real"
 
     assert _modules_where(real) == ["blt_core.py"]
+
+
+def test_memory_rule_written_once():
+    def physical_pages(node):
+        return isinstance(node, ast.Constant) and node.value == "SC_PHYS_PAGES"
+
+    assert _defs_where(physical_pages) == [("blt_core.py", "_require_memory")]
 
 
 def test_usage_errors_exit_only_in_main():
