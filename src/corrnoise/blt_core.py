@@ -50,17 +50,27 @@ def _require_int(low, **values):
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _real(value):
+    """``value`` as a float; None for a bool, a non-number or a number too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # JSON allows the integer 10**400
+        return None
+
+
 def _require_real(low=-math.inf, high=math.inf, **values):
     """Raise ValueError unless every value (a rate or a scale) is finite in [low, high).
 
-    A bool is refused, as by ``_require_int``, and so is NaN.
+    A bool is refused, as by ``_require_int``, and so are NaN and a number
+    that no float holds.
     """
     rule = "finite" + (f" and >= {low}" if low > -math.inf else "")
     rule += f" and < {high}" if high < math.inf else ""
     for name, value in values.items():
-        if isinstance(value, bool) or not (
-            isinstance(value, numbers.Real) and math.isfinite(value) and low <= value < high
-        ):
+        real = _real(value)
+        if real is None or not (math.isfinite(real) and low <= value < high):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
@@ -296,12 +306,12 @@ def blt_inverse_coefs(params: BltParams, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# columns per fused pass of ``stream_mult_inverse``: a d x _CHUNK slice of
-# the buffers (512 KB at d = 4) stays in L2 through the update
-_CHUNK = 1 << 14
-# chunks per block of input that one call fills: the caller fills the first
-# block of a round, one worker the later ones ahead of the recurrence
-_BLOCK_CHUNKS = 4
+# columns per ``_recur`` pass of ``stream_mult_inverse``: the d x _CHUNK buffers
+# and the (d + 1) x _CHUNK scratch (320 KB at d = 4) stay in L2 through it
+_CHUNK = 1 << 13
+# chunks per block of drawn input that one call fills: the caller fills the
+# first block of a round, one worker the later ones ahead of the recurrence
+_BLOCK_CHUNKS = 8
 
 
 @dataclass
@@ -315,11 +325,9 @@ class NoiseGeneratorState:
     that ``make_noise_generator`` seeds. Every round is elementwise ufunc
     arithmetic in a fixed order, with no BLAS call, so identical seeds
     give bitwise-identical streams on every numpy build. A round
-    allocates the row it returns and one scratch row of at most
-    ``_CHUNK`` columns. A round wider than one block fills its later
-    blocks on one worker, shut down before the round returns or raises
-    (a failed round is not counted); during a round nothing else may use
-    ``rng``. ``stream_mult_inverse_block``
+    allocates its row and a (d + 1) x min(m, ``_CHUNK``) scratch; a drawn
+    round wider than one block draws its later blocks on one worker, and
+    nothing else may use ``rng`` while it runs. ``stream_mult_inverse_block``
     emits many narrow rounds at once, with the same bits.
     ``buffers``, ``round`` and ``rng.bit_generator.state`` form a checkpoint:
     copied into a fresh ``make_noise_generator`` state for the same params
@@ -367,15 +375,27 @@ def make_noise_generator(
     )
 
 
-def _fill(zhat, lo, hi, state, z):
-    """Columns lo..hi of a round's input into ``zhat``: drawn in place, or copied from z."""
-    out = zhat[lo:hi]
-    if z is None:
-        state.rng.standard_normal(out=out)
-        out *= state.noise_std
-        out += 0.0  # normal(0, s) is 0 + s*z: a zero-noise row is +0.0, not -0.0
-    else:
-        out[...] = z[lo:hi]
+def _fill(out, state):
+    """Gaussians of std ``noise_std`` drawn into ``out`` in place."""
+    state.rng.standard_normal(out=out)
+    out *= state.noise_std
+    out += 0.0  # normal(0, s) is 0 + s*z: a zero-noise row is +0.0, not -0.0
+
+
+def _recur(rows, out, S, theta, omega, work):
+    """C^-1's recurrence on each of ``rows`` in turn, into the same row of ``out``.
+
+    Per row: the d products omega_j S_j below the row in ``work``, a
+    (d + 1, width) scratch, one ``subtract.reduce`` of them in the order
+    j = 0..d-1, then S = theta S + out: five array calls, whatever d.
+    """
+    head, products = work[0], work[1:]
+    for row, zhat in zip(rows, out):
+        head[...] = row
+        np.multiply(S, omega, out=products)
+        np.subtract.reduce(work, axis=0, out=zhat)
+        S *= theta
+        S += zhat
 
 
 def _check_horizon(state, rounds):
@@ -398,62 +418,54 @@ def stream_mult_inverse(state: NoiseGeneratorState, input_row=None):
         Zhat_t = Z_t - omega_0 S_{t-1,0} - ... - omega_{d-1} S_{t-1,d-1}
         S_t    = diag(theta) S_{t-1} + outer(1_d, Zhat_t)
 
-    Zhat_t is row t of C^-1 Z. The input is filled into the output row in
-    blocks of ``_BLOCK_CHUNKS`` chunks (Gaussians drawn in place, or a copy
-    of the supplied row), in column order. The caller fills the first
-    block; if there are more, one worker fills them while the
-    caller runs the recurrence chunk by chunk behind it, waiting only when
-    it catches up. Both stages release the GIL, so on two cores the round
-    costs about the draw alone. Per chunk of ``_CHUNK`` columns the buffer
-    rows are subtracted in the order above, and the chunk's buffers are
-    updated while they are still in cache. Elementwise arithmetic in that
-    fixed order makes the bits independent of the chunk and block widths
-    and of the BLAS build, and draws made in order equal one
-    ``normal(0, noise_std, size=m)`` draw, so the Philox state after the
-    round is the same too. The worker is shut down before the round
-    returns or raises. If a fill fails, the first failed block's error is
-    raised here, the blocks not yet started are cancelled, the round is
-    not counted and ``state.rng`` stands where the last fill stopped; the
-    caller must not use ``state.rng`` while a round runs. O(d*m) per
-    round; besides the returned row it allocates one scratch row of
-    min(m, ``_CHUNK``) columns. The state is mutated in place and returned
-    for convenience. A supplied row with the wrong shape, NaN or Inf is
-    rejected before the state changes.
+    Zhat_t is row t of C^-1 Z. ``_recur`` runs it on chunks of ``_CHUNK``
+    columns, so each chunk's buffers are updated while still in cache; a
+    supplied row is read in place. A drawn row is drawn into the output row
+    in blocks of ``_BLOCK_CHUNKS`` chunks, in column order: the caller
+    draws the first, and if there are more, one worker draws them while the
+    caller runs the recurrence behind it, waiting only when it catches up.
+    Both stages release the GIL, so on two cores the round costs about the
+    draw alone. Elementwise arithmetic in a fixed order makes the bits
+    independent of the chunk and block widths and of the BLAS build, and
+    draws made in order equal one ``normal(0, noise_std, size=m)`` draw,
+    so the Philox state after the round is the same too. The worker is
+    shut down before the round returns or raises. If a draw fails, the
+    first failed block's error is raised here, the blocks not yet started
+    are cancelled, the round is not counted and ``state.rng`` stands where
+    the last draw stopped. O(d*m) per round; besides the returned row it
+    allocates a (d + 1) x min(m, ``_CHUNK``) scratch. The state is mutated
+    in place and returned for convenience. A supplied row with the wrong
+    shape, NaN or Inf is rejected before the state changes.
     """
     _check_horizon(state, 1)
     S = state.buffers
-    m = S.shape[1]
-    z = None
-    if input_row is not None:
+    d, m = S.shape
+    zhat = np.empty(m)
+    pool, filled = None, {}
+    if input_row is None:
+        z = zhat
+        block = _BLOCK_CHUNKS * _CHUNK
+        _fill(zhat[:block], state)
+        if m > block:
+            from concurrent.futures import ThreadPoolExecutor  # 7 ms that narrow rounds skip
+
+            pool = ThreadPoolExecutor(1, thread_name_prefix="corrnoise-noise-fill")
+            for lo in range(block, m, block):  # in column order, so the draws are too
+                filled[lo] = pool.submit(_fill, zhat[lo : lo + block], state)
+    else:
         z = np.asarray(input_row, dtype=float)
         if z.shape != (m,):
             raise ValueError(f"input row has shape {z.shape}, state expects ({m},)")
         if not np.all(np.isfinite(z)):
             raise ValueError("input row contains NaN or Inf")
-    theta = state.params.theta[:, None]
-    omega = state.params.omega.tolist()
-    zhat = np.empty(m)
-    block = _BLOCK_CHUNKS * _CHUNK
-    _fill(zhat, 0, block, state, z)
-    pool, filled = None, {}
-    if m > block:
-        from concurrent.futures import ThreadPoolExecutor  # 7 ms that narrow rounds skip
-
-        pool = ThreadPoolExecutor(1, thread_name_prefix="corrnoise-noise-fill")
-        for lo in range(block, m, block):  # in column order, so the draws are too
-            filled[lo] = pool.submit(_fill, zhat, lo, lo + block, state, z)
+    theta, omega = state.params.theta[:, None], state.params.omega[:, None]
+    work = np.empty((d + 1, min(m, _CHUNK)))
     try:
-        prod = np.empty(min(m, _CHUNK))
         for lo in range(0, m, _CHUNK):
             if lo in filled:
                 filled[lo].result()
-            out, S_c = zhat[lo : lo + _CHUNK], S[:, lo : lo + _CHUNK]
-            tmp = prod[: out.shape[0]]
-            for w, S_j in zip(omega, S_c):
-                np.multiply(S_j, w, out=tmp)
-                out -= tmp
-            S_c *= theta
-            S_c += out
+            c = slice(lo, lo + _CHUNK)  # the last chunk, and its scratch, may be narrower
+            _recur(z[None, c], zhat[None, c], S[:, c], theta, omega, work[:, : m - lo])
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -466,36 +478,25 @@ def stream_mult_inverse_block(state: NoiseGeneratorState, rounds: int) -> np.nda
 
     Bit for bit the rows that ``rounds`` calls of ``stream_mult_inverse``
     without a supplied row would return, and the state is left where
-    they leave it (``buffers``, ``round`` and the Philox state): the
-    whole block is drawn in one ``standard_normal`` call, which consumes
-    the Philox stream as the row-by-row draws do, and each row runs the
-    recurrence in the same fixed order. Per row, the d products
-    omega_j S_j are written in one call below the input row of a
-    (d + 1, m) scratch array and subtracted from it in row order by one
-    ``subtract.reduce``: five array calls per row, whatever d, which is
-    what makes narrow rows (a simulator's model) cheap; rows far wider
-    than the cache run faster through ``stream_mult_inverse``'s chunks.
-    Besides the block it allocates 3d + 1 scratch rows of m. A block
-    that would pass ``max_rounds`` raises the ``stream_mult_inverse``
-    error before the state changes.
+    they leave it (``buffers``, ``round`` and the Philox state): one
+    ``standard_normal`` call draws the block as the row-by-row draws do,
+    and ``_recur`` runs on whole rows, not chunks. Its five calls a row
+    make narrow rows (a simulator's model) cheap; rows far wider than the
+    cache run faster through ``stream_mult_inverse``'s chunks. Besides the
+    block it allocates 3d + 1 scratch rows of m. A block that would pass
+    ``max_rounds`` raises the ``stream_mult_inverse`` error before the
+    state changes.
     """
     _require_int(1, rounds=rounds)
     _check_horizon(state, rounds)
     S = state.buffers
     d, m = S.shape
     rows = np.empty((rounds, m))
-    _fill(rows.reshape(-1), 0, rows.size, state, None)
+    _fill(rows, state)
     # full (d, m) copies: on narrow rows a broadcast costs more than the arithmetic
     theta = np.repeat(state.params.theta[:, None], m, axis=1)
     omega = np.repeat(state.params.omega[:, None], m, axis=1)
-    work = np.empty((d + 1, m))
-    head, products = work[0], work[1:]
-    for zhat in rows:
-        head[...] = zhat
-        np.multiply(S, omega, out=products)
-        np.subtract.reduce(work, axis=0, out=zhat)
-        S *= theta
-        S += zhat
+    _recur(rows, rows, S, theta, omega, np.empty((d + 1, m)))
     state.round += rounds
     return rows
 
@@ -554,9 +555,7 @@ def load_params(path):
         objective = doc["objective"]
         for name, entries in vectors.items():
             # np.array would keep "0.5" as a string and true as a bool
-            if not isinstance(entries, list) or not all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries
-            ):
+            if not isinstance(entries, list) or any(_real(v) is None for v in entries):
                 raise ValueError(f"{name} must be a list of numbers, got {entries!r}")
         _require_int(0, d=d)
         _require_int(1, **meta)  # int() would truncate 2052.5 to 2052

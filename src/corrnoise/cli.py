@@ -141,7 +141,7 @@ def cmd_optimize(args) -> int:
     doc["converged"] = result.converged
     doc["iterations"] = result.iterations
     # written before the report, so an --out that cannot be written prints nothing
-    if args.out:
+    if args.out is not None:
         save_params(
             args.out,
             result.params,
@@ -159,9 +159,9 @@ def cmd_optimize(args) -> int:
 
 def cmd_eval(args) -> int:
     schema = _make_schema(args)
-    if args.params:
+    if args.params is not None:
         bundle = blt_mechanism_loss(_load_mechanism(args.params), schema)
-    elif args.matrix:
+    elif args.matrix is not None:
         C = load_strategy_matrix(args.matrix)
         try:
             bundle = mechanism_loss(C, schema)
@@ -179,7 +179,7 @@ def _write_csv(path, header, rows):
     csv writes a float as its repr and quotes a field with a comma, such
     as an error message.
     """
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
         fh.write(header + "\n")
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
@@ -247,7 +247,9 @@ def cmd_noisegen(args) -> int:
     )
     # each row is written as it is made, in column chunks, so memory stays
     # constant in --rounds and near the noise state plus one row in --dim
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    with (
+        contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
+    ) as fh:
         _write_csv_line(fh, "round", args.dim, lambda lo, hi: map("z{}".format, range(lo, hi)))
         for t in range(args.rounds):
             row, state = stream_mult_inverse(state)
@@ -338,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="loss report for a mechanism")
     _schema_args(p)
-    src = p.add_mutually_exclusive_group()
+    src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--params", type=str, help="params JSON file")
     src.add_argument("--matrix", type=str, help="strategy matrix, .npy or CSV")
     src.add_argument("--tree", action="store_true", help="binary-tree baseline")

@@ -279,9 +279,10 @@ class TestStreaming:
 
     @pytest.mark.parametrize("supplied", [False, True], ids=["philox", "supplied"])
     def test_resume_from_checkpoint_is_bit_identical(self, monkeypatch, supplied, rng):
-        monkeypatch.setattr(blt_core, "_CHUNK", 16)  # blocks of 64 columns
+        monkeypatch.setattr(blt_core, "_CHUNK", 16)
+        block = blt_core._BLOCK_CHUNKS * 16  # 128 columns
         p = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
-        for m in (3, 229):  # one block, and several with the worker thread
+        for m in (3, 2 * block + 37):  # one block, and three with the worker thread
             rows = list(rng.normal(size=(10, m))) if supplied else [None] * 10
 
             def fresh(seed):
@@ -429,7 +430,7 @@ class TestFusedRound:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(5):  # blocks of 4 columns: 58 per round
+            for _ in range(5):  # blocks of 8 columns: 53 per round
                 got = self._stream(monkeypatch, 1, 4, self.MULTI_BLOCK, supplied)
                 assert got[0].tobytes() == ref[0].tobytes()
                 assert got[1].tobytes() == ref[1].tobytes()
@@ -489,16 +490,17 @@ class TestFusedRound:
         assert state.round == 0
 
     def test_only_rounds_past_one_block_start_a_thread(self, threads):
+        # a supplied row is read in place at any width; only draws need the worker
         before = threading.active_count()
-        for m in (1, 20, self.BLOCK):
+        for m in (1, 20, self.BLOCK, self.BLOCK + 1, self.MULTI_BLOCK):
             state = make_noise_generator(STREAM_PARAMS[4], m=m, noise_std=1.0, seed=2)
-            stream_mult_inverse(state)
             stream_mult_inverse(state, np.ones(m))
+            if m <= self.BLOCK:
+                stream_mult_inverse(state)
         assert threads.starts == 0
         state = make_noise_generator(STREAM_PARAMS[4], m=self.BLOCK + 1, noise_std=1.0)
         stream_mult_inverse(state)
-        stream_mult_inverse(state, np.ones(self.BLOCK + 1))
-        assert (threads.starts, threads.joins) == (2, 2)  # one worker per round
+        assert (threads.starts, threads.joins) == (1, 1)  # one worker per drawn round
         assert threading.active_count() == before
 
     def test_import_starts_no_thread(self):

@@ -22,6 +22,7 @@ import pytest
 import scipy.linalg
 from oracles import log_entries, lt_toeplitz, toeplitz_mechanism_loss
 
+import corrnoise.blt_core
 import corrnoise.blt_optimizer
 import corrnoise.cli
 import corrnoise.ftrl_sim
@@ -48,6 +49,7 @@ from corrnoise.participation import (
 from corrnoise.tree_baseline import eval_tree
 
 MECH = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
+CHUNK = corrnoise.blt_core._CHUNK
 # a module-private name such as _positive_int, which no usage error may print
 PRIVATE_NAME = r"\b_[a-z]"
 
@@ -603,6 +605,34 @@ def test_max_part_that_does_not_fit_exits_with_usage(command, capsys):
     assert captured.out == ""
 
 
+NO_FILE = "[Errno 2] No such file or directory: ''"
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["eval", "--n", "64"], "one of the arguments --params --matrix --tree is required"),
+        (["eval", "--n", "64", "--params", ""], NO_FILE),
+        (["eval", "--n", "64", "--matrix", ""], ""),
+        (["optimize", "--n", "64", "--buffers", "1", "--restarts", "1", "--out", ""],
+         NO_FILE),
+        (["noisegen", "--params", "PATH", "--rounds", "1", "--out", ""], NO_FILE),
+        (["sweep", "--n", "64", "--b-start", "16", "--b-stop", "16", "--tree", "--out", ""],
+         NO_FILE),
+    ],
+    ids=["eval-no-mechanism", "eval-params", "eval-matrix", "optimize-out", "noisegen-out",
+         "sweep-out"],
+)
+def test_no_mechanism_or_empty_path_exits_with_usage(argv, reason, params_file, capsys):
+    # an empty path names no file: it is neither the tree nor stdout
+    with pytest.raises(SystemExit) as exc:
+        main([params_file if arg == "PATH" else arg for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage" in captured.err and f"corrnoise {argv[0]}: error: {reason}" in captured.err
+    assert captured.out == ""
+
+
 class TestAccountCmd:
     def test_json_matches_library(self, capsys):
         code, out = run_cli(
@@ -725,9 +755,13 @@ class TestNoisegen:
         assert len(written) == 5
         assert "".join(written) == expect
 
-    # column chunks are _CHUNK = 2^14 wide: one column, one short of a
-    # chunk, one chunk, one past it, and two chunks and a part
-    @pytest.mark.parametrize("dim", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, (2 << 14) + 3])
+    # column chunks are _CHUNK wide: one column, one short of a chunk, one
+    # chunk, one past it, and two chunks and a part
+    @pytest.mark.parametrize(
+        "dim",
+        [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3],
+        ids=["one", "chunk-minus-1", "chunk", "chunk-plus-1", "two-chunks-and-3"],
+    )
     @pytest.mark.parametrize("mechanism", ["identity", "b400"])
     def test_chunked_rows_equal_one_string_rows(self, dim, mechanism, tmp_path):
         if mechanism == "b400":
@@ -1298,3 +1332,56 @@ class TestInputFuzz:
         doc = json.loads(Path(params_file).read_text())
         argv = [params_file if arg == "PATH" else arg for arg in PARAMS_COMMANDS[command]]
         assert fuzz_failures(argv, params_file, doc, field, capfd) == []
+
+
+# JSON's integer 10^400, which no float holds. It stays out of FUZZ_VALUES:
+# as a count it passes the integer rule, and local_epochs = 10^400 would
+# run for ever
+PAST_FLOAT = 10**400
+SIM_REALS = [
+    ("training", "client_lr"),
+    ("training", "server_lr"),
+    ("training", "momentum"),
+    ("training", "clip_norm"),
+    ("training", "noise_multiplier"),
+    ("population", "heterogeneity"),
+]
+
+
+def assert_usage_names_field(argv, path, field, capfd):
+    """main(argv) exits 2 with usage naming ``path`` and ``field``, and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capfd.readouterr()
+    assert exc.value.code == 2
+    assert "usage" in captured.err and path in captured.err and field in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+class TestNumberPastFloat:
+    @pytest.mark.parametrize("field", SIM_REALS, ids=lambda field: ".".join(field))
+    def test_simulate_real_field(self, field, tmp_path, monkeypatch, capfd):
+        monkeypatch.chdir(tmp_path)
+        save_params("sim_mech.json", MECH, opt_n=64, opt_min_sep=8, opt_max_part=8,
+                    objective="max")
+        doc = copy.deepcopy(FUZZ_SIM)
+        doc[field[0]][field[1]] = PAST_FLOAT
+        Path("sim.json").write_text(json.dumps(doc))
+        argv = ["simulate", "--config", "sim.json", "--outdir", "out"]
+        assert_usage_names_field(argv, "sim.json", field[1], capfd)
+
+    @pytest.mark.parametrize("command", sorted(PARAMS_COMMANDS) + ["simulate"])
+    @pytest.mark.parametrize("field", ["theta", "omega"])
+    def test_params_file_entry(self, command, field, params_file, tmp_path, capfd):
+        doc = json.loads(Path(params_file).read_text())
+        doc[field][0] = PAST_FLOAT
+        Path(params_file).write_text(json.dumps(doc))
+        if command == "simulate":
+            config = copy.deepcopy(FUZZ_SIM)
+            config["training"]["params_file"] = params_file
+            (tmp_path / "sim.json").write_text(json.dumps(config))
+            argv = ["simulate", "--config", str(tmp_path / "sim.json"),
+                    "--outdir", str(tmp_path / "out")]
+        else:
+            argv = [params_file if arg == "PATH" else arg for arg in PARAMS_COMMANDS[command]]
+        assert_usage_names_field(argv, params_file, field, capfd)

@@ -10,8 +10,9 @@ several modules apply are written once: the integer test (the one
 ``numbers.Integral``), the real-number test (the one ``numbers.Real``),
 the memory test (the one ``"SC_PHYS_PAGES"``) and the objective list
 (the one ``"max", "rms"``). The noise recurrence
-has one owner: only ``blt_core`` touches a noise state's ``buffers``,
-and so has the cohort rule: only ``ftrl_sim`` reads ``clients_per_round``.
+has one owner: only ``blt_core`` touches a noise state's ``buffers``, and
+one def there, ``_recur``, runs it for every row; so has the cohort rule:
+only ``ftrl_sim`` reads ``clients_per_round``.
 Every mechanism evaluator is built by ``loss_metrics.loss_fn``, the one
 def that refuses a schema of another n, and no function keeps its state
 in a ``nonlocal``.
@@ -293,6 +294,32 @@ def test_memory_rule_written_once():
         return isinstance(node, ast.Constant) and node.value == "SC_PHYS_PAGES"
 
     assert _defs_where(physical_pages) == [("blt_core.py", "_require_memory")]
+
+
+def test_noise_recurrence_written_once():
+    # one kernel runs every noise row: the round's chunks and the block's rows
+    def reduce_or_decay(node):
+        if isinstance(node, ast.AugAssign):
+            return isinstance(node.op, ast.Mult) and getattr(node.value, "id", None) == "theta"
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "reduce"
+            and getattr(node.value, "attr", None) == "subtract"
+        )
+
+    assert _defs_where(reduce_or_decay) == [("blt_core.py", "_recur")] * 2
+
+    def calls_recur(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_recur"
+
+    assert sorted(_defs_where(calls_recur)) == [
+        ("blt_core.py", "stream_mult_inverse"),
+        ("blt_core.py", "stream_mult_inverse_block"),
+    ]
+    # _fill only draws: a supplied row goes to the kernel as it is
+    blt_core = _parse(SRC / "blt_core.py")
+    fill = next(f for f in blt_core.body if getattr(f, "name", None) == "_fill")
+    assert [arg.arg for arg in fill.args.args] == ["out", "state"]
 
 
 def test_usage_errors_exit_only_in_main():
