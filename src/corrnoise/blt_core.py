@@ -358,8 +358,9 @@ def make_noise_generator(
     """
     params.validate()
     _require_int(1, m=m)
-    # the d x m buffers, a round's row and its scratch
-    _require_memory((params.d + 2) * m, f"m {m}")
+    # the d x m buffers and a round's row, its (d + 1)-row scratch and as much
+    # for numpy's reduction buffer, and 8 KiB of objects: a traced peak bound
+    _require_memory((params.d + 1) * (m + 2 * min(m, _CHUNK)) + 1024, f"m {m}")
     _require_real(0, noise_std=noise_std)
     # Philox takes any non-negative integer; 1.5 would silently become 1
     _require_int(0, seed=seed)

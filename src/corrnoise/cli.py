@@ -127,6 +127,8 @@ def _print_json(doc):
 
 def cmd_optimize(args) -> int:
     schema = _make_schema(args)
+    if args.out is not None:  # checked before the fit; appending truncates nothing
+        open(args.out, "a").close()
     config = OptimizerConfig(
         schema=schema,
         d=args.buffers,

@@ -5,7 +5,8 @@ run local SGD on each, clip the deltas, sum them, privatize the sum with
 one row of correlated noise, and apply a momentum server step to the
 privatized average. The server optimizer sees only the privatized delta
 (post-processing), so the privacy guarantee follows entirely from the
-noise calibration sigma * zeta = alpha * sens * zeta. No noise row reads
+noise calibration sigma * zeta = alpha * sens * zeta, with the sens
+that ``eval`` prints for the configured schema. No noise row reads
 the model, so the run's rows are drawn before the loop as one
 (rounds, dim) block, the size of the model log the run keeps anyway.
 
@@ -42,16 +43,15 @@ from corrnoise.blt_core import (
     _require_int,
     _require_memory,
     _require_real,
-    blt_coefs,
     make_noise_generator,
     stream_mult_inverse_block,
 )
 from corrnoise.blt_optimizer import _sigmoid
 from corrnoise.participation import (
     ParticipationSchema,
-    _shifted_sum,
+    _blt_prefix_sensitivities,
+    _blt_sensitivity,
     max_participations,
-    toeplitz_sensitivity,
 )
 
 
@@ -173,29 +173,34 @@ def make_population(
     )
     _require_int(0, seed=seed)  # in place of numpy's SeedSequence errors
     _require_real(0, heterogeneity=heterogeneity)
+    # the samples, labels and eval set, four labels' worth of labelling scratch, the offsets
     _require_memory(
-        (n_clients * samples_per_client + eval_samples) * (dim + 1),
+        (n_clients * samples_per_client + eval_samples) * (dim + 5) + n_clients * dim,
         f"n_clients {n_clients}, samples_per_client {samples_per_client} and dim {dim}",
     )
     rng = np.random.default_rng(seed)
     w_star = rng.normal(0.0, 1.0, dim) / math.sqrt(dim)
-
-    def draw(w, m):
-        X = rng.normal(0.0, 1.0, (m, dim))
-        if task == "linear":
-            y = X @ w + 0.05 * rng.normal(0.0, 1.0, m)
-        else:
-            y = (rng.uniform(size=m) < _sigmoid(X @ w)).astype(float)
-        return X, y
-
-    # filled in place, client by client in the draw order, so the
-    # population is never held twice
+    draw_noise = rng.standard_normal if task == "linear" else rng.random
+    # each client's draws in stream order, straight into stacked arrays that
+    # stay C-contiguous (a cohort's ``take`` copies only its rows); every
+    # client is labelled after the draws, in one stacked product
+    w = np.empty((n_clients, dim))
     features = np.empty((n_clients, samples_per_client, dim))
     labels = np.empty((n_clients, samples_per_client))
     for cid in range(n_clients):
-        w_c = w_star + heterogeneity * rng.normal(0.0, 1.0, dim) / math.sqrt(dim)
-        features[cid], labels[cid] = draw(w_c, samples_per_client)
-    eval_X, eval_y = draw(w_star, eval_samples)
+        rng.standard_normal(out=w[cid])
+        rng.standard_normal(out=features[cid])
+        draw_noise(out=labels[cid])
+    w = w_star + heterogeneity * w / math.sqrt(dim)
+    eval_X = rng.standard_normal((eval_samples, dim))
+    eval_y = draw_noise(eval_samples)
+    for X, optima, y in ((features, w, labels), (eval_X, w_star, eval_y)):
+        s = (X @ optima[..., None])[..., 0]
+        if task == "linear":
+            y *= 0.05
+            y += s
+        else:
+            y[...] = y < _sigmoid(s)
     return ClientPopulation(
         features=features,
         labels=labels,
@@ -306,24 +311,6 @@ def eval_model(model, X, y, task):
     return loss, acc
 
 
-def _realized_sensitivities(c, b_log, k_log):
-    """Per round t, ||cbar[:t+1]|| for cbar = sum_{i<k_t} shift(c, i*b_t).
-
-    That is the sensitivity of the rounds released by t under the
-    participation realized by t. cbar[:t+1] reads only c[:t+1], so one
-    cumulative pass over the whole run serves every round that realized
-    the same (b, k). A realized pattern fits its rounds,
-    (k_t - 1) * b_t <= t, so every shift lies inside the run.
-    """
-    n = c.shape[0]
-    sens = np.empty(n)
-    for b, k in set(zip(b_log.tolist(), k_log.tolist())):
-        cbar = _shifted_sum(c, b, k)
-        rows = (b_log == b) & (k_log == k)
-        sens[rows] = np.sqrt(np.cumsum(cbar * cbar)[rows])
-    return sens
-
-
 def _realized_schema(cohorts, min_sep):
     """Per round t, the realized (b_t, k_t) of the cohort log up to t.
 
@@ -387,7 +374,8 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     cohort and model. After the loop, the realized (b, k) of every round
     comes from the cohort log (``_realized_schema``, which also audits
     the min separation), every round is evaluated in stacked blocks and
-    accounted in one pass. The log itself is returned as it was kept,
+    accounted in one pass of the pulse kernel that gave sigma, once per
+    realized (b, k). The log itself is returned as it was kept,
     one (rounds, clients_per_round) int64 array of sorted cohorts.
     rho_so_far re-accounts the rounds released up to that round against
     the participation actually observed by then (min gap and max count),
@@ -399,8 +387,10 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     clients; fewer raise ValueError before any work, and so does a run
     whose noise block and logs would not fit in physical memory.
     """
-    # the noise block, the model and cohort logs and the coefficient column
-    values = config.rounds * (2 * population.dim + config.clients_per_round + 1)
+    # the noise block, the model and cohort logs, and the Gram stack of the
+    # realized sensitivities (2 d^2 + 3 a round, traced)
+    grams = 2 * config.mechanism.d**2 + 3
+    values = config.rounds * (2 * population.dim + config.clients_per_round + grams)
     _require_memory(values, f"rounds {config.rounds}")
     needed = config.clients_per_round * min(config.rounds, config.min_sep)
     if population.n_clients < needed:
@@ -410,11 +400,10 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     cohort_rng = np.random.default_rng(ss_cohort)
 
     dim = population.dim
-    # validated once by the configured sensitivity; the realized
-    # sensitivities below read prefixes of it, which stay valid
-    c_full = blt_coefs(config.mechanism, config.rounds)
+    theta, omega = config.mechanism.theta[None], config.mechanism.omega[None]
     k_conf = config.est_max_part or max_participations(config.rounds, config.min_sep)
-    sens = toeplitz_sensitivity(c_full, ParticipationSchema(config.rounds, config.min_sep, k_conf))
+    schema = ParticipationSchema(config.rounds, config.min_sep, k_conf)
+    sens = float(_blt_sensitivity(theta, omega, schema)[0])
     sigma_zeta = 0.0
     if config.noise_multiplier > 0:  # 0 * inf is NaN for an unclipped noiseless run
         sigma_zeta = config.noise_multiplier * sens * config.clip_norm
@@ -463,8 +452,13 @@ def run_training(config: TrainConfig, population: ClientPopulation) -> SimResult
     b_log, k_log = _realized_schema(cohorts, config.min_sep)
     rho = np.full(config.rounds, math.inf)
     if sigma_zeta > 0:
+        # round t releases t + 1 rounds: one prefix pass per realized (b, k)
+        s = np.empty(config.rounds)
+        for b, k in set(zip(b_log.tolist(), k_log.tolist())):
+            rows = ((b_log == b) & (k_log == k)).nonzero()[0]
+            s[rows] = _blt_prefix_sensitivities(theta, omega, b, k, rows + 1)[:, 0]
         # zcdp_of's rho = sens^2 / (2 sigma^2), for every round at once
-        s = _realized_sensitivities(c_full, b_log, k_log) * config.clip_norm
+        s *= config.clip_norm
         rho = s * s / (2.0 * sigma_zeta * sigma_zeta)
     loss = np.empty(config.rounds)
     acc = np.empty(config.rounds)

@@ -13,7 +13,9 @@ replaced,
 exhaustive participation-pattern
 enumeration with the sensitivity it implies, the one-client-at-a-time
 simulator steps that the stacked cohort batch replaces, the simulator's
-metrics recomputed one round at a time, the simulator run with its noise
+metrics recomputed one round at a time, its realized sensitivities by
+cumulative shifted sums of the coefficient column, which the pulse
+kernel's prefix form replaced, the simulator run with its noise
 streamed and its participation ledger kept round by round, which the
 noise block and the ledger after the loop replaced, and a numerical
 minimization of the refined epsilon bound.
@@ -28,7 +30,6 @@ from scipy.optimize import minimize_scalar
 from corrnoise import ftrl_sim
 from corrnoise.accountant import zcdp_of
 from corrnoise.blt_core import (
-    blt_coefs,
     make_noise_generator,
     stream_mult_inverse,
     toeplitz_inverse_coefs,
@@ -41,9 +42,10 @@ from corrnoise.blt_optimizer import (
     _sigmoid,
     _value_and_gradient,
 )
-from corrnoise.loss_metrics import MechanismLoss, toeplitz_error
+from corrnoise.loss_metrics import MechanismLoss, blt_mechanism_loss, toeplitz_error
 from corrnoise.participation import (
     ParticipationSchema,
+    _blt_prefix_sensitivities,
     max_participations,
     toeplitz_sensitivity,
 )
@@ -486,6 +488,27 @@ def metrics_per_round(models, participation, c, clip_norm, sigma_zeta, populatio
     return rows
 
 
+def realized_sensitivities_shifted_sum(c, b_log, k_log):
+    """Per round t, ||cbar[:t+1]|| for cbar = sum_{i<k_t} shift(c, i*b_t).
+
+    The realized-rho oracle: the sensitivity of the rounds released by t
+    under the participation realized by t, from the coefficient column.
+    cbar[:t+1] reads only c[:t+1], so one cumulative pass over the whole
+    run serves every round that realized the same (b, k). A realized
+    pattern fits its rounds, (k_t - 1) * b_t <= t, so every shift lies
+    inside the run.
+    """
+    n = c.shape[0]
+    sens = np.empty(n)
+    for b, k in set(zip(b_log.tolist(), k_log.tolist())):
+        cbar = np.zeros(n)
+        for i in range(k):
+            cbar[i * b :] += c[: n - i * b]
+        rows = (b_log == b) & (k_log == k)
+        sens[rows] = np.sqrt(np.cumsum(cbar * cbar)[rows])
+    return sens
+
+
 def log_entries(cohorts):
     """The (round, client id) entries of a cohort log, round by round, as ints."""
     return [(t, cid) for t, cohort in enumerate(np.asarray(cohorts).tolist()) for cid in cohort]
@@ -533,7 +556,9 @@ def run_training_per_round(config, population):
     loop replaced: per round the cohort, the stacked client updates and
     their sum, one ``stream_mult_inverse`` row, the momentum step and the
     realized (b, k) so far; then the tuple-by-tuple min-separation audit
-    and the package's evaluation and accounting after the loop. Returns
+    and the package's evaluation and accounting after the loop: the
+    noise calibrated with the ``sens`` that ``eval`` prints, and rho
+    from the pulse kernel's prefix form per realized (b, k). Returns
     a ``SimResult`` that ``run_training`` must equal field for field,
     bit for bit.
     """
@@ -541,11 +566,11 @@ def run_training_per_round(config, population):
     ss_cohort, ss_noise = ss.spawn(2)
     cohort_rng = np.random.default_rng(ss_cohort)
     dim = population.dim
-    c_full = blt_coefs(config.mechanism, config.rounds)
     k_conf = config.est_max_part
     if k_conf is None:
         k_conf = max_participations(config.rounds, config.min_sep)
-    sens = toeplitz_sensitivity(c_full, ParticipationSchema(config.rounds, config.min_sep, k_conf))
+    schema = ParticipationSchema(config.rounds, config.min_sep, k_conf)
+    sens = blt_mechanism_loss(config.mechanism, schema).sens
     sigma_zeta = 0.0
     if config.noise_multiplier > 0:
         sigma_zeta = config.noise_multiplier * sens * config.clip_norm
@@ -587,7 +612,12 @@ def run_training_per_round(config, population):
     audit_min_sep(log_entries(cohorts), config.min_sep)
     rho = np.full(config.rounds, math.inf)
     if sigma_zeta > 0:
-        s = ftrl_sim._realized_sensitivities(c_full, b_log, k_log) * config.clip_norm
+        theta, omega = config.mechanism.theta[None], config.mechanism.omega[None]
+        s = np.empty(config.rounds)
+        for b, k in set(zip(b_log.tolist(), k_log.tolist())):
+            rows = ((b_log == b) & (k_log == k)).nonzero()[0]
+            s[rows] = _blt_prefix_sensitivities(theta, omega, b, k, rows + 1)[:, 0]
+        s *= config.clip_norm
         rho = s * s / (2.0 * sigma_zeta * sigma_zeta)
     models = np.array(models)
     loss = np.empty(config.rounds)

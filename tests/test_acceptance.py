@@ -12,6 +12,7 @@ the sampling design, not to run-to-run flakiness.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from corrnoise.blt_core import (
     BltParams,
     blt_coefs,
     blt_inverse_coefs,
+    load_params,
     make_noise_generator,
     stream_mult_inverse,
     toeplitz_inverse_coefs,
@@ -325,6 +327,32 @@ class TestCriterion8Simulator:
         assert diffs.mean() > 0  # ordering of the means
         t_stat = diffs.mean() / (diffs.std(ddof=1) / math.sqrt(len(diffs)))
         assert t_stat > 1.729  # one-sided 95%, 19 degrees of freedom
+
+
+class TestOneSensitivityFormula:
+    @pytest.mark.parametrize(
+        "mech, schema",
+        [
+            ("b400", (2052, 342, 6)),
+            ("b400", (1000, 7, 50)),
+            ("b400", (20000, 400, 50)),
+            ("sim_mech.json", (64, 8, 8)),
+        ],
+    )
+    def test_noise_is_calibrated_with_the_sens_eval_prints(self, mech, schema):
+        # one sensitivity formula: the simulator's configured sens is eval's,
+        # bit for bit; an O(n) shifted sum once put it an ulp below
+        if mech == "b400":
+            params = BltParams(THETA_B400, OMEGA_B400)
+        else:
+            params, _ = load_params(Path(__file__).parent / "golden" / "readme" / "files" / mech)
+        n, b, k = schema
+        cfg = TrainConfig(
+            rounds=n, clients_per_round=1, client_lr=0.1, server_lr=0.1,
+            mechanism=params, min_sep=b, est_max_part=k,
+        )
+        sens = run_training(cfg, make_population(b, 1, 1, eval_samples=1)).sens_configured
+        assert sens == blt_mechanism_loss(params, ParticipationSchema(*schema)).sens
 
 
 class TestCriterion9Performance:

@@ -825,6 +825,27 @@ def _tree_job(d, size):
     tree_loss_fn(size)(ParticipationSchema(size, size // 6, 6))
 
 
+def _peak_and_rule(job, d, size, monkeypatch):
+    """(traced peak in bytes, the float64s its rule counted) of one ``job(d, size)``."""
+    sized = []
+
+    def record(values, what):
+        sized.append(values)
+
+    for module in (blt_core, blt_optimizer, tree_baseline):
+        monkeypatch.setattr(module, "_require_memory", record)
+    job(d, 1 << 12)  # a first call's imports and caches stay out of the peak
+    sized.clear()
+    tracemalloc.start()
+    try:
+        job(d, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [values] = sized
+    return peak, values
+
+
 class TestMemoryRule:
     # each job sizes its O(n) or O(m) arrays with _require_memory before it
     # makes them; its traced peak must stay within the rule's float64s, so
@@ -836,21 +857,16 @@ class TestMemoryRule:
         ids=["noise-round", "fit-check", "tree-errors"],
     )
     def test_peak_within_the_rule(self, job, ds, size, monkeypatch):
-        sized = []
-
-        def record(values, what):
-            sized.append(values)
-
-        for module in (blt_core, blt_optimizer, tree_baseline):
-            monkeypatch.setattr(module, "_require_memory", record)
         for d in ds:
-            job(d, 1 << 12)  # a first call's imports and caches stay out of the peak
-            sized.clear()
-            tracemalloc.start()
-            try:
-                job(d, size)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            [values] = sized
+            peak, values = _peak_and_rule(job, d, size, monkeypatch)
             assert peak <= 8 * values, (d, peak / 8 / size)
+
+    @pytest.mark.parametrize(
+        "m", [1, 20, 4096, (1 << 13) - 1, 1 << 13, (1 << 13) + 1, 1 << 15]
+    )
+    @pytest.mark.parametrize("d", range(5))
+    def test_narrow_noise_round_within_the_rule(self, d, m, monkeypatch):
+        # below about 2^15 columns the round's scratch and numpy's reduction
+        # buffer outgrew (d + 2) * m: 389 KB against 192 KB at d = 4, m = 4096
+        peak, values = _peak_and_rule(_noise_job, d, m, monkeypatch)
+        assert peak <= 8 * values, peak / 8 - values

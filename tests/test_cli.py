@@ -186,6 +186,34 @@ class TestOptimize:
         assert_usage_names_file(exc, capsys, str(out_path), "No such file or directory")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("out", ["", "missing_dir/p.json"], ids=["empty", "no-dir"])
+    def test_unwritable_out_exits_before_the_fit(self, out, tmp_path, monkeypatch, capsys):
+        # the path is checked first: it used to exit 2 only after every restart
+        def no_loss(*args):
+            raise AssertionError("a loss call ran")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(corrnoise.blt_optimizer, "_loss_batch", no_loss)
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--n", "64", "--min-sep", "16", "--restarts", "1", "--out", out])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "optimize: error: " in captured.err and captured.out == ""
+        assert files_under(tmp_path) == []
+
+    def test_out_is_kept_until_the_fit_succeeds(self, tmp_path, monkeypatch):
+        # checking the path truncates nothing: a failed fit leaves the old file
+        def no_loss(*args):
+            raise AssertionError("a loss call ran")
+
+        path = tmp_path / "p.json"
+        path.write_text("old params\n")
+        monkeypatch.setattr(corrnoise.blt_optimizer, "_loss_batch", no_loss)
+        with pytest.raises(AssertionError, match="a loss call ran"):
+            main(["optimize", "--n", "64", "--min-sep", "16", "--restarts", "1",
+                  "--out", str(path)])
+        assert path.read_text() == "old params\n"
+
     def test_invalid_flags_exit_nonzero_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["optimize", "--n", "64", "--objective", "median"])
@@ -974,11 +1002,11 @@ class TestSimulate:
 
     def test_cap_that_does_not_fit_names_the_config(self, tmp_path, capsys, monkeypatch):
         # (k - 1) * min_sep = 16 >= rounds = 6: TrainConfig rejects the cap,
-        # so the run builds no coefficients; it used to fail in run_training
+        # so the run computes no sensitivity; it used to fail in run_training
         def no_work(*args):
-            raise AssertionError("blt_coefs ran")
+            raise AssertionError("the sensitivity ran")
 
-        monkeypatch.setattr(corrnoise.ftrl_sim, "blt_coefs", no_work)
+        monkeypatch.setattr(corrnoise.ftrl_sim, "_blt_sensitivity", no_work)
         self.assert_config_exits_with_usage(
             json.dumps(simulate_config(est_max_part=9)),
             "est_max_part 9 does not fit 6 rounds at min_sep 2; at most 3", tmp_path, capsys

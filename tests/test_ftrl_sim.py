@@ -7,6 +7,7 @@ equality, determinism, audits) plus per-operation closed forms.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from oracles import (
     log_entries,
     metrics_per_round,
     population_per_client,
+    realized_sensitivities_shifted_sum,
     run_training_per_round,
 )
 
@@ -36,6 +38,8 @@ from corrnoise.ftrl_sim import (
     select_cohort,
     server_round,
 )
+from corrnoise.loss_metrics import blt_mechanism_loss
+from corrnoise.participation import ParticipationSchema
 
 MECH = BltParams(np.array([0.9, 0.5]), np.array([0.2, 0.3]))
 
@@ -96,6 +100,50 @@ class TestPopulation:
         assert pop.features.tobytes() == np.stack(features).tobytes()
         assert pop.labels.tobytes() == np.stack(labels).tobytes()
 
+    @pytest.mark.parametrize(
+        "task, sizes, seed, digest",
+        [
+            ("linear", (200, 5, 16), 0,
+             "93448292e551961e67fd60b51b390614b1b3db18b89062b515b7547dc144b00f"),
+            ("linear", (50, 33, 17), 3,
+             "18bd31d64cc52bd0556f6d01df3d54fb2cb5b74a55993eb18e076481fc49968a"),
+            ("linear", (7, 3, 1), 0,
+             "275a9271a85a5d18dd5bc5a11600339f954bfdab31255ad5097556cc0861dda8"),
+            ("logistic", (200, 5, 16), 0,
+             "8d206213ab5432943e73d9bfeeb2cc945704831ef81e532a33a800fb7b5732cd"),
+            ("logistic", (50, 33, 17), 3,
+             "e537806bca95e3c8498ac1e6d35a62d2e7b5b3ef682a1826f4854080e4bcd299"),
+            ("logistic", (7, 3, 1), 0,
+             "922eef349ffc0a080a54b4bcb6c7d6a9d7e7eb9d75a9967500fe5946ee593fa4"),
+        ],
+    )
+    def test_population_bytes_are_pinned(self, task, sizes, seed, digest):
+        # sha256 of the features, labels and eval set, recorded when every
+        # client was drawn and labelled on its own; the one-pass build keeps them
+        pop = make_population(*sizes, task=task, eval_samples=64, seed=seed)
+        arrays = (pop.features, pop.labels, pop.eval_features, pop.eval_labels)
+        # C-contiguous, so that a cohort's ``take`` copies only its own rows
+        assert all(a.flags.c_contiguous for a in arrays)
+        assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
+
+    @pytest.mark.parametrize("sizes", [(4000, 20, 32), (4000, 1, 32), (300, 7, 100)])
+    @pytest.mark.parametrize("task", ["linear", "logistic"])
+    def test_peak_within_the_memory_rule(self, task, sizes, monkeypatch):
+        # the stacked labelling's scratch is counted: the traced peak of a
+        # build stays within the float64s the rule checks before any draw
+        sized = []
+        monkeypatch.setattr(sim, "_require_memory", lambda values, what: sized.append(values))
+        make_population(*sizes, task=task)  # a first call's caches stay out of the peak
+        sized.clear()
+        tracemalloc.start()
+        try:
+            make_population(*sizes, task=task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [values] = sized
+        assert peak <= 8 * values, peak / 8 / values
+
     def test_logistic_labels_binary(self):
         p = small_population(task="logistic")
         assert set(np.unique(np.concatenate(p.labels))) <= {0.0, 1.0}
@@ -143,7 +191,7 @@ class TestSelectCohort:
         def reached(*args):
             raise Reached
 
-        monkeypatch.setattr(sim, "blt_coefs", reached)
+        monkeypatch.setattr(sim, "_blt_sensitivity", reached)
         rng = np.random.default_rng(m * 10 + b)
         for n_clients in range(1, 17):
             pop = small_population(n_clients=n_clients)
@@ -420,13 +468,63 @@ class TestConfiguredSensitivity:
         assert sens == pytest.approx(2.0, rel=1e-14)
 
     def test_blt_matches_library_value(self):
-        from corrnoise.blt_core import blt_coefs
-        from corrnoise.participation import ParticipationSchema, toeplitz_sensitivity
-
+        # the noise is calibrated with the sens that ``eval`` prints, bit for bit
         cfg = config(mechanism=MECH, rounds=12, min_sep=3)
-        expect = toeplitz_sensitivity(blt_coefs(MECH, 12), ParticipationSchema(12, 3, 4))
-        sens = run_training(cfg, small_population()).sens_configured
-        assert sens == pytest.approx(expect, rel=1e-14)
+        expect = blt_mechanism_loss(MECH, ParticipationSchema(12, 3, 4)).sens
+        assert run_training(cfg, small_population()).sens_configured == expect
+
+
+def chain_mechanism(d):
+    """A valid d-buffer BLT with spread decays; d = 0 is the identity."""
+    return BltParams(np.linspace(0.97, 0.2, d), np.full(d, 0.9 / max(d, 1)))
+
+
+class TestRealizedSensitivity:
+    """rho_so_far comes from the pulse kernel's prefix form, per realized (b, k)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", range(5))
+    def test_prefix_form_matches_shifted_sum_oracle(self, d, seed, monkeypatch):
+        # a random run whose realized (b, k) changes many times; the kernel's
+        # calls are recorded as run_training makes them
+        rng = np.random.default_rng(10 * d + seed)
+        m, b = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        cfg = config(
+            mechanism=chain_mechanism(d), noise_multiplier=0.6, clip_norm=0.8,
+            rounds=int(rng.integers(60, 120)), clients_per_round=m, min_sep=b,
+            seed=seed,
+        )
+        calls = []
+        kernel = sim._blt_prefix_sensitivities
+
+        def spy(theta, omega, b, k, lengths):
+            sens = kernel(theta, omega, b, k, lengths)
+            calls.append((b, k, lengths.copy(), sens[:, 0]))
+            return sens
+
+        monkeypatch.setattr(sim, "_blt_prefix_sensitivities", spy)
+        r = run_training(cfg, small_population(n_clients=m * b + int(rng.integers(0, 4))))
+        b_log, k_log = _realized_schema(r.cohorts, b)
+        pairs = set(zip(b_log.tolist(), k_log.tolist()))
+        assert len(pairs) >= 8
+        # one kernel call per realized (b, k), over that pair's rounds
+        assert sorted((bb, kk) for bb, kk, _, _ in calls) == sorted(pairs)
+        got = np.full(cfg.rounds, np.nan)  # a round no call covered fails below
+        for bb, kk, lengths, sens in calls:
+            np.testing.assert_array_equal(b_log[lengths - 1], bb)
+            np.testing.assert_array_equal(k_log[lengths - 1], kk)
+            got[lengths - 1] = sens
+        want = realized_sensitivities_shifted_sum(blt_coefs(cfg.mechanism, cfg.rounds),
+                                                  b_log, k_log)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        # the whole run's value is the sensitivity eval prints at the realized schema
+        realized = ParticipationSchema(cfg.rounds, r.realized_b, r.realized_k)
+        assert got[-1] == pytest.approx(blt_mechanism_loss(cfg.mechanism, realized).sens,
+                                        rel=2.3e-16, abs=0)
+        s = got * cfg.clip_norm
+        assert [row["rho_so_far"] for row in r.metrics] == (
+            s * s / (2.0 * r.sigma_zeta * r.sigma_zeta)
+        ).tolist()
 
 
 class TestRunTraining:

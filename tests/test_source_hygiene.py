@@ -11,7 +11,9 @@ several modules apply are written once: the integer test (the one
 the memory test (the one ``"SC_PHYS_PAGES"``) and the objective list
 (the one ``"max", "rms"``). The noise recurrence
 has one owner: only ``blt_core`` touches a noise state's ``buffers``, and
-one def there, ``_recur``, runs it for every row; so has the cohort rule:
+one def there, ``_recur``, runs it for every row; so has the BLT
+sensitivity: one pulse loop in ``participation`` gives every BLT
+sensitivity, and ``ftrl_sim`` names no coefficient column; so has the cohort rule:
 only ``ftrl_sim`` reads ``clients_per_round``.
 Every mechanism evaluator is built by ``loss_metrics.loss_fn``, the one
 def that refuses a schema of another n, and no function keeps its state
@@ -57,6 +59,7 @@ ORACLES = (
     "audit_min_sep",
     "ledger_per_round",
     "run_training_per_round",
+    "realized_sensitivities_shifted_sum",
 )
 
 
@@ -320,6 +323,27 @@ def test_noise_recurrence_written_once():
     blt_core = _parse(SRC / "blt_core.py")
     fill = next(f for f in blt_core.body if getattr(f, "name", None) == "_fill")
     assert [arg.arg for arg in fill.args.args] == ["out", "state"]
+
+
+def test_sensitivity_formula_written_once():
+    # one pulse loop gives every BLT sensitivity: the fit's, eval's and
+    # sweep's, and the simulator's sigma and rho_so_far
+    def quadratic_form(node):
+        return isinstance(node, ast.Attribute) and node.attr == "einsum"
+
+    assert _defs_where(quadratic_form) == [("participation.py", "_blt_prefix_sensitivities")]
+
+    def calls_kernel(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == (
+            "_blt_prefix_sensitivities"
+        )
+
+    assert sorted(_defs_where(calls_kernel)) == [
+        ("ftrl_sim.py", "run_training"),
+        ("participation.py", "_blt_sensitivity"),
+    ]
+    sim = _identifiers(_parse(SRC / "ftrl_sim.py"))
+    assert not sim & {"blt_coefs", "toeplitz_sensitivity", "_shifted_sum"}
 
 
 def test_usage_errors_exit_only_in_main():
